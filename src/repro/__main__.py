@@ -37,10 +37,9 @@ reads like any lifecycle trace.
 Parallel sweeps share each compiled trace's numpy columns over named
 shared-memory segments and dispatch fine-grained units with work
 stealing (see docs/performance.md): ``REPRO_SHM=0`` disables segment
-publication, ``REPRO_STEAL=0`` pins the legacy static FIFO chunks,
-``REPRO_FUSION=0`` disables cell fusion, and ``REPRO_MP_CONTEXT``
-selects the pool start method (``fork`` default / ``spawn`` /
-``forkserver`` — figures are bit-identical across all of them).
+publication, and ``REPRO_MP_CONTEXT`` selects the pool start method
+(``fork`` default / ``spawn`` / ``forkserver`` — figures are
+bit-identical across all of them and to ``--jobs 1``).
 """
 
 from __future__ import annotations

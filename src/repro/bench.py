@@ -10,14 +10,11 @@ writes a machine-readable ``BENCH_simulator.json``:
   reporting the specialized-vs-generic speedup, per-cell kernel
   variants, and whether the figures were bit-identical (they must be;
   ``--check`` and ``--require-specialized`` gate on this section).
-  Its ``batch`` subsection re-times the cells that selected the
-  vectorized batch tier (:mod:`repro.engine.batch`) against the
-  ``REPRO_KERNEL=scalar`` comparator, reporting
-  ``speedup_vs_scalar`` and in-run bit-identity (``--require-batch``
-  gates on it); its ``segmented`` subsection does the same for the
-  hooked cells that selected the segmented tier (the paper's
-  ``bop``/``tpc`` prefetchers), per cell — coverage fraction,
-  seconds, speedup, identity — plus the aggregate
+  Its ``segmented`` subsection re-times the cells that selected the
+  segmented replay tier (:mod:`repro.engine.batch` — the hook-free
+  ``none`` cells and the paper's ``bop``/``tpc`` prefetchers) against
+  the ``REPRO_KERNEL=scalar`` comparator, per cell — coverage
+  fraction, seconds, speedup, identity — plus the aggregate
   ``speedup_vs_scalar`` that ``--require-segmented`` gates on
   (>= 1.5x, bit-identical everywhere);
 * **parallel** — the same matrix through :func:`repro.parallel.run_jobs`
@@ -231,79 +228,11 @@ def bench_generic(matrix, config) -> dict:
     return {"seconds": round(elapsed, 3), "cell_figures": figures}
 
 
-def bench_batch(matrix, config, variants: dict) -> dict:
-    """The kernels section's ``batch`` subsection.
-
-    Re-times the cells whose serial pass selected the vectorized batch
-    tier (the hookless ``none``/baseline cells) against the
-    ``REPRO_KERNEL=scalar`` comparator — the scalar specialized kernels
-    with only the batch tier disabled — and proves in-run bit-identity
-    between the two.  Each leg gets one untimed settle pass (the scalar
-    kernels for these cells may not be exec-compiled yet; the batch
-    plans are memoized from the serial pass) and then fastest-of-3.
-    """
-    from repro.engine.batch import BATCH_VARIANT
-    from repro.engine.kernel import KERNEL_ENV, SCALAR
-    from repro.experiments.runner import simulate_spec
-
-    cells = [(w, s) for w, s in matrix
-             if variants.get(f"{w}/{s}") == BATCH_VARIANT]
-    section: dict = {
-        "variant": BATCH_VARIANT,
-        "cells": [f"{w}/{s}" for w, s in cells],
-    }
-    if not cells:
-        section.update({
-            "batch_seconds": 0.0,
-            "scalar_seconds": 0.0,
-            "speedup_vs_scalar": 0.0,
-            "identical": True,
-        })
-        return section
-
-    def timed_pass() -> tuple[float, list]:
-        for workload, spec in cells:
-            simulate_spec(workload, spec, "", config)
-        best = None
-        figures: list = []
-        for _ in range(3):
-            started = time.perf_counter()
-            figures = [
-                _cell_figures(simulate_spec(workload, spec, "", config))
-                for workload, spec in cells
-            ]
-            elapsed = time.perf_counter() - started
-            if best is None or elapsed < best:
-                best = elapsed
-        return best, figures
-
-    batch_seconds, batch_figures = timed_pass()
-    previous = os.environ.get(KERNEL_ENV)
-    os.environ[KERNEL_ENV] = SCALAR
-    try:
-        scalar_seconds, scalar_figures = timed_pass()
-    finally:
-        if previous is None:
-            os.environ.pop(KERNEL_ENV, None)
-        else:
-            os.environ[KERNEL_ENV] = previous
-    section.update({
-        "batch_seconds": round(batch_seconds, 3),
-        "scalar_seconds": round(scalar_seconds, 3),
-        "speedup_vs_scalar": (
-            round(scalar_seconds / batch_seconds, 2)
-            if batch_seconds else 0.0
-        ),
-        "identical": batch_figures == scalar_figures,
-    })
-    return section
-
-
 def bench_segmented(matrix, config, variants: dict) -> dict:
     """The kernels section's ``segmented`` subsection.
 
     Re-times the cells whose serial pass selected the segmented tier
-    (the hooked leanmem cells — the paper's ``bop``/``tpc``
+    (the leanmem cells — ``none`` and the paper's ``bop``/``tpc``
     prefetchers) against the ``REPRO_KERNEL=scalar`` comparator and
     proves in-run bit-identity.  Each cell is timed individually
     (settle pass, then fastest-of-3) so the section carries per-cell
@@ -645,11 +574,6 @@ def run_bench(quick: bool = False, jobs: int = 0,
     }
     say(f"kernels: {kernels['speedup_vs_generic']}x vs generic, "
         f"identical={kernels['identical']}")
-    say("batch-tier parity pass (REPRO_KERNEL=scalar comparator)")
-    kernels["batch"] = bench_batch(matrix, config, variants)
-    say(f"batch: {kernels['batch']['speedup_vs_scalar']}x vs scalar "
-        f"over {len(kernels['batch']['cells'])} cells, "
-        f"identical={kernels['batch']['identical']}")
     say("segmented-tier parity pass (REPRO_KERNEL=scalar comparator)")
     kernels["segmented"] = bench_segmented(matrix, config, variants)
     say(f"segmented: {kernels['segmented']['speedup_vs_scalar']}x vs "
@@ -719,9 +643,10 @@ def check_regression(report: dict, baseline_path: str,
     the invariant, never tolerance-scaled), and the specialized-vs-
     generic speedup must not fall below 1.0 — a specialization that no
     longer pays for itself is a regression.  The same pair applies to
-    the batch tier when any cell selected it: ``batch.identical`` must
-    hold and ``batch.speedup_vs_scalar`` must not fall below 1.0 (the
-    stricter >= 2.0 target is ``--require-batch``'s gate).
+    the segmented tier when any cell selected it:
+    ``segmented.identical`` must hold and
+    ``segmented.speedup_vs_scalar`` must not fall below 1.0 (the
+    stricter >= 1.5 target is ``--require-segmented``'s gate).
     """
     with open(baseline_path) as handle:
         baseline = json.load(handle)
@@ -776,18 +701,6 @@ def check_regression(report: dict, baseline_path: str,
                 f"specialized kernels slower than the generic loop: "
                 f"{kernels['speedup_vs_generic']}x < 1.0"
             )
-        batch = kernels.get("batch")
-        if batch is not None and batch["cells"]:
-            if not batch["identical"]:
-                return (
-                    "batch tier is not bit-identical to the scalar "
-                    "kernels (REPRO_KERNEL=scalar) — figures diverged"
-                )
-            if batch["speedup_vs_scalar"] < 1.0:
-                return (
-                    f"batch tier slower than the scalar kernels: "
-                    f"{batch['speedup_vs_scalar']}x < 1.0"
-                )
         segmented = kernels.get("segmented")
         if segmented is not None and segmented["cells"]:
             if not segmented["identical"]:
@@ -834,16 +747,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="fail if any matrix cell fell back to the "
                              "generic replay kernel (CI kernel-parity "
                              "gate)")
-    parser.add_argument("--require-batch", action="store_true",
-                        help="fail unless the hookless cells ran the "
-                             "vectorized batch tier bit-identically at "
-                             ">= 2x over REPRO_KERNEL=scalar (CI "
-                             "kernel-parity gate)")
     parser.add_argument("--require-segmented", action="store_true",
-                        help="fail unless the hooked bop/tpc cells ran "
-                             "the segmented tier bit-identically at "
-                             ">= 1.5x aggregate over REPRO_KERNEL="
-                             "scalar (CI kernel-parity gate)")
+                        help="fail unless the leanmem none/bop/tpc "
+                             "cells ran the segmented tier bit-"
+                             "identically at >= 1.5x aggregate over "
+                             "REPRO_KERNEL=scalar (CI kernel-parity "
+                             "gate)")
     args = parser.parse_args(argv)
     log = get_logger("bench")
 
@@ -893,26 +802,14 @@ def main(argv: list[str] | None = None) -> int:
         elif not report["kernels"]["identical"]:
             error = ("specialized kernels are not bit-identical to the "
                      "generic loop")
-    if args.require_batch and error is None:
-        batch = report["kernels"]["batch"]
-        if not batch["cells"]:
-            error = ("no matrix cell selected the batch tier "
-                     f"({batch['variant']}) — hookless cells missing "
-                     "or fell back to scalar")
-        elif not batch["identical"]:
-            error = ("batch tier is not bit-identical to the scalar "
-                     "kernels (REPRO_KERNEL=scalar)")
-        elif batch["speedup_vs_scalar"] < 2.0:
-            error = (f"batch tier below the 2x target: "
-                     f"{batch['speedup_vs_scalar']}x vs scalar")
     if args.require_segmented and error is None:
         segmented = report["kernels"]["segmented"]
         broken = sorted(cell for cell, fig in segmented["per_cell"].items()
                         if not fig["identical"])
         if not segmented["cells"]:
             error = ("no matrix cell selected the segmented tier — "
-                     "hooked bop/tpc cells missing or fell back to "
-                     "scalar")
+                     "leanmem none/bop/tpc cells missing or fell back "
+                     "to scalar")
         elif broken:
             error = ("segmented tier is not bit-identical to the "
                      "scalar kernels (REPRO_KERNEL=scalar) on: "

@@ -1,72 +1,13 @@
-"""Batch replay tier: bulk column scans for hook-free traces.
+"""Segmented replay tier: plan once per trace, replay every cell.
 
 The third kernel tier (generic loop -> specialized scalar kernels ->
-this module), applied to the fully hookless configuration that
-dominates the ``none``/baseline matrix cells: no instruction feed, no
-access observers, no prefetch hooks, no sampler, static branch
-predictor, lean memory path.  Those flags imply **demand-only**
-traffic, and demand-only traffic makes the *entire hierarchy's
-structural behaviour* a pure function of the access sequence: which
-accesses hit at each level, which line every miss evicts, whether each
-victim is dirty, which DRAM row each request opens, and every shadow-tag
-outcome are all decided by LRU geometry and access order alone — only
-the *latencies* (MSHR stalls, DRAM queue stalls, bank/bus contention)
-depend on timing.
-
-So the tier splits the work the way the paper splits prefetching:
-
-* **Plan (pay once per trace x geometry)** — :func:`_build_plan` fuses
-  the derived columns into per-instruction dispatch classes and
-  effective operands with vectorized numpy scans over the compiled
-  trace's canonical arrays, then walks only the memory positions (the
-  trace's precomputed segment events) through dict-based models of L1,
-  L2, L3, the L2 shadow tags, and the DRAM row buffers.  The walk
-  classifies every access (L1 hit / L2 hit / L3 hit / DRAM), links each
-  hit to the fill that produced its line, precomputes every victim and
-  its dirtiness, every writeback's DRAM row class, and every level's
-  hit/miss/eviction/writeback totals, per-line footprints, and
-  pollution counts.  The plan is memoized on ``CompiledTrace._plans``
-  keyed by the full structural geometry (cache shapes, ALU latency,
-  DRAM mapping and row timings).
-* **Replay (execute cheaply every cell)** — :func:`_run_batch` retires
-  instructions through a six-way class dispatch with no dict probes, no
-  per-access object allocation, and no hierarchy calls at all.  The
-  miss leg is the batch sibling of ``Hierarchy._demand_miss``: it
-  re-runs only the *timing* arithmetic — the exact ``_MshrFile``
-  acquire/register algebra at L1 and L2, the DRAM channel-queue
-  drain/stall and bank/bus bookkeeping of ``Dram.read``/``write`` —
-  against flat plan arrays, keeping per-fill ready times in plain lists
-  (``l2_ready``/``l3_ready``) indexed by allocation ordinal instead of
-  ``CacheLine`` objects.  Fills to a resident line only ever *lower*
-  its ready time (``Cache.fill`` semantics), so a min-update per fill
-  reproduces ``fill_time`` exactly.
-
-Bit-identity is the contract, exactly as for the scalar kernels: the
-plan reproduces every structural decision of
-:class:`~repro.memory.cache.Cache` (one use-counter bump per lookup-hit
-or fill, first-minimum LRU victim, dirty-on-store, no last-use touch on
-fill-to-resident), :class:`~repro.memory.shadow.ShadowTagStore`, and
-:class:`~repro.memory.dram.Dram`'s row-buffer transitions; the replay
-loop reproduces the generated scalar kernel's issue/commit arithmetic
-and the hierarchy's timing algebra line for line.
-``tests/test_kernels.py`` plus the bench's in-run ``batch`` parity
-section pin it.  ``REPRO_KERNEL=scalar`` disables only this tier
-(keeping the scalar specialized kernels) — the comparator the bench's
-``batch.speedup_vs_scalar`` measures against — while
-``REPRO_KERNEL=generic`` still disables all specialization.
-
-Eligibility is deliberately conservative: any deviation — warm core or
-hierarchy state, subclassed hierarchy/cache/shadow/MSHR/DRAM
-components, DRAM telemetry attached, missing numpy — falls back to the
-scalar tier silently (the variant name on ``SimulationResult.kernel``
-records which tier actually ran).
-
-Segmented batch replay (the ``segmented+...`` variants) extends the
-tier across hook boundaries for the *hooked* leanmem/static-BP cells —
-the paper's actual ``bop``/``tpc`` prefetchers.  Prefetches perturb the
-cache and DRAM state, so the hook-free plan above is impossible there:
-which accesses hit, which victims leave, and which DRAM rows open all
-depend on what the prefetcher did.  The segmented split is therefore:
+this module), applied to every leanmem/static-BP cell without a
+sampler: the hook-free ``none`` cells and the paper's hooked
+``bop``/``tpc`` prefetchers alike.  Prefetches perturb the cache and
+DRAM state — which accesses hit, which victims leave, and which DRAM
+rows open all depend on what the prefetcher did — so the tier plans
+only what the trace alone decides and replays the rest live, splitting
+the work the way the paper splits prefetching:
 
 * **Plan (pay once per trace x L1 geometry)** — :func:`_build_segment_plan`
   precomputes only what stays a pure function of the trace: the fused
@@ -78,39 +19,50 @@ depend on what the prefetcher did.  The segmented split is therefore:
   prefetching).
 * **Replay (every cell)** — a generated kernel (:func:`_segment_source`,
   compiled and memoized per hook/policy/geometry shape like
-  ``repro.engine.kernel``) retires the hook-free stretches through the
-  same tight class-dispatch loop as :func:`_run_batch` and executes a
-  *scalar island* at each segment event: the L1 hit leg, the full
-  demand-miss leg, and the entire prefetch path run against a
-  virtualized hierarchy — flat ``[fill_time, dirty, prefetched, used,
-  component]`` entries in recency-ordered per-set dicts (dict order is
-  exact LRU order), the ``_MshrFile``/``Dram`` algebra inline — with
-  zero per-access object allocation, dead hook branches absent from
-  the emitted source, and composite hook forwarders devirtualized to
-  their component methods.
+  ``repro.engine.kernel``) retires the hook-free stretches through a
+  tight class-dispatch loop and executes a *scalar island* at each
+  segment event: the L1 hit leg, the full demand-miss leg, and the
+  entire prefetch path run against a virtualized hierarchy — flat
+  ``[fill_time, dirty, prefetched, used, component]`` entries in
+  recency-ordered per-set dicts (dict order is exact LRU order), the
+  ``_MshrFile``/``Dram`` algebra inline — with zero per-access object
+  allocation, dead hook branches absent from the emitted source (a
+  hook-free cell's kernel has none at all), and composite hook
+  forwarders devirtualized to their component methods.
   Hooks (``observe_instruction``, ``observe_access``, ``on_access``,
   ``on_fill``, ``on_prefetch_hit``) are called at exactly the positions
   and with exactly the :class:`~repro.core.base.AccessEvent` payloads
   of the scalar kernels, so prefetcher state is handed off bit-exactly
   at every stretch/island boundary.
 
-Selection upgrades any ``fast+...+leanmem+staticbp`` variant (sampler
-absent) whose segment-event coverage fraction is sparse enough
-(:func:`segment_max_coverage`, default 0.95, ``REPRO_SEGMENT_COVERAGE``
-override); an all-event trace degrades to the pure scalar kernel.
-``REPRO_KERNEL=scalar`` disables this tier together with the batch
-tier.  Both tiers memoize their plans on ``CompiledTrace._plans``
-(``plan_builds``/``plan_cache_hits`` kernel counters, mirrored into
-``repro metrics``).
+Bit-identity is the contract, exactly as for the scalar kernels: the
+replay reproduces every structural decision and every timing of
+:class:`~repro.memory.cache.Cache`,
+:class:`~repro.memory.shadow.ShadowTagStore`, the MSHR files, and
+:class:`~repro.memory.dram.Dram`.  ``tests/test_kernels.py``, the fuzz
+identity harness, and the bench's in-run ``segmented`` parity section
+pin it.  ``REPRO_KERNEL=scalar`` disables only this tier (keeping the
+scalar specialized kernels) — the comparator the bench's
+``segmented.speedup_vs_scalar`` measures against — while
+``REPRO_KERNEL=generic`` still disables all specialization.
+
+Eligibility is deliberately conservative: a sampler, the dynamic branch
+predictor, a tracked or telemetry-carrying hierarchy, warm core or
+hierarchy state, subclassed hierarchy/cache/shadow/MSHR/DRAM
+components, DRAM telemetry, missing numpy, or a segment-event coverage
+fraction above :data:`SEGMENT_MAX_COVERAGE` (an all-event trace) all
+fall back to the scalar tier silently (the variant name on
+``SimulationResult.kernel`` records which tier actually ran).  Plans
+are memoized on ``CompiledTrace._plans`` (``plan_builds``/
+``plan_cache_hits`` kernel counters, mirrored into ``repro metrics``);
+``compiled.<variant>`` counts kernel exec-compiles.
 """
 
 from __future__ import annotations
 
 import os
 import weakref
-from collections import Counter
 
-from repro.log import get_logger
 from repro.isa.trace import (
     DISP_ALU,
     DISP_BR_COND,
@@ -121,470 +73,9 @@ from repro.isa.trace import (
     CompiledTrace,
 )
 
-BATCH_FLAGS = (False, False, False, False, False, True, True)
-"""The :func:`repro.engine.kernel.kernel_flags` tuple this tier serves:
-``fast+leanmem+staticbp`` with every hook absent."""
-
-BATCH_VARIANT = "batch+leanmem+staticbp"
-
 _FAR = 1 << 62
 """Empty-pending sentinel (mirrors ``_MshrFile._NO_PENDING`` and
-``Dram._NO_PENDING``), doubling as the not-yet-filled ready-time
-sentinel: the first min-update of a fresh allocation assigns it."""
-
-
-class BatchPlan:
-    """Precomputed replay schedule for one (trace, geometry) pair.
-
-    The ``cls``/``src1``/``src2``/``dst``/``aux`` lists are
-    per-instruction and are consumed zipped, one tuple per retired
-    instruction.  ``aux`` is class-overloaded: the completion latency
-    for register-only instructions, the producing L1-miss ordinal for
-    L1 hits (indexing ``fill_times`` at replay), the miss ordinal
-    itself for L1 misses (indexing the ``m_*`` schedules).  All plain
-    lists — the replay loop never touches numpy.
-
-    Per L1-miss schedules (index = miss ordinal):
-
-    ``m_path``
-        0 = L2 hit, 1 = L3 hit, 2 = DRAM read.
-    ``m_a``
-        Path-overloaded: the L2 allocation ordinal whose ready time the
-        L2 hit reads, the L3 allocation ordinal for an L3 hit, or the
-        DRAM read ordinal (indexing ``r_*``).
-    ``m_l2fill``
-        Allocation ordinal of the demand fill into L2 (-1 on an L2
-        hit — no fill happens).
-    ``m_wb2``
-        L2 allocation ordinal min-updated by this miss's dirty
-        L1-victim writeback, or -1 (clean or no victim).
-    ``m_nw`` / ``m_nc3``
-        How many entries of the flat ``w_*`` (DRAM writeback) and
-        ``c3_inst`` (cascaded L3 ready min-update) streams this miss
-        consumes; misses replay strictly in ordinal order, so the
-        replay loop walks both streams with cursors.
-
-    Flat DRAM read schedule (index = read ordinal): ``r_access`` (the
-    precomputed row-class access latency), ``r_bank``, ``r_ch``, and
-    ``r_l3inst`` (the L3 allocation the completing fill creates).  Flat
-    writeback schedule: ``w_access``/``w_bank``/``w_ch``, in exact
-    issue order (demand-L3-victim, then L2-fill-cascade victim, then
-    L1-writeback-cascade victim).
-    """
-
-    __slots__ = (
-        "__weakref__",
-        "cls", "src1", "src2", "dst", "aux", "miss_pc",
-        "m_path", "m_a", "m_l2fill", "m_wb2", "m_nw", "m_nc3",
-        "r_access", "r_bank", "r_ch", "r_l3inst",
-        "w_access", "w_bank", "w_ch", "c3_inst",
-        "n_mem", "n_hits", "n_miss", "n_l2_inst", "n_l3_inst",
-        "evictions", "writebacks",
-        "loads", "stores", "branches", "mispredicts",
-        "miss_pcs", "miss_lines",
-        "l2_hits", "l2_misses", "l2_evictions", "l2_writebacks",
-        "l3_hits", "l3_misses", "l3_evictions", "l3_writebacks",
-        "dram_writes", "row_hits", "row_empty", "row_conflicts",
-        "pollution_l2", "miss_lines_l2",
-    )
-
-
-# Per-instruction dispatch classes.  "Simple" covers every instruction
-# that only reads/writes the register scoreboard: ALU ops, correctly
-# predicted conditional branches, unconditional branches, CALL/RET/OTHER.
-_CLS_SIMPLE = 0
-_CLS_LOAD_HIT = 1
-_CLS_STORE_HIT = 2
-_CLS_LOAD_MISS = 3
-_CLS_STORE_MISS = 4
-_CLS_BP_MISS = 5
-
-
-def plan_key(core) -> tuple:
-    """The structural geometry the plan depends on.
-
-    Latencies, burst, queue capacity, and MSHR counts are *timing*
-    knobs — the replay loop reads them fresh from the hierarchy on
-    every run — so they stay out of the key.
-    """
-    hierarchy = core.hierarchy
-    l1, l2, l3 = hierarchy.l1d, hierarchy.l2, hierarchy.l3
-    cfg = hierarchy.dram.config
-    return (
-        l1.num_sets, l1.ways, core._alu_latency,
-        l2.num_sets, l2.ways, l3.num_sets, l3.ways,
-        cfg.channels, cfg.ranks_per_channel, cfg.banks_per_rank,
-        cfg.lines_per_row, cfg.t_rcd, cfg.t_rp, cfg.t_cas,
-    )
-
-
-def _build_plan(trace: CompiledTrace, key: tuple) -> BatchPlan:
-    import numpy as np
-
-    (l1_num_sets, l1_ways, alu_latency,
-     l2_num_sets, l2_ways, l3_num_sets, l3_ways,
-     channels, ranks_per_channel, banks_per_rank,
-     lines_per_row, t_rcd, t_rp, t_cas) = key
-
-    (pc_a, _opc, _addr, _value, dst_a, src1_a, src2_a,
-     _taken, _target, _ras) = trace.array_columns()
-    line_a, _mpc, disp_a, bp_a = trace.derived_arrays()
-    n = len(disp_a)
-
-    # Effective operands per dispatch arm, exactly as the scalar kernel
-    # reads them: ALU/store/cond-branch check src1+src2, loads only
-    # src1, unconditional branches only src2, OTHER nothing; only ALU
-    # (guarded) and loads write a destination.
-    b_src1 = np.where(disp_a == DISP_BR_UNCOND, src2_a, src1_a)
-    b_src1 = np.where(disp_a == DISP_OTHER, -1, b_src1)
-    no_src2 = ((disp_a == DISP_LOAD) | (disp_a == DISP_BR_UNCOND)
-               | (disp_a == DISP_OTHER))
-    b_src2 = np.where(no_src2, -1, src2_a)
-    b_dst = np.where((disp_a == DISP_ALU) | (disp_a == DISP_LOAD),
-                     dst_a, -1)
-    b_lat = np.where(disp_a == DISP_ALU, alu_latency, 1)
-
-    cls = np.zeros(n, dtype=np.int64)
-    cls[(disp_a == DISP_BR_COND) & (bp_a != 0)] = _CLS_BP_MISS
-
-    # The memory accesses are the memory-typed subset of the trace's
-    # precomputed segment events.
-    events = trace.segment_events()
-    mem_pos = events[disp_a[events] <= DISP_STORE]
-    is_store = disp_a[mem_pos] == DISP_STORE
-
-    # ------------------------------------------------------------------
-    # Hierarchy walk over memory positions only.  Mirrors
-    # Cache.lookup/fill at every level under demand-only traffic:
-    # exactly one use-counter bump per lookup-hit or fill (lookup
-    # misses bump nothing, fills to a resident line bump the counter
-    # but never touch last_use), first-minimum last_use victim (unique
-    # minima — the counters are strictly increasing), dirty set by
-    # store hits, allocate-on-store, or writeback fills.
-    # Entry: [allocation ordinal, dirty, last_use, line_addr].
-    # ------------------------------------------------------------------
-    lines = line_a[mem_pos].tolist()
-    store_flags = is_store.tolist()
-    mem_pc = pc_a[mem_pos].tolist()
-    l1_mask = l1_num_sets - 1
-    l2_mask = l2_num_sets - 1
-    l3_mask = l3_num_sets - 1
-    l1_sets: list[dict] = [dict() for _ in range(l1_num_sets)]
-    l2_sets: list[dict] = [dict() for _ in range(l2_num_sets)]
-    l3_sets: list[dict] = [dict() for _ in range(l3_num_sets)]
-    # Shadow L2 has L2's geometry.  The shadow L1 needs no model at
-    # all: under demand-only traffic it holds exactly what the real L1
-    # holds, so shadow_l1_hit is always False (pollution_misses_l1
-    # stays 0) and every L1 miss reaches the shadow L2.
-    shadow_sets: list[dict] = [dict() for _ in range(l2_num_sets)]
-    banks_per_channel = ranks_per_channel * banks_per_rank
-    rows_div = banks_per_channel * lines_per_row
-    bank_row: list = [None] * (channels * banks_per_channel)
-
-    hit_flags = []
-    mem_aux: list[int] = []
-    miss_pc: list[int] = []
-    m_path: list[int] = []
-    m_a: list[int] = []
-    m_l2fill: list[int] = []
-    m_wb2: list[int] = []
-    m_nw: list[int] = []
-    m_nc3: list[int] = []
-    r_access: list[int] = []
-    r_bank: list[int] = []
-    r_ch: list[int] = []
-    r_l3inst: list[int] = []
-    w_access: list[int] = []
-    w_bank: list[int] = []
-    w_ch: list[int] = []
-    c3_inst: list[int] = []
-    miss_pcs: Counter = Counter()
-    miss_lines: Counter = Counter()
-    miss_lines_l2: Counter = Counter()
-    use = 0
-    l2_use = 0
-    l3_use = 0
-    l2_next = 0
-    l3_next = 0
-    evictions = 0
-    writebacks = 0
-    l2_hits = 0
-    l2_misses = 0
-    l2_evictions = 0
-    l2_writebacks = 0
-    l3_hits = 0
-    l3_misses = 0
-    l3_evictions = 0
-    l3_writebacks = 0
-    row_hits = 0
-    row_empty = 0
-    row_conflicts = 0
-    pollution_l2 = 0
-    n_hits = 0
-    k = 0
-
-    def emit_write(wline: int) -> None:
-        # Dram.write row-class transition (write access constants have
-        # no t_cas on the empty/conflict legs).
-        nonlocal row_hits, row_empty, row_conflicts
-        ch = wline % channels
-        rest = wline // channels
-        bank = ch * banks_per_channel + rest % banks_per_channel
-        row = rest // rows_div
-        open_row = bank_row[bank]
-        if open_row == row:
-            w_access.append(t_cas)
-            row_hits += 1
-        elif open_row is None:
-            w_access.append(t_rcd)
-            row_empty += 1
-        else:
-            w_access.append(t_rp + t_rcd)
-            row_conflicts += 1
-        bank_row[bank] = row
-        w_bank.append(bank)
-        w_ch.append(ch)
-
-    def fill_l3_writeback(wline: int) -> None:
-        # _fill_l3(line, fill_time, dirty=True) from a writeback; the
-        # replay loop applies the recorded min-update at the producing
-        # miss's fill time (Cache.fill only ever lowers fill_time).
-        nonlocal l3_use, l3_next, l3_evictions, l3_writebacks
-        l3_use += 1
-        target = l3_sets[wline & l3_mask]
-        entry = target.get(wline)
-        if entry is not None:
-            entry[1] = True
-            c3_inst.append(entry[0])
-            return
-        if len(target) >= l3_ways:
-            victim = None
-            for candidate in target.values():
-                if victim is None or candidate[2] < victim[2]:
-                    victim = candidate
-            del target[victim[3]]
-            l3_evictions += 1
-            if victim[1]:
-                l3_writebacks += 1
-                emit_write(victim[3])
-        inst = l3_next
-        l3_next += 1
-        target[wline] = [inst, True, l3_use, wline]
-        c3_inst.append(inst)
-
-    def fill_l2_writeback(wline: int) -> int:
-        # The L1 dirty-victim writeback: _fill_l2(line, fill, dirty=True).
-        nonlocal l2_use, l2_next, l2_evictions, l2_writebacks
-        l2_use += 1
-        target = l2_sets[wline & l2_mask]
-        entry = target.get(wline)
-        if entry is not None:
-            entry[1] = True
-            return entry[0]
-        if len(target) >= l2_ways:
-            victim = None
-            for candidate in target.values():
-                if victim is None or candidate[2] < victim[2]:
-                    victim = candidate
-            del target[victim[3]]
-            l2_evictions += 1
-            if victim[1]:
-                l2_writebacks += 1
-                fill_l3_writeback(victim[3])
-        inst = l2_next
-        l2_next += 1
-        target[wline] = [inst, True, l2_use, wline]
-        return inst
-
-    for line, is_wr, pc in zip(lines, store_flags, mem_pc):
-        use += 1
-        target_set = l1_sets[line & l1_mask]
-        entry = target_set.get(line)
-        if entry is not None:
-            entry[2] = use
-            if is_wr:
-                entry[1] = True
-            hit_flags.append(True)
-            mem_aux.append(entry[0])
-            n_hits += 1
-            continue
-        # --- L1 miss: the structural half of Hierarchy._demand_miss.
-        hit_flags.append(False)
-        mem_aux.append(k)
-        miss_pc.append(pc)
-        miss_lines[line] += 1
-        if not is_wr:
-            miss_pcs[pc] += 1
-        nw0 = len(w_access)
-        nc0 = len(c3_inst)
-        # Shadow L2 access (every L1 miss reaches it, see above).
-        s2 = shadow_sets[line & l2_mask]
-        sl2_hit = line in s2
-        if sl2_hit:
-            del s2[line]
-        elif len(s2) >= l2_ways:
-            s2.pop(next(iter(s2)))
-        s2[line] = None
-        # L2 lookup.
-        l2set = l2_sets[line & l2_mask]
-        entry2 = l2set.get(line)
-        if entry2 is not None:
-            l2_use += 1
-            entry2[2] = l2_use
-            l2_hits += 1
-            m_path.append(0)
-            m_a.append(entry2[0])
-            m_l2fill.append(-1)
-        else:
-            l2_misses += 1
-            miss_lines_l2[line] += 1
-            if sl2_hit:
-                pollution_l2 += 1
-            # L3 leg.
-            l3set = l3_sets[line & l3_mask]
-            entry3 = l3set.get(line)
-            if entry3 is not None:
-                l3_use += 1
-                entry3[2] = l3_use
-                l3_hits += 1
-                m_path.append(1)
-                m_a.append(entry3[0])
-            else:
-                l3_misses += 1
-                m_path.append(2)
-                m_a.append(len(r_access))
-                # Dram.read row-class transition.
-                ch = line % channels
-                rest = line // channels
-                bank = ch * banks_per_channel + rest % banks_per_channel
-                row = rest // rows_div
-                open_row = bank_row[bank]
-                if open_row == row:
-                    r_access.append(t_cas)
-                    row_hits += 1
-                elif open_row is None:
-                    r_access.append(t_rcd + t_cas)
-                    row_empty += 1
-                else:
-                    r_access.append(t_rp + t_rcd + t_cas)
-                    row_conflicts += 1
-                bank_row[bank] = row
-                r_bank.append(bank)
-                r_ch.append(ch)
-                # Demand fill into L3 (fresh — the lookup just missed).
-                l3_use += 1
-                if len(l3set) >= l3_ways:
-                    victim = None
-                    for candidate in l3set.values():
-                        if victim is None or candidate[2] < victim[2]:
-                            victim = candidate
-                    del l3set[victim[3]]
-                    l3_evictions += 1
-                    if victim[1]:
-                        l3_writebacks += 1
-                        emit_write(victim[3])
-                inst3 = l3_next
-                l3_next += 1
-                l3set[line] = [inst3, False, l3_use, line]
-                r_l3inst.append(inst3)
-            # Demand fill into L2 (fresh).
-            l2_use += 1
-            if len(l2set) >= l2_ways:
-                victim = None
-                for candidate in l2set.values():
-                    if victim is None or candidate[2] < victim[2]:
-                        victim = candidate
-                del l2set[victim[3]]
-                l2_evictions += 1
-                if victim[1]:
-                    l2_writebacks += 1
-                    fill_l3_writeback(victim[3])
-            inst2 = l2_next
-            l2_next += 1
-            l2set[line] = [inst2, False, l2_use, line]
-            m_l2fill.append(inst2)
-        # L1 fill: victim scan, then the dirty-victim writeback into L2
-        # (scalar order: _access_l2 first, then _fill_l1's writeback).
-        if len(target_set) >= l1_ways:
-            victim = None
-            for candidate in target_set.values():
-                if victim is None or candidate[2] < victim[2]:
-                    victim = candidate
-            del target_set[victim[3]]
-            evictions += 1
-            if victim[1]:
-                writebacks += 1
-                m_wb2.append(fill_l2_writeback(victim[3]))
-            else:
-                m_wb2.append(-1)
-        else:
-            m_wb2.append(-1)
-        target_set[line] = [k, bool(is_wr), use, line]
-        m_nw.append(len(w_access) - nw0)
-        m_nc3.append(len(c3_inst) - nc0)
-        k += 1
-
-    b_aux = b_lat.astype(np.int64)
-    if len(mem_pos):
-        hits = np.asarray(hit_flags, dtype=np.bool_)
-        cls[mem_pos] = np.where(
-            hits,
-            np.where(is_store, _CLS_STORE_HIT, _CLS_LOAD_HIT),
-            np.where(is_store, _CLS_STORE_MISS, _CLS_LOAD_MISS),
-        )
-        b_aux[mem_pos] = np.asarray(mem_aux, dtype=np.int64)
-
-    plan = BatchPlan()
-    plan.cls = cls.tolist()
-    plan.src1 = b_src1.tolist()
-    plan.src2 = b_src2.tolist()
-    plan.dst = b_dst.tolist()
-    plan.aux = b_aux.tolist()
-    plan.miss_pc = miss_pc
-    plan.m_path = m_path
-    plan.m_a = m_a
-    plan.m_l2fill = m_l2fill
-    plan.m_wb2 = m_wb2
-    plan.m_nw = m_nw
-    plan.m_nc3 = m_nc3
-    plan.r_access = r_access
-    plan.r_bank = r_bank
-    plan.r_ch = r_ch
-    plan.r_l3inst = r_l3inst
-    plan.w_access = w_access
-    plan.w_bank = w_bank
-    plan.w_ch = w_ch
-    plan.c3_inst = c3_inst
-    plan.n_mem = len(lines)
-    plan.n_hits = n_hits
-    plan.n_miss = k
-    plan.n_l2_inst = l2_next
-    plan.n_l3_inst = l3_next
-    plan.evictions = evictions
-    plan.writebacks = writebacks
-    plan.loads = int(np.count_nonzero(disp_a == DISP_LOAD))
-    plan.stores = int(np.count_nonzero(disp_a == DISP_STORE))
-    plan.branches = int(np.count_nonzero(
-        (disp_a == DISP_BR_COND) | (disp_a == DISP_BR_UNCOND)))
-    plan.mispredicts = int(np.count_nonzero(
-        (disp_a == DISP_BR_COND) & (bp_a != 0)))
-    plan.miss_pcs = miss_pcs
-    plan.miss_lines = miss_lines
-    plan.l2_hits = l2_hits
-    plan.l2_misses = l2_misses
-    plan.l2_evictions = l2_evictions
-    plan.l2_writebacks = l2_writebacks
-    plan.l3_hits = l3_hits
-    plan.l3_misses = l3_misses
-    plan.l3_evictions = l3_evictions
-    plan.l3_writebacks = l3_writebacks
-    plan.dram_writes = len(w_access)
-    plan.row_hits = row_hits
-    plan.row_empty = row_empty
-    plan.row_conflicts = row_conflicts
-    plan.pollution_l2 = pollution_l2
-    plan.miss_lines_l2 = miss_lines_l2
-    return plan
+``Dram._NO_PENDING``)."""
 
 
 #: Process-wide plan pool keyed by (trace name, trace length, plan
@@ -597,8 +88,8 @@ def _build_plan(trace: CompiledTrace, key: tuple) -> BatchPlan:
 _PLAN_REGISTRY: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
 
-def _get_plan(trace: CompiledTrace, key: tuple, builder, variant: str):
-    """Plan memoizer shared by both tiers.
+def _get_plan(trace: CompiledTrace, key: tuple):
+    """Segment-plan memoizer.
 
     Plans live on ``CompiledTrace._plans`` keyed by structural geometry,
     so every cell of a sweep replaying the same (warm, process-shared)
@@ -620,9 +111,8 @@ def _get_plan(trace: CompiledTrace, key: tuple, builder, variant: str):
             _count("plan_cache_hits")
             trace._plans[key] = plan
             return plan
-        _count(f"compiled.{variant}")
         _count("plan_builds")
-        plan = builder(trace, key)
+        plan = _build_segment_plan(trace, key)
         trace._plans[key] = plan
         _PLAN_REGISTRY[registry_key] = plan
     else:
@@ -635,8 +125,8 @@ def _stock_cold_hierarchy(core):
     ``core`` — or ``None`` when anything deviates and the scalar tier
     must run instead: warm core state, subclassed hierarchy / cache /
     shadow / MSHR / DRAM components, DRAM telemetry attached, resident
-    lines or prior traffic, or numpy missing.  Shared eligibility leg of
-    :func:`maybe_run_batch` and :func:`maybe_run_segmented`."""
+    lines or prior traffic, or numpy missing.  The hierarchy leg of
+    :func:`maybe_run_segmented`'s eligibility."""
     if (core._index or core._fetch_cycle or core._fetch_slot
             or core._last_commit_time or core._commits_at_time):
         return None
@@ -676,385 +166,21 @@ def _stock_cold_hierarchy(core):
     return hierarchy
 
 
-def maybe_run_batch(core, flags: tuple):
-    """Run ``core`` through the batch tier, or return ``None`` to let
-    the scalar specialized kernel handle it.
-
-    Eligibility: exactly the hookless flag tuple, ``REPRO_KERNEL`` not
-    set to ``scalar`` (nor ``generic`` — that path never gets here), a
-    cold core on a cold stock :class:`~repro.memory.hierarchy.Hierarchy`
-    (stock caches/shadow tags/MSHRs/DRAM, no DRAM telemetry, nothing
-    resident, no prior traffic), and numpy importable.
-    """
-    if flags != BATCH_FLAGS:
-        return None
-    from repro.engine.kernel import GENERIC, KERNEL_ENV, SCALAR, _count
-
-    if os.environ.get(KERNEL_ENV) in (GENERIC, SCALAR):
-        return None
-    trace = core.trace
-    if not isinstance(trace, CompiledTrace):
-        return None
-    if _stock_cold_hierarchy(core) is None:
-        return None
-    plan = _get_plan(trace, plan_key(core), _build_plan, BATCH_VARIANT)
-    _count(f"selected.{BATCH_VARIANT}")
-    core.kernel_variant = BATCH_VARIANT
-    return _run_batch(core, plan)
-
-
-def _run_batch(core, plan: BatchPlan):
-    """Retire the whole trace against ``plan``.
-
-    Every line of the issue/commit arithmetic mirrors the generated
-    scalar kernel (see ``repro.engine.kernel.kernel_source``); the
-    ``miss_fill`` closure mirrors the *timing* algebra of
-    ``Hierarchy._demand_miss`` -> ``_access_l2`` -> ``_access_l3`` ->
-    ``Dram.read``/``write`` with every structural decision read from
-    the plan.  Deferring a miss's writebacks and cascaded ready-time
-    min-updates to after its demand leg is exact: writes never touch
-    the channel queues, min-updates never raise a ready time, and no
-    other DRAM/MSHR operation runs between their true position and the
-    end of the miss.
-    """
-    stats = core.stats
-    hierarchy = core.hierarchy
-    l1_stats = hierarchy.l1d.stats
-    l1_latency = hierarchy.l1d.hit_latency
-    l2_lat = hierarchy.l2.hit_latency
-    l3_lat = hierarchy.l3.hit_latency
-    dram = hierarchy.dram
-    cfg = dram.config
-    burst = cfg.burst
-    q_cap = cfg.queue_capacity
-    l1_cap = hierarchy._l1_mshrs.capacity
-    l2_cap = hierarchy._l2_mshrs.capacity
-    miss_latency_by_pc = stats.miss_latency_by_pc
-
-    width = core._width
-    branch_penalty = core._branch_penalty
-    rob_size = core._rob_size
-    commit_ring = core._commit_ring
-    reg_ready = core._reg_ready
-
-    miss_pc = plan.miss_pc
-    m_path = plan.m_path
-    m_a = plan.m_a
-    m_l2fill = plan.m_l2fill
-    m_wb2 = plan.m_wb2
-    m_nw = plan.m_nw
-    m_nc3 = plan.m_nc3
-    r_access = plan.r_access
-    r_bank = plan.r_bank
-    r_ch = plan.r_ch
-    r_l3inst = plan.r_l3inst
-    w_access = plan.w_access
-    w_bank = plan.w_bank
-    w_ch = plan.w_ch
-    c3_inst = plan.c3_inst
-
-    far = _FAR
-    # fill_times[k] is the fill completion of L1-miss ordinal k — what
-    # Cache.lookup would have read back as the L1 line's ``fill_time``
-    # on a later hit (fills record it; hits never change it).  The
-    # l2/l3 arrays are the same thing per *allocation* at those levels,
-    # min-updated on every fill (sentinel-initialized, so a fresh
-    # allocation's first update is an assignment).
-    fill_times = [0] * plan.n_miss
-    l2_ready = [far] * plan.n_l2_inst
-    l3_ready = [far] * plan.n_l3_inst
-    bank_ready = [0] * (cfg.channels * cfg.ranks_per_channel
-                        * cfg.banks_per_rank)
-    bus_free = [0] * cfg.channels
-    queues: list[list[int]] = [[] for _ in range(cfg.channels)]
-    q_min = [far] * cfg.channels
-    l1_pending: list[int] = []
-    l1_min = far
-    l2_pending: list[int] = []
-    l2_min = far
-    w_cursor = 0
-    c3_cursor = 0
-    queue_stalls = 0
-
-    def miss_fill(aux: int, now: int) -> int:
-        nonlocal l1_min, l2_min, w_cursor, c3_cursor, queue_stalls
-        # L1 MSHR acquire (exact _MshrFile.acquire_demand algebra).
-        if l1_min <= now:
-            l1_pending[:] = [x for x in l1_pending if x > now]
-            l1_min = min(l1_pending, default=far)
-        if len(l1_pending) >= l1_cap:
-            now = min(l1_pending)
-            l1_pending[:] = [x for x in l1_pending if x > now]
-            l1_min = min(l1_pending, default=far)
-        t = now + l1_latency
-        path = m_path[aux]
-        if path == 0:
-            # L2 hit: ready = max(line fill time, arrival) + latency.
-            ready = l2_ready[m_a[aux]]
-            fill = (ready if ready > t else t) + l2_lat
-        else:
-            # L2 MSHR acquire.
-            if l2_min <= t:
-                l2_pending[:] = [x for x in l2_pending if x > t]
-                l2_min = min(l2_pending, default=far)
-            if len(l2_pending) >= l2_cap:
-                t = min(l2_pending)
-                l2_pending[:] = [x for x in l2_pending if x > t]
-                l2_min = min(l2_pending, default=far)
-            t2 = t + l2_lat
-            if path == 1:
-                ready = l3_ready[m_a[aux]]
-                fill = (ready if ready > t2 else t2) + l3_lat
-            else:
-                # DRAM read (exact Dram._admit/read algebra).
-                d = m_a[aux]
-                t3 = t2 + l3_lat
-                ch = r_ch[d]
-                q = queues[ch]
-                if q_min[ch] <= t3:
-                    q[:] = [x for x in q if x > t3]
-                    q_min[ch] = min(q, default=far)
-                if len(q) >= q_cap:
-                    start = min(q)
-                    queue_stalls += 1
-                    q[:] = [x for x in q if x > start]
-                    q_min[ch] = min(q, default=far)
-                else:
-                    start = t3
-                bank = r_bank[d]
-                ready = bank_ready[bank]
-                if ready > start:
-                    start = ready
-                data_start = start + r_access[d]
-                ready = bus_free[ch]
-                if ready > data_start:
-                    data_start = ready
-                fill = data_start + burst
-                bank_ready[bank] = data_start
-                bus_free[ch] = fill
-                q.append(fill)
-                if fill < q_min[ch]:
-                    q_min[ch] = fill
-                inst = r_l3inst[d]
-                if fill < l3_ready[inst]:
-                    l3_ready[inst] = fill
-            # Demand fill into L2 + L2 MSHR register.
-            inst = m_l2fill[aux]
-            if fill < l2_ready[inst]:
-                l2_ready[inst] = fill
-            l2_pending.append(fill)
-            if fill < l2_min:
-                l2_min = fill
-        # Deferred writebacks (DRAM bank/bus only; queues untouched).
-        nw = m_nw[aux]
-        if nw:
-            stop = w_cursor + nw
-            for i in range(w_cursor, stop):
-                bank = w_bank[i]
-                start = bank_ready[bank]
-                if start < fill:
-                    start = fill
-                data_start = start + w_access[i]
-                ch = w_ch[i]
-                ready = bus_free[ch]
-                if ready > data_start:
-                    data_start = ready
-                bank_ready[bank] = data_start
-                bus_free[ch] = data_start + burst
-            w_cursor = stop
-        # L1 dirty-victim writeback into L2, cascaded L3 min-updates.
-        inst = m_wb2[aux]
-        if inst >= 0 and fill < l2_ready[inst]:
-            l2_ready[inst] = fill
-        nc = m_nc3[aux]
-        if nc:
-            stop = c3_cursor + nc
-            for i in range(c3_cursor, stop):
-                inst = c3_inst[i]
-                if fill < l3_ready[inst]:
-                    l3_ready[inst] = fill
-            c3_cursor = stop
-        # L1 MSHR register.
-        l1_pending.append(fill)
-        if fill < l1_min:
-            l1_min = fill
-        return fill
-
-    n = len(plan.cls)
-    fetch_cycle = 0
-    fetch_slot = 0
-    last_commit = 0
-    commits_at_time = 0
-    load_latency_total = 0
-    merges = 0
-    rob_slot = rob_size - 1
-    for cls, s1, s2, dst, aux in zip(plan.cls, plan.src1, plan.src2,
-                                     plan.dst, plan.aux):
-        if fetch_slot >= width:
-            fetch_cycle += 1
-            fetch_slot = 0
-        fetch_slot += 1
-        rob_slot += 1
-        if rob_slot == rob_size:
-            rob_slot = 0
-        rob_free = commit_ring[rob_slot]
-        if rob_free > fetch_cycle:
-            dispatch = rob_free
-            fetch_cycle = rob_free
-            fetch_slot = 1
-        else:
-            dispatch = fetch_cycle
-        if cls == 0:  # register-only: ALU / predicted branch / other
-            issue = dispatch
-            if s1 >= 0:
-                ready = reg_ready[s1]
-                if ready > issue:
-                    issue = ready
-            if s2 >= 0:
-                ready = reg_ready[s2]
-                if ready > issue:
-                    issue = ready
-            complete = issue + aux
-            if dst >= 0:
-                reg_ready[dst] = complete
-        elif cls == 1:  # load, L1 hit
-            issue = dispatch
-            if s1 >= 0:
-                ready = reg_ready[s1]
-                if ready > issue:
-                    issue = ready
-            ready = fill_times[aux]
-            if ready > issue:
-                merges += 1
-            else:
-                ready = issue
-            complete = ready + l1_latency
-            load_latency_total += complete - issue
-            reg_ready[dst] = complete
-        elif cls == 2:  # store, L1 hit
-            issue = dispatch
-            if s1 >= 0:
-                ready = reg_ready[s1]
-                if ready > issue:
-                    issue = ready
-            if s2 >= 0:
-                ready = reg_ready[s2]
-                if ready > issue:
-                    issue = ready
-            if fill_times[aux] > issue:
-                merges += 1
-            complete = issue + 1
-        elif cls == 3:  # load, L1 miss
-            issue = dispatch
-            if s1 >= 0:
-                ready = reg_ready[s1]
-                if ready > issue:
-                    issue = ready
-            fill_time = miss_fill(aux, issue)
-            fill_times[aux] = fill_time
-            latency = fill_time - issue
-            load_latency_total += latency
-            miss_latency_by_pc[miss_pc[aux]] += latency
-            complete = fill_time
-            reg_ready[dst] = complete
-        elif cls == 4:  # store, L1 miss (completes at issue + 1)
-            issue = dispatch
-            if s1 >= 0:
-                ready = reg_ready[s1]
-                if ready > issue:
-                    issue = ready
-            if s2 >= 0:
-                ready = reg_ready[s2]
-                if ready > issue:
-                    issue = ready
-            fill_times[aux] = miss_fill(aux, issue)
-            complete = issue + 1
-        else:  # cls == 5: statically mispredicted conditional branch
-            issue = dispatch
-            if s1 >= 0:
-                ready = reg_ready[s1]
-                if ready > issue:
-                    issue = ready
-            if s2 >= 0:
-                ready = reg_ready[s2]
-                if ready > issue:
-                    issue = ready
-            complete = issue + 1
-            fetch_cycle = complete + branch_penalty
-            fetch_slot = 0
-        if complete > last_commit:
-            last_commit = complete
-            commits_at_time = 1
-        else:
-            commits_at_time += 1
-            if commits_at_time > width:
-                last_commit += 1
-                commits_at_time = 1
-        commit_ring[rob_slot] = last_commit
-
-    core._index = n
-    core._fetch_cycle = fetch_cycle
-    core._fetch_slot = fetch_slot
-    core._last_commit_time = last_commit
-    core._commits_at_time = commits_at_time
-    stats.instructions += n
-    stats.cycles = last_commit
-    stats.loads += plan.loads
-    stats.stores += plan.stores
-    stats.branches += plan.branches
-    stats.mispredicts += plan.mispredicts
-    stats.load_latency_total += load_latency_total
-    stats.miss_pcs.update(plan.miss_pcs)
-    l1_stats.demand_accesses += plan.n_mem
-    l1_stats.demand_hits += plan.n_hits
-    l1_stats.demand_misses += plan.n_miss
-    l1_stats.mshr_merges += merges
-    l1_stats.evictions += plan.evictions
-    l1_stats.writebacks += plan.writebacks
-    l2_stats = hierarchy.l2.stats
-    l2_stats.demand_accesses += plan.n_miss
-    l2_stats.demand_hits += plan.l2_hits
-    l2_stats.demand_misses += plan.l2_misses
-    l2_stats.evictions += plan.l2_evictions
-    l2_stats.writebacks += plan.l2_writebacks
-    l3_stats = hierarchy.l3.stats
-    l3_stats.demand_accesses += plan.l2_misses
-    l3_stats.demand_hits += plan.l3_hits
-    l3_stats.demand_misses += plan.l3_misses
-    l3_stats.evictions += plan.l3_evictions
-    l3_stats.writebacks += plan.l3_writebacks
-    dram_stats = dram.stats
-    dram_stats.reads += plan.l3_misses
-    dram_stats.writes += plan.dram_writes
-    dram_stats.row_hits += plan.row_hits
-    dram_stats.row_empty += plan.row_empty
-    dram_stats.row_conflicts += plan.row_conflicts
-    dram_stats.demand_queue_stalls += queue_stalls
-    hierarchy.pollution_misses_l2 += plan.pollution_l2
-    if hierarchy.collect_footprint:
-        hierarchy.miss_lines_l1.update(plan.miss_lines)
-        hierarchy.miss_lines_l2.update(plan.miss_lines_l2)
-    return stats
-
-
 # ----------------------------------------------------------------------
-# Segmented batch replay: the hooked-cell tier.
+# Segment plan and replay.
 # ----------------------------------------------------------------------
 
 SEGMENT_PREFIX = "segmented"
 
-SEGMENT_COVERAGE_ENV = "REPRO_SEGMENT_COVERAGE"
-
 SEGMENT_MAX_COVERAGE = 0.95
-"""Default ceiling on the segment-event coverage fraction
+"""Ceiling on the segment-event coverage fraction
 (``len(segment_events()) / len(trace)``).  Above it nearly every
 instruction is a scalar island, the vectorized stretches degenerate,
 and the plain scalar kernel is the better (and simpler) choice — the
 all-instructions-are-events edge case degrades there by construction."""
 
-# Segmented per-instruction dispatch classes.  Unlike the hook-free
-# tier, hit/miss is decided live (prefetches change it), so loads and
-# stores are single classes.
+# Per-instruction dispatch classes.  Hit/miss is decided live
+# (prefetches change it), so loads and stores are single classes.
 _SEG_SIMPLE = 0
 _SEG_LOAD = 1
 _SEG_STORE = 2
@@ -1068,38 +194,6 @@ def segment_variant(flags: tuple) -> str:
     from repro.engine.kernel import variant_name
 
     return SEGMENT_PREFIX + variant_name(flags)[4:]
-
-
-_COVERAGE_WARNED: set = set()
-"""Raw ``REPRO_SEGMENT_COVERAGE`` values already warned about.
-:func:`segment_max_coverage` runs once per cell, so a sweep with a bad
-value would otherwise repeat the same warning hundreds of times."""
-
-
-def segment_max_coverage() -> float:
-    raw = os.environ.get(SEGMENT_COVERAGE_ENV)
-    if not raw:
-        return SEGMENT_MAX_COVERAGE
-    try:
-        value = float(raw)
-    except ValueError:
-        if raw not in _COVERAGE_WARNED:
-            _COVERAGE_WARNED.add(raw)
-            get_logger("engine").warn(
-                f"ignoring non-numeric {SEGMENT_COVERAGE_ENV}",
-                value=raw, using=SEGMENT_MAX_COVERAGE,
-            )
-        return SEGMENT_MAX_COVERAGE
-    clamped = min(max(value, 0.0), 1.0)
-    if clamped != value and raw not in _COVERAGE_WARNED:
-        # A typo like 9.5 would otherwise enable the segmented tier on
-        # every cell, island-dense ones included.
-        _COVERAGE_WARNED.add(raw)
-        get_logger("engine").warn(
-            f"clamping out-of-range {SEGMENT_COVERAGE_ENV}",
-            value=raw, using=clamped,
-        )
-    return clamped
 
 
 class SegmentPlan:
@@ -1132,21 +226,23 @@ def segment_plan_key(core) -> tuple:
     per-instruction latency column).  Everything else — L2/L3/DRAM
     geometry, MSHR counts, latencies — is replayed live."""
     l1 = core.hierarchy.l1d
-    return (SEGMENT_PREFIX, l1.num_sets, l1.ways, core._alu_latency)
+    return (l1.num_sets, l1.ways, core._alu_latency)
 
 
 def _build_segment_plan(trace: CompiledTrace, key: tuple) -> SegmentPlan:
     import numpy as np
 
-    _tag, l1_num_sets, l1_ways, alu_latency = key
+    l1_num_sets, l1_ways, alu_latency = key
 
     (pc_a, _opc, addr_a, value_a, dst_a, src1_a, src2_a,
      _taken, _target, _ras) = trace.array_columns()
     line_a, mpc_a, disp_a, bp_a = trace.derived_arrays()
     n = len(disp_a)
 
-    # Effective operands, same fusion as _build_plan (and the same
-    # reading the scalar kernel does per dispatch arm).
+    # Effective operands per dispatch arm, exactly as the scalar kernel
+    # reads them: ALU/store/cond-branch check src1+src2, loads only
+    # src1, unconditional branches only src2, OTHER nothing; only ALU
+    # (guarded) and loads write a destination.
     b_src1 = np.where(disp_a == DISP_BR_UNCOND, src2_a, src1_a)
     b_src1 = np.where(disp_a == DISP_OTHER, -1, b_src1)
     no_src2 = ((disp_a == DISP_LOAD) | (disp_a == DISP_BR_UNCOND)
@@ -1163,8 +259,7 @@ def _build_segment_plan(trace: CompiledTrace, key: tuple) -> SegmentPlan:
 
     events = trace.segment_events()
     mem_pos = events[disp_a[events] <= DISP_STORE]
-    ev_line_a = mem_pos_lines = line_a[mem_pos]
-    ev_lines = mem_pos_lines.tolist()
+    ev_lines = line_a[mem_pos].tolist()
 
     # Shadow-L1 walk (exact ShadowTagStore.access over every demand
     # access, hit or miss — the scalar kernel updates the shadow on
@@ -1201,7 +296,6 @@ def _build_segment_plan(trace: CompiledTrace, key: tuple) -> SegmentPlan:
     plan.mispredicts = int(np.count_nonzero(
         (disp_a == DISP_BR_COND) & (bp_a != 0)))
     plan.coverage = len(events) / n if n else 1.0
-    del ev_line_a
     return plan
 
 
@@ -1209,14 +303,13 @@ def maybe_run_segmented(core, flags: tuple):
     """Run ``core`` through the segmented tier, or return ``None`` to
     let the scalar specialized kernel handle it.
 
-    Eligibility: a leanmem/static-BP flag tuple with at least one hook
-    present and no sampler (the sampler reads live per-instruction
-    stats; hook-free tuples belong to :func:`maybe_run_batch`),
-    ``REPRO_KERNEL`` not ``scalar``/``generic``, the same cold stock
-    hierarchy as the batch tier, and a segment-event coverage fraction
-    at most :func:`segment_max_coverage`.
+    Eligibility: a leanmem/static-BP flag tuple without a sampler (the
+    sampler reads live per-instruction stats), ``REPRO_KERNEL`` not
+    ``scalar``/``generic``, a cold stock hierarchy
+    (:func:`_stock_cold_hierarchy`), and a segment-event coverage
+    fraction at most :data:`SEGMENT_MAX_COVERAGE`.
     """
-    if len(flags) != 7 or flags == BATCH_FLAGS:
+    if len(flags) != 7:
         return None
     instr, oa, ona, of, samp, sbp, lean = flags
     if samp or not sbp or not lean:
@@ -1231,11 +324,10 @@ def maybe_run_segmented(core, flags: tuple):
     if _stock_cold_hierarchy(core) is None:
         return None
     n = len(trace)
-    if not n or len(trace.segment_events()) / n > segment_max_coverage():
+    if not n or len(trace.segment_events()) / n > SEGMENT_MAX_COVERAGE:
         return None
     variant = segment_variant(flags)
-    plan = _get_plan(trace, segment_plan_key(core), _build_segment_plan,
-                     variant)
+    plan = _get_plan(trace, segment_plan_key(core))
     _count(f"selected.{variant}")
     core.kernel_variant = variant
 
@@ -1295,8 +387,11 @@ def _segment_kernel(instr: bool, oa: bool, ona: bool, of: bool,
     fn = _SEG_KERNELS.get(key)
     if fn is None:
         from repro.core.base import AccessEvent
+        from repro.engine.kernel import _count
         from repro.memory.dram import LOW_PRIORITY_COMPONENTS
 
+        _count("compiled."
+               + segment_variant((instr, oa, ona, of, False, True, True)))
         source = _segment_source(*key)
         namespace = {
             "_FAR": _FAR,
@@ -1315,9 +410,9 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
 
     The emitted code retires the whole trace with live hooks: the
     stretch loop mirrors the generated scalar kernel's issue/commit
-    arithmetic (and ``_run_batch``'s rolling ROB slot); each scalar
-    island mirrors, effect for effect, ``Cache.lookup``/``fill``,
-    ``_MshrFile``, ``ShadowTagStore.access`` (precomputed),
+    arithmetic (a rolling ROB slot replaces its ``index % rob_size``);
+    each scalar island mirrors, effect for effect, ``Cache.lookup``/
+    ``fill``, ``_MshrFile``, ``ShadowTagStore.access`` (precomputed),
     ``Hierarchy._demand_miss``/``_access_l2``/``_access_l3``/
     ``prefetch``, and ``Dram.read``/``write`` — against a virtualized
     hierarchy of flat ``[fill_time, dirty, prefetched, used,

@@ -51,9 +51,9 @@ from repro.isa.trace import CompiledTrace
 KERNEL_ENV = "REPRO_KERNEL"
 GENERIC = "generic"
 SCALAR = "scalar"
-"""``REPRO_KERNEL=scalar`` disables only the vectorized batch tier
+"""``REPRO_KERNEL=scalar`` disables only the segmented replay tier
 (:mod:`repro.engine.batch`), keeping the scalar specialized kernels —
-the comparator ``repro bench`` measures ``batch.speedup_vs_scalar``
+the comparator ``repro bench`` measures ``segmented.speedup_vs_scalar``
 against.  ``REPRO_KERNEL=generic`` still disables all specialization."""
 
 _KERNELS: dict[tuple, object] = {}
@@ -64,10 +64,13 @@ _kernel_counters: dict[str, int] = {}
 def kernel_counters() -> dict:
     """Per-variant selection/compile counts for this process.
 
-    ``selected.<variant>`` increments on every :func:`get_kernel` call,
-    ``compiled.<variant>`` on the first (the exec-compile).  Mirrored
-    into the current fabric obs (when one is active) so kernel-variant
-    usage shows up in a sweep's ``metrics.json``.
+    ``selected.<variant>`` increments on every kernel selection,
+    ``compiled.<variant>`` on every exec-compile — here in
+    :func:`get_kernel` and in :mod:`repro.engine.batch` for the
+    segmented kernels, which also count ``plan_builds`` and
+    ``plan_cache_hits``.  Mirrored into the current fabric obs (when
+    one is active) so kernel-variant usage shows up in a sweep's
+    ``metrics.json``.
     """
     return dict(_kernel_counters)
 

@@ -546,22 +546,19 @@ class OoOCore:
         Object traces, incremental ``step()`` callers (the multicore
         harness), and ``REPRO_KERNEL=generic`` use the generic loop.
         """
-        from repro.engine.batch import maybe_run_batch, maybe_run_segmented
+        from repro.engine.batch import maybe_run_segmented
         from repro.engine.kernel import get_kernel, kernel_flags, \
             variant_name
 
         flags = kernel_flags(self)
         if flags is not None:
-            # Hook-free traces first try the vectorized batch tier
-            # (repro.engine.batch); hooked leanmem/static-BP traces try
-            # the segmented tier (vectorized stretches between hook
-            # positions, scalar islands at them).  Either declines —
-            # warm state, shared or subclassed hierarchy components,
-            # REPRO_KERNEL=scalar, too-dense hook coverage — by
-            # returning None, and the scalar kernel runs instead.
-            result = maybe_run_batch(self, flags)
-            if result is not None:
-                return result
+            # Leanmem/static-BP traces, hook-free or hooked, first try
+            # the segmented tier (repro.engine.batch: vectorized
+            # stretches between segment events, scalar islands at
+            # them).  It declines — warm state, shared or subclassed
+            # hierarchy components, a sampler, REPRO_KERNEL=scalar,
+            # too-dense event coverage — by returning None, and the
+            # scalar kernel runs instead.
             result = maybe_run_segmented(self, flags)
             if result is not None:
                 return result

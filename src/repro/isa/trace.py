@@ -11,13 +11,14 @@ Two representations exist:
   instruction.  This is what the machine emits and the reference replay
   path consumes; it stays the ground truth the compiled form is checked
   against.
-* :class:`CompiledTrace` — one Python-list column per field.  List
-  columns index at the same speed as slot attribute access (the stored
-  ``int`` objects are returned directly, nothing is boxed), while
-  serializing through :mod:`array` in one C-level pass per column —
-  which is what makes the on-disk trace cache
-  (:mod:`repro.workloads.tracecache`) and copy-on-write sharing across
-  forked workers cheap.
+* :class:`CompiledTrace` — one column per field, numpy-canonical once
+  loaded (trace cache, trace file, shared memory), with Python-list
+  views materialized lazily.  List columns index at the same speed as
+  slot attribute access (the stored ``int`` objects are returned
+  directly, nothing is boxed), while the arrays serialize in one
+  C-level pass per column — which is what makes the on-disk trace
+  cache (:mod:`repro.workloads.tracecache`) and zero-copy shared-memory
+  attach (:mod:`repro.parallel.shm`) cheap.
 """
 
 from __future__ import annotations
@@ -266,15 +267,20 @@ def reset_derived_counters() -> None:
 
 
 class CompiledTrace:
-    """A dynamic trace compiled to one list column per record field.
+    """A dynamic trace compiled to one column per record field.
 
-    The columns are plain Python lists of ints (``taken`` holds bools):
-    indexing a list returns the stored object directly, so the timing
-    model's hot loop reads ``col[i]`` at slot-attribute speed without
-    materializing a record object per instruction.  ``records`` lazily
-    materializes classic :class:`TraceRecord` views for the
-    prefetcher-observation API and for analyses that want per-record
-    objects; the views are built once and cached.
+    Traces loaded from the trace cache, a trace file, or shared memory
+    are numpy-canonical: the ten numpy arrays are the columns, and each
+    list view (``taken`` holds bools) materializes lazily on its first
+    touch, so vectorized consumers never pay a ``tolist`` pass.  Traces
+    compiled in-process from an object :class:`Trace` start from the
+    lists and build their arrays on the first :meth:`array_columns`
+    call.  Indexing a list returns the stored object directly, so the
+    timing model's hot loop reads ``col[i]`` at slot-attribute speed
+    without materializing a record object per instruction.
+    ``records`` lazily materializes classic :class:`TraceRecord` views
+    for the prefetcher-observation API and for analyses that want
+    per-record objects; the views are built once and cached.
 
     ``memory`` is the same post-execution data image a :class:`Trace`
     carries (P1's chain FSM dereferences it).
@@ -460,15 +466,16 @@ class CompiledTrace:
         return self._derived_arrays
 
     def segment_events(self):
-        """Sorted positions of batch-segment boundary events (numpy).
+        """Sorted positions of segment boundary events (numpy).
 
-        An *event* is any instruction the batch replay tier cannot fold
-        into a pure register-dataflow scan: memory accesses (they touch
-        the hierarchy) and statically mispredicted conditional branches
-        (they perturb the fetch clock).  The stretches *between* events
-        are hook-free by construction and replay as vectorized scans.
-        The column is geometry-independent, so it is precomputed once at
-        compile time and persisted by trace-cache format 3.
+        An *event* is any instruction the segmented replay tier cannot
+        fold into a pure register-dataflow scan: memory accesses (they
+        touch the hierarchy) and statically mispredicted conditional
+        branches (they perturb the fetch clock).  The stretches
+        *between* events are hook-free by construction and replay as
+        vectorized scans.  The column is geometry-independent, so it is
+        precomputed once at compile time and persisted by trace-cache
+        format 3.
         """
         if self._segments is None:
             np = _np()
@@ -621,8 +628,7 @@ class CompiledTrace:
         materialize lazily, so cache hits never pay a ``tolist`` pass
         for columns only the vectorized tier reads.  ``derived``, when
         present (trace-cache format 2+), restores the precomputed
-        derived columns; ``segments`` (format 3) the batch segment
-        events.
+        derived columns; ``segments`` (format 3) the segment events.
         """
         np = _np()
         arrays = []

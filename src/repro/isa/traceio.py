@@ -139,8 +139,8 @@ def load_compiled(path: str) -> CompiledTrace:
 
     The loaded numpy arrays become the trace's canonical columns
     directly (no ``tolist()`` round-trip); scalar consumers materialize
-    list views lazily while the vectorized batch tier reads the arrays
-    as-is.
+    list views lazily while the segmented tier's plan builder reads
+    the arrays as-is.
     """
     name, a, memory = _load_arrays(path)
     regs = a["regs"]

@@ -37,8 +37,8 @@ Performance properties (PR 2-3, reworked by the shared-memory PR):
   steals from the tail of the deepest other queue, so one straggling
   workload can no longer strand its lane-mates idle.  Steals surface
   as ``steal`` spans, ``pool.steals`` metrics, and the straggler
-  report's "steals" column.  ``REPRO_STEAL=0`` restores the legacy
-  coarse FIFO chunks; ``REPRO_FUSION=0`` restores singleton dispatch.
+  report's "steals" column.  Serial ``run_jobs(..., 1)`` is the
+  reference every pool schedule must reproduce bit-for-bit.
 
 Fault-tolerance properties (this layer; see docs/robustness.md):
 
@@ -100,7 +100,7 @@ from typing import Sequence
 from repro.engine.config import SystemConfig
 from repro.obs.spans import cell_span_id
 from repro.parallel import shm
-from repro.parallel.stealing import StealScheduler, stealing_enabled
+from repro.parallel.stealing import StealScheduler
 
 SimJob = tuple  # (workload, spec, tag) — see ``normalize_job``
 
@@ -410,33 +410,21 @@ def _simulate_unit(payload):
     return outcomes
 
 
-FUSION_ENV = "REPRO_FUSION"
-
-
 def _fusion_units(remote, normalized, workers) -> list[tuple]:
     """Group pool-eligible cells into workload-affine units.
 
     Cells sharing a workload land in the same unit (in submission
     order) so a worker pays trace adoption once per workload and
-    replays all its prefetcher configs back-to-back.  With work
-    stealing (the default) units are fine-grained —
-    ``ceil(len(remote) / (workers * 4))`` cells, at most 8 — because
-    shared-memory trace columns removed the per-unit trace-load cost,
-    and small units are what give the stealing scheduler room to
-    rebalance a straggling workload.  ``REPRO_STEAL=0`` restores the
-    legacy coarse chunks (``ceil(len(remote) / (workers * 2))``);
-    ``REPRO_FUSION=0`` disables grouping entirely (singleton units) —
-    the escape hatch the fusion identity test pins against.
+    replays all its prefetcher configs back-to-back.  Units are
+    fine-grained — ``ceil(len(remote) / (workers * 4))`` cells, at most
+    8 — because shared-memory trace columns removed the per-unit
+    trace-load cost, and small units are what give the stealing
+    scheduler room to rebalance a straggling workload.
     """
-    if os.environ.get(FUSION_ENV) == "0":
-        return [(i,) for i in remote]
     groups: dict[str, list[int]] = {}
     for i in remote:
         groups.setdefault(normalized[i][0], []).append(i)
-    if stealing_enabled():
-        chunk = max(1, min(-(-len(remote) // (workers * 4)), 8))
-    else:
-        chunk = max(1, -(-len(remote) // (workers * 2)))
+    chunk = max(1, min(-(-len(remote) // (workers * 4)), 8))
     units = []
     for indices in groups.values():
         for start in range(0, len(indices), chunk):
@@ -716,7 +704,7 @@ def _run_pool(remote, local, normalized, config, results, workers,
     # backoff expires at, enqueued when it entered its home queue
     # (queue-wait and steal-latency attribution).
     start = time.monotonic()
-    scheduler = StealScheduler(fifo=not stealing_enabled())
+    scheduler = StealScheduler()
     for unit in _fusion_units(remote, normalized, workers):
         scheduler.push(normalized[unit[0]][0], unit, 0, 0.0, start)
     # future -> (unit, attempt, dispatched_at, wall_t0, queue_wait,

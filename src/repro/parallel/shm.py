@@ -10,7 +10,7 @@ worker.  This module replaces both with explicit shared memory:
   :class:`~repro.isa.trace.CompiledTrace` is copied into one named
   ``multiprocessing.shared_memory`` segment: the ten primary columns
   (:data:`~repro.isa.trace.TRACE_FIELDS`), the four derived columns,
-  the batch segment-event positions, and the memory image as aligned
+  the segment-event positions, and the memory image as aligned
   address/value arrays.  The picklable :class:`SharedTrace` entry
   (segment name + per-field dtype/offset/length) is all that crosses
   the process boundary.

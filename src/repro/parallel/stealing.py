@@ -28,21 +28,11 @@ unit's queue wait — the latency a static schedule would have added to
 the critical path.  :mod:`repro.parallel` turns these into ``steal``
 fabric spans, ``pool.steals`` metrics, and the "steals" column of
 ``repro trace``'s pool report.
-
-``REPRO_STEAL=0`` pins the legacy discipline: coarse static chunks
-drained strictly FIFO, no stealing (the A/B escape hatch).
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-
-STEAL_ENV = "REPRO_STEAL"
-
-
-def stealing_enabled() -> bool:
-    return os.environ.get(STEAL_ENV) != "0"
 
 
 class StealScheduler:
@@ -54,8 +44,7 @@ class StealScheduler:
     expires at, ``enqueued`` when the entry entered its queue.
     """
 
-    def __init__(self, fifo: bool = False) -> None:
-        self.fifo = fifo
+    def __init__(self) -> None:
         self.queues: dict[str, deque] = {}
         self.order: list[str] = []      # first-seen workload order
         self.steals = 0
@@ -90,14 +79,6 @@ class StealScheduler:
         is ``None`` for an owned (or first-claim) unit and the stolen
         unit's queue wait in seconds for a steal.
         """
-        if self.fifo:
-            # Legacy discipline: strict submission order, never steal.
-            for workload in self.order:
-                picked = self._pop_ready(self.queues.get(workload),
-                                         head=True, now=now)
-                if picked is not None:
-                    return picked, workload, None
-            return None
         if home is not None:
             picked = self._pop_ready(self.queues.get(home),
                                      head=True, now=now)

@@ -1,8 +1,8 @@
 """Adversarial trace fuzzer + cross-tier identity property harness.
 
-The engine now has four replay tiers (generic step loop, specialized
-scalar kernels, vectorized batch, segmented batch) whose equivalence
-was pinned by a fixture set — a handful of hand-picked traces.  This
+The engine has three replay tiers (generic step loop, specialized
+scalar kernels, segmented plan/replay) whose equivalence was pinned by
+a fixture set — a handful of hand-picked traces.  This
 module turns that guarantee into a *property*: any trace the fuzzer can
 generate, replayed under any registered prefetcher, must produce
 bit-identical figures across
@@ -346,8 +346,8 @@ def check_workload(workload: Workload, prefetchers, config=None, *,
     :class:`IdentityViolation`), ``simulations``, ``kernels`` (variant
     histogram), ``events``/``instructions`` for sizing.  ``scalar``
     adds a fourth leg (``REPRO_KERNEL=scalar``, the specialized scalar
-    kernels with the batch/segmented tiers disabled) so all four tiers
-    are directly compared, not just transitively.
+    kernels with the segmented tier disabled) so all three tiers are
+    directly compared, not just transitively.
     """
     from repro.engine.config import EXPERIMENT_CONFIG
     from repro.engine.kernel import GENERIC, SCALAR

@@ -40,9 +40,9 @@ mshr_burst          MSHR saturation bursts: fully independent misses
                     L2.
 hook_storm          segment-event density: nearly every instruction is
                     a memory op or a mispredicted branch — pins the
-                    segmented tier's island-dense replay and its
-                    coverage-degrade boundary
-                    (``REPRO_SEGMENT_COVERAGE``).
+                    segmented tier's island-dense replay just under
+                    its coverage-degrade boundary
+                    (``SEGMENT_MAX_COVERAGE``).
 oddgeom             non-power-of-two geometry walks: 192-byte strides
                     over 1.5 KB regions aligned to odd multiples — set
                     indices and DRAM rows advance in non-pow2 steps,
@@ -52,7 +52,7 @@ oddgeom             non-power-of-two geometry walks: 192-byte strides
 Sizing: stressors run ~6-40k dynamic instructions (vs the 160k default
 simpoint) — long enough to leave the warm-up regime of the mechanism
 they pin, short enough that the fuzz harness can sweep the whole suite
-times every registered prefetcher times four replay tiers in seconds.
+times every registered prefetcher times three replay tiers in seconds.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ builder-code version**, ever, per machine:
   environment variable, empty string disables the cache).
 * **Format** — a pickled dict of per-column ``bytes`` blobs produced by
   :meth:`CompiledTrace.column_bytes`, the derived columns from
-  :meth:`CompiledTrace.derived_bytes` (format 2), the batch
+  :meth:`CompiledTrace.derived_bytes` (format 2), the
   segment-event positions from :meth:`CompiledTrace.segment_bytes`
   (format 3), plus the memory image as two ``array('q')`` blobs.
   Loading is one zero-copy ``numpy.frombuffer`` view per column — no
@@ -47,7 +47,7 @@ from repro.isa.trace import (
 )
 
 # Version 3: columns restore as numpy arrays (no tolist round-trip) and
-# entries carry the precomputed batch segment-event positions alongside
+# entries carry the precomputed segment-event positions alongside
 # the derived columns (line/mpc/disp/bp_miss, see
 # repro.isa.trace.DERIVED_FIELDS).  The version salts
 # trace_code_version(), so bumping it moves the cache to a fresh

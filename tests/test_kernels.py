@@ -4,14 +4,14 @@ The contract under test is bit-identity: a specialized kernel is a
 partial evaluation of the generic step loop, so it may change wall
 clock but never a number.  These tests pin that registry-wide against
 the ``REPRO_KERNEL=generic`` escape hatch, pin workload-affine cell
-fusion against its own escape hatch (``REPRO_FUSION=0``) at ``--jobs
-4``, check the derived trace columns against fresh derivation, and
-follow the kernel-variant attribution through results, manifests, and
-the fault journal.  The batch replay tier gets its own section: tier
-selection, scalar/generic escape hatches, degenerate segmentations, and
-identity under injected cache corruption.  The segmented tier (hooked
-cells) mirrors it: hook islands at the trace boundaries, back-to-back
-islands, the all-event degrade to scalar, and chaos corrupt/resume.
+fusion at ``--jobs 4`` against serial ``run_jobs``, check the derived
+trace columns against fresh derivation, and follow the kernel-variant
+attribution through results, manifests, and the fault journal.  The
+segmented tier gets its own sections, for hook-free (``none``) and
+hooked cells alike: tier selection, scalar/generic escape hatches,
+degenerate segmentations, hook islands at the trace boundaries,
+back-to-back islands, the all-event degrade to scalar, kernel-compile
+and plan-build counting, and identity under injected cache corruption.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ import json
 import pytest
 
 from conftest import build_chain_trace, build_strided_trace
-from repro.engine.batch import BATCH_VARIANT, segment_max_coverage
+from repro.engine import batch
+from repro.engine.batch import SEGMENT_MAX_COVERAGE
 from repro.engine.config import EXPERIMENT_CONFIG
-from repro.engine.kernel import (GENERIC, KERNEL_ENV, SCALAR, kernel_flags,
-                                 variant_name)
+from repro.engine.kernel import (GENERIC, KERNEL_ENV, SCALAR, kernel_counters,
+                                 kernel_flags, variant_name)
 from repro.engine.system import simulate
 from repro.isa import Assembler, Machine
 from repro.isa.trace import (
@@ -34,8 +35,7 @@ from repro.isa.trace import (
     compile_trace,
     derived_counters,
 )
-from repro.parallel import FUSION_ENV, _fusion_units, run_jobs, shutdown_pool
-from repro.parallel.stealing import STEAL_ENV
+from repro.parallel import _fusion_units, run_jobs, shutdown_pool
 from repro.prefetcher_registry import available_prefetchers, make_prefetcher
 from repro.telemetry import Telemetry
 
@@ -79,9 +79,9 @@ def test_specialized_matches_generic_registry_wide(name, strided, chain,
         monkeypatch.setenv(KERNEL_ENV, GENERIC)
         slow = simulate(trace, make_prefetcher(name))
         monkeypatch.delenv(KERNEL_ENV)
-        # Hook-free cells may climb to the batch kernel; hooked
-        # leanmem cells to the segmented kernel.
-        assert fast.kernel.startswith(("fast", "batch", "segmented")), name
+        # Leanmem cells, hook-free or hooked, climb to the segmented
+        # kernel.
+        assert fast.kernel.startswith(("fast", "segmented")), name
         assert slow.kernel == GENERIC
         assert _identity(fast) == _identity(slow), (name, trace.name)
 
@@ -178,64 +178,67 @@ def test_derived_columns_round_trip(chain):
 # ----------------------------------------------------------------------
 # Workload-affine cell fusion
 # ----------------------------------------------------------------------
-def test_fusion_units_group_by_workload(monkeypatch):
+def test_fusion_units_group_by_workload():
     normalized = [("a", "s1", ""), ("b", "s1", ""), ("a", "s2", ""),
                   ("b", "s2", "")]
-    # Default (stealing): fine-grained workload-affine units —
-    # ceil(4 / (1 * 4)) = 1 cell each, grouped by workload.
+    # Fine-grained workload-affine units: ceil(4 / (1 * 4)) = 1 cell
+    # each, grouped by workload.
     units = _fusion_units([0, 1, 2, 3], normalized, 1)
     assert units == [(0,), (2,), (1,), (3,)]
-    # Legacy static discipline: coarse ceil(4 / (1 * 2)) = 2 chunks.
-    monkeypatch.setenv(STEAL_ENV, "0")
-    assert _fusion_units([0, 1, 2, 3], normalized, 1) == [(0, 2), (1, 3)]
-    monkeypatch.delenv(STEAL_ENV)
-    monkeypatch.setenv(FUSION_ENV, "0")
-    assert _fusion_units([0, 1, 2, 3], normalized, 1) == [
-        (0,), (1,), (2,), (3,)]
+    # Sixteen interleaved cells at one worker: ceil(16 / 4) = 4 cells
+    # per unit, each unit drawn from a single workload.
+    normalized = [("ab"[i % 2], f"s{i}", "") for i in range(16)]
+    units = _fusion_units(list(range(16)), normalized, 1)
+    assert units == [(0, 2, 4, 6), (8, 10, 12, 14),
+                     (1, 3, 5, 7), (9, 11, 13, 15)]
 
 
-def test_fusion_identity_at_jobs_4(monkeypatch):
+def test_fusion_identity_at_jobs_4():
+    """Fused units through the pool reproduce serial ``run_jobs``."""
     matrix = [(w, s) for w in ("spec.libquantum", "spec.astar")
               for s in ("none", "bop")]
+    serial = run_jobs(matrix, EXPERIMENT_CONFIG, 1)
     try:
         fused = run_jobs(matrix, EXPERIMENT_CONFIG, 4)
-        shutdown_pool()
-        monkeypatch.setenv(FUSION_ENV, "0")
-        singleton = run_jobs(matrix, EXPERIMENT_CONFIG, 4)
     finally:
         shutdown_pool()
-    assert len(fused) == len(singleton) == len(matrix)
-    for cell, a, b in zip(matrix, fused, singleton):
+    assert len(fused) == len(serial) == len(matrix)
+    for cell, a, b in zip(matrix, fused, serial):
         assert _identity(a) == _identity(b), cell
         assert a.kernel == b.kernel, cell
-        assert a.kernel.startswith(("fast", "batch", "segmented")), cell
+        assert a.kernel.startswith(("fast", "segmented")), cell
 
 
 # ----------------------------------------------------------------------
-# Batch replay tier (docs/performance.md, "Batch replay tier")
+# Segmented replay tier, hook-free ``none`` cells (docs/performance.md,
+# "Segmented replay tier")
 # ----------------------------------------------------------------------
+HOOK_FREE_VARIANT = "segmented+leanmem+staticbp"
+
+
 def test_batch_matches_scalar_and_generic(strided, chain, monkeypatch):
-    """Hook-free cells climb to the batch tier; ``REPRO_KERNEL=scalar``
-    pins the exec-specialized kernel; all three tiers are bit-identical."""
+    """Hook-free cells climb to the segmented tier with every hook
+    branch absent; ``REPRO_KERNEL=scalar`` pins the exec-specialized
+    kernel; all three tiers are bit-identical."""
     for trace in (strided, chain):
-        batch = simulate(trace, make_prefetcher("none"))
+        seg = simulate(trace, make_prefetcher("none"))
         monkeypatch.setenv(KERNEL_ENV, SCALAR)
         scalar = simulate(trace, make_prefetcher("none"))
         monkeypatch.setenv(KERNEL_ENV, GENERIC)
         generic = simulate(trace, make_prefetcher("none"))
         monkeypatch.delenv(KERNEL_ENV)
-        assert batch.kernel == BATCH_VARIANT, trace.name
+        assert seg.kernel == HOOK_FREE_VARIANT, trace.name
         assert scalar.kernel == "fast+leanmem+staticbp"
         assert generic.kernel == GENERIC
-        assert _identity(batch) == _identity(scalar), trace.name
-        assert _identity(batch) == _identity(generic), trace.name
+        assert _identity(seg) == _identity(scalar), trace.name
+        assert _identity(seg) == _identity(generic), trace.name
 
 
 def test_batch_steps_aside_for_sampler_with_identical_windows(strided,
                                                               monkeypatch):
-    """A TimeSeriesSampler is a live hook: the batch tier must yield to
-    the scalar kernels, and the sampled windows must match the generic
-    loop sample for sample."""
+    """A TimeSeriesSampler is a live hook: the segmented tier must
+    yield to the scalar kernels, and the sampled windows must match the
+    generic loop sample for sample."""
     from repro.telemetry.sampler import TimeSeriesSampler
 
     fast_sampler = TimeSeriesSampler(interval=256)
@@ -246,7 +249,7 @@ def test_batch_steps_aside_for_sampler_with_identical_windows(strided,
     slow = simulate(strided, make_prefetcher("none"),
                     telemetry=Telemetry(sampler=slow_sampler))
     monkeypatch.delenv(KERNEL_ENV)
-    assert not fast.kernel.startswith("batch")
+    assert fast.kernel.startswith("fast+")
     assert "sample" in fast.kernel
     assert _identity(fast) == _identity(slow)
     assert len(fast_sampler.samples) > 0
@@ -284,29 +287,35 @@ def _tiny(asm):
     ("tiny", _tiny),               # trace shorter than any stretch
 ])
 def test_batch_segment_edge_cases(case, build, monkeypatch):
-    """Degenerate segmentations — an event-free trace (empty event
-    column), back-to-back events (empty stretches), and a trace shorter
-    than one stretch — replay bit-identically on every tier."""
+    """Degenerate segmentations of a hook-free cell — an event-free
+    trace (empty event column), back-to-back events (empty stretches),
+    and a trace shorter than one stretch — replay bit-identically on
+    every tier.  The all-event trace is past the coverage ceiling and
+    degrades to the scalar kernel."""
     trace = _compile_program(f"k-seg-{case}", build)
     events = trace.segment_events()
     if case == "alu-only":
         assert len(events) == 0
     elif case == "mem-only":
         assert len(events) == 64  # one per load, none for movi/halt
-    batch = simulate(trace, make_prefetcher("none"))
+    auto = simulate(trace, make_prefetcher("none"))
     monkeypatch.setenv(KERNEL_ENV, SCALAR)
     scalar = simulate(trace, make_prefetcher("none"))
     monkeypatch.setenv(KERNEL_ENV, GENERIC)
     generic = simulate(trace, make_prefetcher("none"))
     monkeypatch.delenv(KERNEL_ENV)
-    assert batch.kernel == BATCH_VARIANT, case
-    assert _identity(batch) == _identity(scalar) == _identity(generic), case
+    if case == "mem-only":
+        assert len(events) / len(trace) > SEGMENT_MAX_COVERAGE
+        assert auto.kernel == "fast+leanmem+staticbp", case
+    else:
+        assert auto.kernel == HOOK_FREE_VARIANT, case
+    assert _identity(auto) == _identity(scalar) == _identity(generic), case
 
 
 def test_batch_identity_under_chaos_corrupt_and_resume(tmp_path):
-    """A chaos-corrupted cache write under the batch tier is a miss on
-    re-read; the resumed runner re-simulates once and reproduces the
-    reference figures exactly."""
+    """A chaos-corrupted cache write under a hook-free segmented cell
+    is a miss on re-read; the resumed runner re-simulates once and
+    reproduces the reference figures exactly."""
     from repro.experiments.runner import ExperimentRunner, simulate_spec
     from repro.faults import chaos, fault_counters, reset_fault_counters
 
@@ -314,7 +323,7 @@ def test_batch_identity_under_chaos_corrupt_and_resume(tmp_path):
     cache = str(tmp_path / "cache")
     journal = str(tmp_path / "journal")
     reference = simulate_spec(app, "none", "", EXPERIMENT_CONFIG)
-    assert reference.kernel == BATCH_VARIANT
+    assert reference.kernel == HOOK_FREE_VARIANT
 
     reset_fault_counters()
     chaos.set_chaos(chaos.parse_spec(f"corrupt=result:{app}/none"))
@@ -332,7 +341,7 @@ def test_batch_identity_under_chaos_corrupt_and_resume(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Segmented replay tier (hooked cells; docs/performance.md)
+# Segmented replay tier, hooked cells (docs/performance.md)
 # ----------------------------------------------------------------------
 def _event_first(asm):
     asm.load("r2", "r1", 0)          # hook event at position 0
@@ -392,13 +401,38 @@ def test_segmented_all_event_trace_degrades_to_scalar(monkeypatch):
     kernel (no segmented attempt), bit-identically."""
     trace = _compile_program("k-seg-dense", _all_memory)
     assert (len(trace.segment_events()) / len(trace)
-            > segment_max_coverage())
+            > SEGMENT_MAX_COVERAGE)
     fast = simulate(trace, make_prefetcher("bop"))
     monkeypatch.setenv(KERNEL_ENV, GENERIC)
     generic = simulate(trace, make_prefetcher("bop"))
     monkeypatch.delenv(KERNEL_ENV)
     assert fast.kernel.startswith("fast+")
     assert _identity(fast) == _identity(generic)
+
+
+def test_segmented_counts_kernel_compiles_apart_from_plan_builds(
+        monkeypatch):
+    """Two traces with the same hook shape build two plans but
+    exec-compile one kernel: ``compiled.<variant>`` counts compiles,
+    ``plan_builds`` counts plans."""
+    monkeypatch.setattr(batch, "_SEG_KERNELS", {})
+    traces = [
+        compile_trace(build_strided_trace(elements=400, name="k-count-a")),
+        compile_trace(build_chain_trace(nodes=300, name="k-count-b")),
+    ]
+    before = kernel_counters()
+    variants = {simulate(trace, make_prefetcher("bop")).kernel
+                for trace in traces}
+    after = kernel_counters()
+
+    def delta(name):
+        return after.get(name, 0) - before.get(name, 0)
+
+    (variant,) = variants
+    assert variant.startswith("segmented+")
+    assert delta(f"selected.{variant}") == 2
+    assert delta(f"compiled.{variant}") == 1
+    assert delta("plan_builds") == 2
 
 
 def test_segmented_identity_under_chaos_corrupt_and_resume(tmp_path):

@@ -331,6 +331,7 @@ def test_logger_modes(monkeypatch, capsys):
     stream.seek(0)
     monkeypatch.setenv("REPRO_LOG", "quiet")
     log.info("suppressed")
+    log.warn("suppressed too")
     log.error("shown")
     assert stream.getvalue() == "shown\n"
 

@@ -220,30 +220,16 @@ def test_imbalanced_matrix_records_steals():
         == report["steals"]
 
 
-def test_steal_disabled_restores_static_fifo(monkeypatch):
-    from repro.parallel.stealing import STEAL_ENV, stealing_enabled
-
-    monkeypatch.setenv(STEAL_ENV, "0")
-    assert not stealing_enabled()
-    serial = _ok_figures(run_jobs(MATRIX, EXPERIMENT_CONFIG, 1))
-    obs = FabricObs("no-steal")
-    results = run_jobs(MATRIX, EXPERIMENT_CONFIG, 2, obs=obs)
-    obs.finish()
-    assert _ok_figures(results) == serial
-    assert not [s for s in obs.spans if s.name == "steal"]
-    assert "pool.steals" not in obs.metrics.snapshot()["counters"]
-
-
 # ----------------------------------------------------------------------
 # Plan registry: same-name trace objects share replay plans
 # ----------------------------------------------------------------------
-def test_plan_registry_reuses_plans_across_trace_objects():
+def test_plan_registry_reuses_plans_across_trace_objects(monkeypatch):
     from repro.engine import batch
     from repro.isa.trace import CompiledTrace
 
     simulate_spec(APP, "none", "", EXPERIMENT_CONFIG)
     trace1 = get_workload(APP).trace()
-    assert trace1._plans, "the none cell should have built a batch plan"
+    assert trace1._plans, "the none cell should have built a segment plan"
     key, plan = next(iter(trace1._plans.items()))
 
     # A re-materialized trace of the same workload (what a shared-memory
@@ -256,7 +242,8 @@ def test_plan_registry_reuses_plans_across_trace_objects():
     def boom(trace, key):
         raise AssertionError("plan was rebuilt instead of reused")
 
-    assert batch._get_plan(trace2, key, boom, "test") is plan
+    monkeypatch.setattr(batch, "_build_segment_plan", boom)
+    assert batch._get_plan(trace2, key) is plan
     assert trace2._plans[key] is plan
 
 

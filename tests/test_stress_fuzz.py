@@ -9,16 +9,14 @@ produce identical figures across kernel tiers (kernel-vs-generic),
 execution modes (fused-vs-singleton), and trace temperatures
 (warm-vs-cold).  Degenerate shapes (empty program, single memory op,
 ALU-only) get explicit coverage, as do the fuzzer's determinism
-contract, the chaos corrupt/resume path through a stress cell, and the
-``REPRO_SEGMENT_COVERAGE`` warn-and-clamp fix.
+contract and the chaos corrupt/resume path through a stress cell.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import batch
-from repro.engine.batch import SEGMENT_COVERAGE_ENV, SEGMENT_MAX_COVERAGE
+from repro.engine.batch import SEGMENT_MAX_COVERAGE
 from repro.engine.config import EXPERIMENT_CONFIG
 from repro.engine.kernel import GENERIC, KERNEL_ENV, SCALAR
 from repro.engine.system import simulate
@@ -42,10 +40,10 @@ STRESS_NAMES = (
     "stress.hook_storm", "stress.oddgeom",
 )
 
-# One hooked (segmented-tier) and one hook-free (batch-tier) prefetcher
-# cover both batch planners; "spp" adds a second hook shape.  The CI
-# fuzz-identity job sweeps the whole registry — tests keep the matrix
-# small enough for the tier-1 suite.
+# One hooked and one hook-free prefetcher cover both ends of the
+# segmented tier's hook specialization; "spp" adds a second hook
+# shape.  The CI fuzz-identity job sweeps the whole registry — tests
+# keep the matrix small enough for the tier-1 suite.
 TEST_PREFETCHERS = ("none", "tpc", "spp")
 
 
@@ -203,53 +201,6 @@ def test_stress_identity_under_chaos_corrupt_and_resume(tmp_path):
     assert identity_tuple(second) == identity_tuple(reference)
     assert resumed.counters["simulated"] == 1
     assert fault_counters()["cache_corrupt"] >= 1
-
-
-# ----------------------------------------------------------------------
-# REPRO_SEGMENT_COVERAGE validation (the satellite bugfix)
-# ----------------------------------------------------------------------
-def test_segment_coverage_default(monkeypatch):
-    monkeypatch.delenv(SEGMENT_COVERAGE_ENV, raising=False)
-    assert batch.segment_max_coverage() == SEGMENT_MAX_COVERAGE
-
-
-def test_segment_coverage_valid_value(monkeypatch):
-    monkeypatch.setenv(SEGMENT_COVERAGE_ENV, "0.5")
-    assert batch.segment_max_coverage() == 0.5
-
-
-def test_segment_coverage_rejects_garbage_with_warning(monkeypatch,
-                                                       capsys):
-    batch._COVERAGE_WARNED.clear()
-    monkeypatch.setenv(SEGMENT_COVERAGE_ENV, "ninety-five")
-    assert batch.segment_max_coverage() == SEGMENT_MAX_COVERAGE
-    assert SEGMENT_COVERAGE_ENV in capsys.readouterr().err
-    # Warned once, not once per cell.
-    assert batch.segment_max_coverage() == SEGMENT_MAX_COVERAGE
-    assert capsys.readouterr().err == ""
-
-
-@pytest.mark.parametrize("raw,expected", [("9.5", 1.0), ("-0.5", 0.0),
-                                          ("1.0", 1.0), ("0.0", 0.0)])
-def test_segment_coverage_clamps_out_of_range(raw, expected,
-                                              monkeypatch, capsys):
-    batch._COVERAGE_WARNED.clear()
-    monkeypatch.setenv(SEGMENT_COVERAGE_ENV, raw)
-    assert batch.segment_max_coverage() == expected
-    err = capsys.readouterr().err
-    if float(raw) != expected:
-        assert "clamping" in err
-    else:
-        assert err == ""  # in-range values pass through silently
-
-
-def test_segment_coverage_quiet_mode_suppresses_warning(monkeypatch,
-                                                        capsys):
-    batch._COVERAGE_WARNED.clear()
-    monkeypatch.setenv("REPRO_LOG", "quiet")
-    monkeypatch.setenv(SEGMENT_COVERAGE_ENV, "garbage")
-    assert batch.segment_max_coverage() == SEGMENT_MAX_COVERAGE
-    assert capsys.readouterr().err == ""
 
 
 # ----------------------------------------------------------------------
