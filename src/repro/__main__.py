@@ -384,12 +384,16 @@ def _cmd_fuzz(args) -> None:
         ("workloads", report["workloads"]),
         ("prefetchers", len(report["prefetchers"])),
         ("cells", report["cells"]),
+        ("mixes", report["mixes"]),
         ("simulations", report["simulations"]),
         ("seconds", report["seconds"]),
+        ("mix seconds", report["mix_seconds"]),
         ("violations", len(report["violations"])),
     ]
     rows += [(f"kernel {name}", count)
              for name, count in sorted(report["kernels"].items())]
+    rows += [(f"mix kernel {name}", count)
+             for name, count in sorted(report["mix_kernels"].items())]
     print(format_table(["metric", "value"], rows))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

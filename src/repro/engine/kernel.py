@@ -32,12 +32,17 @@ registry-wide, and ``repro bench`` re-checks it in-run against the
 ``REPRO_KERNEL=generic`` escape hatch (which disables specialization
 entirely, e.g. to bisect a suspected kernel bug).
 
-Kernel selection is automatic (``OoOCore.run``): any core replaying a
-:class:`~repro.isa.trace.CompiledTrace` gets a specialized kernel; the
-object-trace path and the escape hatch fall back to the generic
-per-step loop.  The chosen variant name is carried on
-``SimulationResult.kernel`` so benchmarks and the fault journal can
-attribute timings to a kernel.
+Kernel selection is automatic: any core replaying a
+:class:`~repro.isa.trace.CompiledTrace` gets a specialized kernel, in
+``OoOCore.run`` for a whole-trace run and in
+:func:`~repro.engine.multicore.simulate_multicore` for the cores of a
+mix.  A mix runs the resumable form (``run_bursts``), a generator
+generated from the same body lines that yields after every burst of
+retired instructions, so the scheduler can interleave the cores exactly
+as it interleaves ``step()`` bursts.  The object-trace path and the
+escape hatch fall back to the generic per-step loop.  The chosen
+variant name is carried on ``SimulationResult.kernel`` so benchmarks
+and the fault journal can attribute timings to a kernel.
 """
 
 from __future__ import annotations
@@ -133,20 +138,23 @@ def variant_name(flags: tuple) -> str:
     return "+".join(parts)
 
 
-def get_kernel(flags: tuple):
-    """The compiled ``run_fast`` for ``flags`` (generated on first use)."""
+def get_kernel(flags: tuple, resumable: bool = False):
+    """The compiled ``run_fast`` for ``flags`` (generated on first use),
+    or with ``resumable`` its ``run_bursts`` generator form."""
     variant = variant_name(flags)
     _count(f"selected.{variant}")
-    kernel = _KERNELS.get(flags)
+    key = (flags, resumable)
+    kernel = _KERNELS.get(key)
     if kernel is None:
         _count(f"compiled.{variant}")
-        source = kernel_source(flags)
+        source = kernel_source(flags, resumable)
+        name = "run_bursts" if resumable else "run_fast"
         namespace = {"AccessEvent": AccessEvent}
-        exec(compile(source, f"<kernel {variant}>", "exec"),
+        exec(compile(source, f"<kernel {variant} {name}>", "exec"),
              namespace)
-        kernel = namespace["run_fast"]
+        kernel = namespace[name]
         kernel.__kernel_source__ = source
-        _KERNELS[flags] = kernel
+        _KERNELS[key] = kernel
     return kernel
 
 
@@ -373,12 +381,21 @@ def _call_memory_lines(flags: tuple, is_load: bool) -> list[str]:
     return lines
 
 
-def kernel_source(flags: tuple) -> str:
-    """Generate the ``run_fast(core)`` source for one flag tuple."""
+def kernel_source(flags: tuple, resumable: bool = False) -> str:
+    """Generate the ``run_fast(core)`` source for one flag tuple.
+
+    ``resumable`` generates the same body as the generator
+    ``run_bursts(core, burst)`` instead: its locals survive across
+    bursts, and after every ``burst`` retired instructions it writes
+    ``core._fetch_cycle`` back (the multicore scheduler orders cores by
+    it) and yields ``True``.  Deferred counters are still flushed once,
+    when the trace runs out.
+    """
     instr, oa, ona, of, samp, sbp, lean = flags
     memory_lines = _lean_memory_lines if lean else _call_memory_lines
     head = [
-        "def run_fast(core):",
+        ("def run_bursts(core, burst):" if resumable
+         else "def run_fast(core):"),
         "    trace = core.trace",
         "    stats = core.stats",
         "    index = core._index",
@@ -408,6 +425,8 @@ def kernel_source(flags: tuple) -> str:
         "    load_latency_total = 0",
         "    start_index = index",
     ]
+    if resumable:
+        head.append("    stop = index + burst")
     if lean:
         head += [
             "    hierarchy = core.hierarchy",
@@ -555,6 +574,13 @@ def kernel_source(flags: tuple) -> str:
             "        stats.instructions += 1",
             "        stats.cycles = last_commit",
             "        sampler_tick()",
+        ]
+    if resumable:
+        body += [
+            "        if index == stop:",
+            "            core._fetch_cycle = fetch_cycle",
+            "            yield True",
+            "            stop = index + burst",
         ]
 
     tail = [

@@ -2,10 +2,18 @@
 
 The paper's multicore experiments run 4-thread mixes and report *weighted
 speedup*: ``sum_i IPC_shared_i / IPC_alone_i``.  Cores are advanced in
-approximate cycle order (always stepping the core whose clock is furthest
-behind), which interleaves their demand and prefetch streams at the shared
-L3 and memory controller — the contention that the drop-policy experiment
+approximate cycle order (always running a burst of :data:`BURST`
+instructions on the core whose clock is furthest behind), which
+interleaves their demand and prefetch streams at the shared L3 and
+memory controller — the contention that the drop-policy experiment
 (Sec. V-C1) depends on.
+
+Each core replaying a compiled trace runs its bursts on the resumable
+form of its specialized scalar kernel (:mod:`repro.engine.kernel`), a
+generator that keeps its locals between bursts; object traces and
+``REPRO_KERNEL=generic`` run them as ``OoOCore.step()`` calls.  Both
+retire the same instructions per burst, so the interleaving, and every
+number, is the same on either path.
 """
 
 from __future__ import annotations
@@ -15,12 +23,40 @@ from heapq import heapify, heappop, heappush
 
 from repro.core.base import NullPrefetcher, Prefetcher
 from repro.engine.config import SystemConfig, EXPERIMENT_CONFIG
+from repro.engine.kernel import get_kernel, kernel_flags, variant_name
 from repro.engine.ooo import OoOCore
 from repro.engine.system import SimulationResult
 from repro.isa.trace import Trace
 from repro.memory.cache import Cache
 from repro.memory.dram import Dram
 from repro.memory.hierarchy import Hierarchy
+
+
+BURST = 32
+"""Instructions a core retires per turn before the scheduler picks the
+core furthest behind again.  It decides the order in which the cores'
+accesses meet at the shared L3 and DRAM, so it is part of the model,
+not a tuning knob; both replay paths use it."""
+
+
+def _step_bursts(core: OoOCore, burst: int):
+    """The generic loop's bursts: ``burst`` ``step()`` calls per turn."""
+    step = core.step
+    while True:
+        for _ in range(burst):
+            if not step():
+                return
+        yield True
+
+
+def _bursts(core: OoOCore):
+    """``core``'s burst generator, on the kernel :func:`kernel_flags`
+    picks (the step loop when it picks none)."""
+    flags = kernel_flags(core)
+    if flags is None:
+        return _step_bursts(core, BURST)
+    core.kernel_variant = variant_name(flags)
+    return get_kernel(flags, resumable=True)(core, BURST)
 
 
 @dataclass
@@ -86,19 +122,15 @@ def simulate_multicore(traces: list[Trace],
 
     # Min-heap on (core clock, core id): always advance the core that is
     # furthest behind so shared-resource accesses interleave realistically.
+    # ``next(bursts[i], False)`` runs one burst of core ``i`` and is
+    # False once its trace is done.
+    bursts = [_bursts(core) for core in cores]
     heap = [(core.now, i) for i, core in enumerate(cores)]
     heapify(heap)
     while heap:
         _, i = heappop(heap)
-        core = cores[i]
-        # Advance a small burst to amortize heap traffic.
-        alive = True
-        for _ in range(32):
-            if not core.step():
-                alive = False
-                break
-        if alive:
-            heappush(heap, (core.now, i))
+        if next(bursts[i], False):
+            heappush(heap, (cores[i].now, i))
 
     per_core = []
     for trace, prefetcher, hierarchy, core in zip(
@@ -117,8 +149,10 @@ def simulate_multicore(traces: list[Trace],
                 miss_lines_l1=hierarchy.miss_lines_l1,
                 miss_lines_l2=hierarchy.miss_lines_l2,
                 attempted_prefetch_lines=hierarchy.attempted_prefetch_lines,
+                attempted_by_component=hierarchy.attempted_by_component,
                 pollution_misses_l1=hierarchy.pollution_misses_l1,
                 pollution_misses_l2=hierarchy.pollution_misses_l2,
+                kernel=core.kernel_variant,
             )
         )
     return MulticoreResult(

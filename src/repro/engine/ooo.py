@@ -63,8 +63,10 @@ _BRANCH = int(OpClass.BRANCH)
 class OoOCore:
     """Incremental core model; ``step()`` retires one instruction.
 
-    The incremental interface exists so the multicore harness can advance
-    several cores in (approximate) cycle order against a shared L3/DRAM.
+    ``step()`` is the generic loop: the reference every specialized
+    kernel (:mod:`repro.engine.kernel`) is checked against, and the
+    replay path for object traces and ``REPRO_KERNEL=generic``, in whole
+    runs and in the multicore harness's bursts alike.
     """
 
     __slots__ = (
@@ -543,8 +545,10 @@ class OoOCore:
         partial-evaluated for this core's exact hook/telemetry/predictor
         configuration, bit-identically.  Selected here rather than in
         ``__init__`` because the sampler attaches after construction.
-        Object traces, incremental ``step()`` callers (the multicore
-        harness), and ``REPRO_KERNEL=generic`` use the generic loop.
+        Object traces and ``REPRO_KERNEL=generic`` use the generic loop.
+        The multicore harness does not call ``run``: it selects each
+        core's kernel itself and drives its resumable burst form
+        (:mod:`repro.engine.multicore`).
         """
         from repro.engine.batch import maybe_run_segmented
         from repro.engine.kernel import get_kernel, kernel_flags, \

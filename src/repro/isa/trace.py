@@ -290,7 +290,7 @@ class CompiledTrace:
                  "addr", "value", "dst", "src1", "src2", "taken",
                  "target_pc", "ras_top",
                  "_stats", "_records", "_derived", "_arrays",
-                 "_derived_arrays", "_segments", "_plans")
+                 "_derived_arrays", "_segments", "_plans", "_pcs")
 
     def __init__(self, name: str, columns: tuple | None,
                  memory: dict[int, int]):
@@ -304,6 +304,7 @@ class CompiledTrace:
         self._stats: TraceStats | None = None
         self._records: list[TraceRecord] | None = None
         self._derived: tuple | None = None
+        self._pcs: dict[int, int] = {}
         if columns is not None:
             (self.pc, self.opc, self.addr, self.value, self.dst,
              self.src1, self.src2, self.taken, self.target_pc,
@@ -316,12 +317,31 @@ class CompiledTrace:
         # yields Python bools, indistinguishable from a compiled list).
         index = _FIELD_INDEX.get(attr)
         if index is not None and self._arrays is not None:
-            values = self._arrays[index].tolist()
+            if attr == "pc":
+                values = self._share_pcs(self._arrays[index])
+            else:
+                values = self._arrays[index].tolist()
             setattr(self, attr, values)
             return values
         raise AttributeError(
             f"{type(self).__name__!s} object has no attribute {attr!r}"
         )
+
+    def _share_pcs(self, column) -> list:
+        """``column`` as a list holding, for each value, the one int
+        object this trace's ``pc`` and ``mpc`` lists share for it.
+
+        Both columns hold a few distinct values (instruction addresses,
+        XORed with the return-stack top for ``mpc``), yet ``tolist()``
+        and the XOR allocate one int object per row; shared, each list
+        costs a pointer per row.
+        """
+        np = _np()
+        values, rows = np.unique(np.asarray(column), return_inverse=True)
+        pool = self._pcs
+        shared = np.array([pool.setdefault(v, v) for v in values.tolist()],
+                          dtype=object)
+        return shared[rows].tolist()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -331,7 +351,9 @@ class CompiledTrace:
         columns = tuple(
             [getattr(r, name) for r in records] for name in TRACE_FIELDS
         )
-        return cls(trace.name, columns, trace.memory)
+        compiled = cls(trace.name, columns, trace.memory)
+        compiled.pc = compiled._share_pcs(compiled.pc)
+        return compiled
 
     @classmethod
     def from_arrays(cls, name: str, arrays: tuple,
@@ -441,9 +463,9 @@ class CompiledTrace:
         """
         if self._derived is None:
             if self._derived_arrays is not None:
-                self._derived = tuple(
-                    a.tolist() for a in self._derived_arrays
-                )
+                line, mpc, disp, bp_miss = self._derived_arrays
+                self._derived = (line.tolist(), self._share_pcs(mpc),
+                                 disp.tolist(), bp_miss.tolist())
             else:
                 self._derived = self._build_derived()
         return self._derived
@@ -492,7 +514,8 @@ class CompiledTrace:
         store = int(OpClass.STORE)
         alu = int(OpClass.ALU)
         line = [a >> LINE_SHIFT for a in self.addr]
-        mpc = [p ^ r for p, r in zip(self.pc, self.ras_top)]
+        mpc = self._share_pcs(
+            [p ^ r for p, r in zip(self.pc, self.ras_top)])
         disp = []
         bp_miss = []
         append_disp = disp.append

@@ -30,9 +30,12 @@ handling, never throughput.
 
 ``repro fuzz --seeds N`` runs the harness over the stress suite plus N
 fuzzed traces and exits nonzero on any violation; ``repro bench
---fuzz`` embeds a small sweep as a report section and gate.  Harness
-counters mirror into the current fabric obs (``fuzz.*`` in ``repro
-metrics``) like every other subsystem's.
+--fuzz`` embeds a small sweep as a report section and gate.  The sweep
+ends with a mix leg: the fuzzed seeds, :data:`MIX_WIDTH` at a time, run
+as one shared-L3/DRAM :func:`~repro.engine.multicore.simulate_multicore`
+mix, kernel-vs-generic (:func:`check_mix`).  Harness counters mirror
+into the current fabric obs (``fuzz.*`` in ``repro metrics``) like
+every other subsystem's.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 from repro.isa.program import Assembler, Program
@@ -68,6 +72,14 @@ the shapes the prefetcher-taxonomy literature singles out as the ones
 each prefetcher family must survive."""
 
 INVARIANTS = ("kernel-vs-generic", "fused-vs-singleton", "warm-vs-cold")
+
+MIX_WIDTH = 4
+"""Fuzzed seeds per multicore mix in the sweep's mix leg (the paper's
+4-core mixes)."""
+
+MIX_DROP_PREFETCHERS = ("tpc", "bop")
+"""Prefetchers the mix leg also runs under both DRAM drop policies at
+the drop-policy experiment's queue capacity (Sec. V-C1)."""
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +308,11 @@ def _count(event: str, n: int = 1) -> None:
         obs.metrics.count(f"fuzz.{event}", n)
 
 
-def _simulate_tier(trace, prefetcher: str, config, tier: str | None):
-    """One simulation with ``REPRO_KERNEL`` pinned to ``tier`` (or the
-    automatic selection when ``None``), environment restored after."""
+@contextmanager
+def _pinned_kernel(tier: str | None):
+    """``REPRO_KERNEL`` pinned to ``tier`` (unset, i.e. the automatic
+    selection, when ``None``), environment restored after."""
     from repro.engine.kernel import KERNEL_ENV
-    from repro.engine.system import simulate
-    from repro.prefetcher_registry import make_prefetcher
 
     previous = os.environ.get(KERNEL_ENV)
     if tier is None:
@@ -309,12 +320,49 @@ def _simulate_tier(trace, prefetcher: str, config, tier: str | None):
     else:
         os.environ[KERNEL_ENV] = tier
     try:
-        return simulate(trace, make_prefetcher(prefetcher), config)
+        yield
     finally:
         if previous is None:
             os.environ.pop(KERNEL_ENV, None)
         else:
             os.environ[KERNEL_ENV] = previous
+
+
+def _simulate_tier(trace, prefetcher: str, config, tier: str | None):
+    """One simulation on kernel tier ``tier`` (see :func:`_pinned_kernel`)."""
+    from repro.engine.system import simulate
+    from repro.prefetcher_registry import make_prefetcher
+
+    with _pinned_kernel(tier):
+        return simulate(trace, make_prefetcher(prefetcher), config)
+
+
+def _simulate_mix(traces, prefetcher: str, config, tier: str | None):
+    """One multicore mix, ``prefetcher`` on every core, on kernel tier
+    ``tier`` (see :func:`_pinned_kernel`)."""
+    from repro.engine.multicore import simulate_multicore
+    from repro.prefetcher_registry import make_prefetcher
+
+    with _pinned_kernel(tier):
+        return simulate_multicore(
+            traces, [make_prefetcher(prefetcher) for _ in traces], config)
+
+
+def mix_identity(result) -> list:
+    """Every core's :func:`identity_tuple`, then the shared DRAM traffic."""
+    return ([identity_tuple(core) for core in result.per_core]
+            + [result.dram_traffic])
+
+
+def _mix_diff(a, b) -> list:
+    """Names of the diverging fields of two mix results
+    (``core<i>.<field>``, ``dram_traffic``)."""
+    fields = [f"core{i}.{name}"
+              for i, (x, y) in enumerate(zip(a.per_core, b.per_core))
+              for name in diff_fields(x, y)]
+    if a.dram_traffic != b.dram_traffic:
+        fields.append("dram_traffic")
+    return fields
 
 
 def _warm_trace(workload: Workload):
@@ -427,6 +475,53 @@ def check_workload(workload: Workload, prefetchers, config=None, *,
     }
 
 
+def check_mix(workloads, prefetchers, config=None) -> dict:
+    """kernel-vs-generic for one multicore mix of ``workloads``.
+
+    Every prefetcher in ``prefetchers`` runs on all cores under
+    ``config``; those in :data:`MIX_DROP_PREFETCHERS` run again under
+    each drop policy at the drop-policy experiment's queue capacity
+    (prefetcher label ``<name>@<policy>``).  Every core's
+    :func:`identity_tuple` and the shared DRAM traffic must match the
+    ``REPRO_KERNEL=generic`` run.  Returns a summary dict like
+    :func:`check_workload`'s, for workload ``mix:<a>+<b>+...``.
+    """
+    from repro.engine.config import EXPERIMENT_CONFIG
+    from repro.engine.kernel import GENERIC
+    from repro.experiments.drop_policy import _config_with
+    from repro.memory.dram import DropPolicy
+
+    config = config or EXPERIMENT_CONFIG
+    label = "mix:" + "+".join(w.name for w in workloads)
+    traces = [w.trace() for w in workloads]
+    runs = [(name, name, config) for name in prefetchers]
+    runs += [(f"{name}@{policy.value}", name, _config_with(policy, config))
+             for name in MIX_DROP_PREFETCHERS if name in prefetchers
+             for policy in DropPolicy]
+    violations: list[IdentityViolation] = []
+    kernels: dict[str, int] = {}
+    for tag, name, run_config in runs:
+        tiered = _simulate_mix(traces, name, run_config, None)
+        generic = _simulate_mix(traces, name, run_config, GENERIC)
+        for core in tiered.per_core:
+            kernels[core.kernel] = kernels.get(core.kernel, 0) + 1
+        if mix_identity(tiered) != mix_identity(generic):
+            violations.append(IdentityViolation(
+                label, tag, "kernel-vs-generic",
+                ",".join(core.kernel for core in tiered.per_core),
+                GENERIC, _mix_diff(tiered, generic)))
+
+    _count("simulations", 2 * len(runs))
+    if violations:
+        _count("violations", len(violations))
+    return {
+        "workload": label,
+        "violations": violations,
+        "simulations": 2 * len(runs),
+        "kernels": kernels,
+    }
+
+
 def run_fuzz(seeds: int = DEFAULT_SEEDS, *, stress: bool = True,
              prefetchers=None, config=None, scalar_stress: bool = True,
              progress=None) -> dict:
@@ -435,8 +530,12 @@ def run_fuzz(seeds: int = DEFAULT_SEEDS, *, stress: bool = True,
     Every workload is checked under every prefetcher in ``prefetchers``
     (default: the whole registry) for the three invariants; stress
     workloads additionally get the explicit ``REPRO_KERNEL=scalar`` leg
-    (``scalar_stress``).  Returns a JSON-ready report whose
-    ``violations`` list is empty exactly when the property held.
+    (``scalar_stress``).  The mix leg then runs the fuzzed seeds
+    :data:`MIX_WIDTH` at a time (the last mix takes what is left) through
+    :func:`check_mix`; ``mixes``, ``mix_kernels`` (per-core variants)
+    and ``mix_seconds`` report it, and its violations join the rest.
+    Returns a JSON-ready report whose ``violations`` list is empty
+    exactly when the property held.
     """
     from repro.prefetcher_registry import available_prefetchers
     from repro.workloads import get_suite
@@ -467,6 +566,22 @@ def run_fuzz(seeds: int = DEFAULT_SEEDS, *, stress: bool = True,
             progress(f"fuzz: {i + 1}/{len(workloads)} workloads, "
                      f"{sims} simulations, "
                      f"{len(violations)} violations")
+
+    mix_started = time.perf_counter()
+    mix_kernels: dict[str, int] = {}
+    mixes = range(0, seeds, MIX_WIDTH)
+    for start in mixes:
+        summary = check_mix(
+            [fuzz_workload(s)
+             for s in range(start, min(start + MIX_WIDTH, seeds))],
+            prefetchers, config)
+        violations += summary["violations"]
+        sims += summary["simulations"]
+        for variant, count in summary["kernels"].items():
+            mix_kernels[variant] = mix_kernels.get(variant, 0) + count
+    if progress is not None and mixes:
+        progress(f"fuzz: {len(mixes)} mixes, {sims} simulations, "
+                 f"{len(violations)} violations")
     return {
         "seeds": seeds,
         "stress": stress,
@@ -476,7 +591,10 @@ def run_fuzz(seeds: int = DEFAULT_SEEDS, *, stress: bool = True,
         "cells": len(workloads) * len(prefetchers),
         "simulations": sims,
         "kernels": kernels,
+        "mixes": len(mixes),
+        "mix_kernels": mix_kernels,
         "seconds": round(time.perf_counter() - started, 3),
+        "mix_seconds": round(time.perf_counter() - mix_started, 3),
         "violations": [v.to_dict() for v in violations],
         "per_workload": per_workload,
         "ok": not violations,

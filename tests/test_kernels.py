@@ -12,6 +12,9 @@ hooked cells alike: tier selection, scalar/generic escape hatches,
 degenerate segmentations, hook islands at the trace boundaries,
 back-to-back islands, the all-event degrade to scalar, kernel-compile
 and plan-build counting, and identity under injected cache corruption.
+Multicore mixes run their 32-instruction bursts on the resumable form
+of the scalar kernels; their per-core results are pinned against the
+generic ``step()`` loop, including the burst size itself.
 """
 
 from __future__ import annotations
@@ -20,24 +23,30 @@ import json
 
 import pytest
 
-from conftest import build_chain_trace, build_strided_trace
-from repro.engine import batch
+from conftest import build_aop_trace, build_chain_trace, build_strided_trace
+from repro.analysis.credit import CreditTracker
+from repro.engine import batch, multicore
 from repro.engine.batch import SEGMENT_MAX_COVERAGE
 from repro.engine.config import EXPERIMENT_CONFIG
 from repro.engine.kernel import (GENERIC, KERNEL_ENV, SCALAR, kernel_counters,
                                  kernel_flags, variant_name)
+from repro.engine.multicore import simulate_multicore
 from repro.engine.system import simulate
+from repro.experiments import drop_policy
 from repro.isa import Assembler, Machine
 from repro.isa.trace import (
     DERIVED_FIELDS,
     LINE_SHIFT,
     CompiledTrace,
+    Trace,
     compile_trace,
     derived_counters,
 )
+from repro.memory.dram import DropPolicy
 from repro.parallel import _fusion_units, run_jobs, shutdown_pool
 from repro.prefetcher_registry import available_prefetchers, make_prefetcher
 from repro.telemetry import Telemetry
+from repro.workloads.fuzz import mix_identity
 
 
 @pytest.fixture(scope="module")
@@ -461,6 +470,131 @@ def test_segmented_identity_under_chaos_corrupt_and_resume(tmp_path):
     assert _identity(second) == _identity(reference)
     assert resumed.counters["simulated"] == 1  # the bad entry was a miss
     assert fault_counters()["cache_corrupt"] >= 1
+
+
+# ----------------------------------------------------------------------
+# Multicore bursts (docs/performance.md, "Replay kernels")
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def mixes(strided, chain):
+    """Two 4-core mixes of compiled traces: one with a trace object on
+    two cores, one with an empty trace; the chain's length is not a
+    multiple of the burst."""
+    aop = compile_trace(build_aop_trace(count=700, name="k-aop"))
+    empty = compile_trace(Trace(name="k-empty", records=[]))
+    assert len(chain) % 32 and len(empty) == 0
+    return {"shared": [strided, chain, strided, aop],
+            "empty": [aop, empty, chain, strided]}
+
+
+def _run_mix(traces, spec, config=None, trackers=None):
+    return simulate_multicore(traces, [make_prefetcher(spec) for _ in traces],
+                              config, trackers)
+
+
+def _mix_against_generic(monkeypatch, traces, spec, config=None):
+    fast = _run_mix(traces, spec, config)
+    monkeypatch.setenv(KERNEL_ENV, GENERIC)
+    slow = _run_mix(traces, spec, config)
+    monkeypatch.delenv(KERNEL_ENV)
+    assert [core.kernel for core in slow.per_core] == [GENERIC] * len(traces)
+    return fast, slow
+
+
+@pytest.mark.parametrize("spec", available_prefetchers())
+@pytest.mark.parametrize("mix", ["shared", "empty"])
+def test_burst_kernel_matches_generic_registry_wide(mix, spec, mixes,
+                                                    monkeypatch):
+    fast, slow = _mix_against_generic(monkeypatch, mixes[mix], spec)
+    for core in fast.per_core:
+        assert core.kernel.startswith("fast+"), (mix, spec)
+        assert core.kernel.endswith("+leanmem+staticbp"), (mix, spec)
+    assert mix_identity(fast) == mix_identity(slow), (mix, spec)
+    if spec == "tpc":
+        assert any(core.attempted_by_component for core in fast.per_core)
+
+
+@pytest.mark.parametrize("policy", list(DropPolicy))
+def test_burst_kernel_matches_generic_under_drop_policies(policy, mixes,
+                                                          monkeypatch):
+    config = drop_policy._config_with(policy)
+    assert config.dram.queue_capacity == drop_policy.QUEUE_CAPACITY
+    for spec in ("tpc", "bop"):
+        fast, slow = _mix_against_generic(monkeypatch, mixes["shared"], spec,
+                                          config)
+        assert mix_identity(fast) == mix_identity(slow), (policy, spec)
+    assert fast.per_core[0].dram.dropped_prefetches > 0
+
+
+def test_burst_kernel_with_credit_trackers(mixes, monkeypatch):
+    """Trackers on the hierarchy select the non-``leanmem`` variant,
+    which calls ``demand_access`` and feeds every tracker the same
+    events as the generic loop."""
+    traces = mixes["shared"]
+    fast_trackers = [CreditTracker() for _ in traces]
+    fast = _run_mix(traces, "tpc", trackers=fast_trackers)
+    monkeypatch.setenv(KERNEL_ENV, GENERIC)
+    slow_trackers = [CreditTracker() for _ in traces]
+    slow = _run_mix(traces, "tpc", trackers=slow_trackers)
+    monkeypatch.delenv(KERNEL_ENV)
+    for core in fast.per_core:
+        assert core.kernel.startswith("fast+") and "leanmem" not in core.kernel
+    assert mix_identity(fast) == mix_identity(slow)
+    assert ([dict(t.buckets) for t in fast_trackers]
+            == [dict(t.buckets) for t in slow_trackers])
+    assert any(t.buckets for t in fast_trackers)
+
+
+def test_object_trace_mix_runs_the_step_loop():
+    traces = [build_strided_trace(elements=300, name="k-mc-object"),
+              build_chain_trace(nodes=200, name="k-mc-object-chain")]
+    result = _run_mix(traces, "bop")
+    assert [core.kernel for core in result.per_core] == [GENERIC, GENERIC]
+
+
+def test_burst_size_is_semantics(mixes, monkeypatch):
+    """The burst decides how the cores' accesses interleave at the
+    shared L3/DRAM: halving it changes the cycles of a contended mix,
+    and both replay paths read the one constant."""
+    assert multicore.BURST == 32
+    traces = mixes["shared"]
+
+    def cycles():
+        return [core.cycles for core in _run_mix(traces, "tpc").per_core]
+
+    fast_32 = cycles()
+    monkeypatch.setattr(multicore, "BURST", 16)
+    fast_16 = cycles()
+    monkeypatch.setenv(KERNEL_ENV, GENERIC)
+    generic_16 = cycles()
+    monkeypatch.setattr(multicore, "BURST", 32)
+    generic_32 = cycles()
+    assert generic_16 != generic_32
+    assert fast_16 == generic_16
+    assert fast_32 == generic_32
+
+
+def test_array_backed_pc_and_mpc_share_int_objects(chain):
+    """The ``pc`` and derived ``mpc`` lists of a cache-loaded trace
+    equal ``tolist()``, and equal values are one int object, whichever
+    list materializes first."""
+    blobs = chain.column_bytes()
+    for derived in (chain.derived_bytes(), None):
+        trace = CompiledTrace.from_column_bytes(chain.name, blobs,
+                                                chain.memory, derived=derived)
+        if derived is not None:
+            mpc = trace.derived_columns()[1]
+            pc = trace.pc
+        else:
+            pc = trace.pc
+            mpc = trace.derived_columns()[1]
+        assert pc == trace.array_columns()[0].tolist()
+        assert mpc == trace.derived_arrays()[1].tolist()
+        assert {type(value) for value in pc + mpc} == {int}
+        objects: dict[int, int] = {}
+        for value in pc + mpc:
+            assert objects.setdefault(value, value) is value
+        assert len(objects) < len(trace) // 10
 
 
 # ----------------------------------------------------------------------

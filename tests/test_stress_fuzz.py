@@ -23,9 +23,11 @@ from repro.engine.system import simulate
 from repro.isa.trace import compile_trace
 from repro.prefetcher_registry import make_prefetcher
 from repro.workloads import get_suite, get_workload
+from repro.workloads import fuzz
 from repro.workloads.fuzz import (
     DEGENERATE_EVERY,
     build_fuzz_program,
+    check_mix,
     check_workload,
     fuzz_name,
     fuzz_simpoint,
@@ -128,6 +130,47 @@ def test_run_fuzz_report_shape():
     assert set(report["invariants"]) == {
         "kernel-vs-generic", "fused-vs-singleton", "warm-vs-cold"}
     assert len(report["per_workload"]) == 2
+    # The mix leg: both seeds as one 2-core mix, on the burst kernels,
+    # under none, tpc and tpc at both drop policies.
+    assert report["mixes"] == 1
+    assert sum(report["mix_kernels"].values()) == 2 * 4
+    assert all(k.startswith("fast+") for k in report["mix_kernels"])
+    assert 0 <= report["mix_seconds"] <= report["seconds"]
+
+
+def test_fuzz_mix_leg_runs_drop_policies():
+    """tpc runs under the base config and both drop policies."""
+    summary = check_mix([fuzz_workload(s) for s in range(4)], ("tpc",))
+    assert summary["violations"] == [], summary["violations"]
+    assert summary["simulations"] == 2 * 3
+    assert summary["workload"] == "mix:" + "+".join(
+        fuzz_name(s) for s in range(4))
+
+
+def test_fuzz_mix_leg_reports_divergence(monkeypatch):
+    """A generic run that interleaves the cores differently (a halved
+    burst) is reported as a kernel-vs-generic violation on the mix."""
+    from repro.engine import multicore
+
+    simulate_mix = fuzz._simulate_mix
+
+    def skewed(traces, prefetcher, config, tier):
+        if tier == GENERIC:
+            monkeypatch.setattr(multicore, "BURST", 16)
+        try:
+            return simulate_mix(traces, prefetcher, config, tier)
+        finally:
+            monkeypatch.setattr(multicore, "BURST", 32)
+
+    monkeypatch.setattr(fuzz, "_simulate_mix", skewed)
+    summary = check_mix([fuzz_workload(s) for s in range(4)], ("none",))
+    (violation,) = summary["violations"]
+    assert violation.workload == "mix:" + "+".join(
+        fuzz_name(s) for s in range(4))
+    assert violation.prefetcher == "none"
+    assert violation.invariant == "kernel-vs-generic"
+    assert violation.reference_kernel == GENERIC
+    assert any(name.startswith("core") for name in violation.fields)
 
 
 # ----------------------------------------------------------------------
