@@ -1,9 +1,10 @@
 """Segmented replay tier: plan once per trace, replay every cell.
 
 The third kernel tier (generic loop -> specialized scalar kernels ->
-this module), applied to every leanmem/static-BP cell without a
-sampler: the hook-free ``none`` cells and the paper's hooked
-``bop``/``tpc`` prefetchers alike.  Prefetches perturb the cache and
+this module), applied to every static-BP cell without a sampler or a
+telemetry hub: the hook-free ``none`` cells and the paper's hooked
+``bop``/``tpc`` prefetchers alike, leanmem or credit-tracked (the
+Figs. 13-14 ``run_tracked`` cells).  Prefetches perturb the cache and
 DRAM state — which accesses hit, which victims leave, and which DRAM
 rows open all depend on what the prefetcher did — so the tier plans
 only what the trace alone decides and replays the rest live, splitting
@@ -33,7 +34,12 @@ the work the way the paper splits prefetching:
   ``on_fill``, ``on_prefetch_hit``) are called at exactly the positions
   and with exactly the :class:`~repro.core.base.AccessEvent` payloads
   of the scalar kernels, so prefetcher state is handed off bit-exactly
-  at every stretch/island boundary.
+  at every stretch/island boundary.  A tracked kernel likewise calls
+  the hierarchy's tracker protocol (``on_useful``, ``on_pollution``,
+  ``on_prefetch_issued``) where ``Hierarchy`` does; an untracked
+  kernel's source names no tracker callback.  ``on_pollution``'s
+  ``victims`` arrive in the virtualized set's recency order rather than
+  ``Cache``'s fill order, which the protocol leaves unordered.
 
 Bit-identity is the contract, exactly as for the scalar kernels: the
 replay reproduces every structural decision and every timing of
@@ -47,7 +53,7 @@ scalar specialized kernels) — the comparator the bench's
 ``REPRO_KERNEL=generic`` still disables all specialization.
 
 Eligibility is deliberately conservative: a sampler, the dynamic branch
-predictor, a tracked or telemetry-carrying hierarchy, warm core or
+predictor, a telemetry-carrying hierarchy, warm core or
 hierarchy state, subclassed hierarchy/cache/shadow/MSHR/DRAM
 components, DRAM telemetry, missing numpy, or a segment-event coverage
 fraction above :data:`SEGMENT_MAX_COVERAGE` (an all-event trace) all
@@ -303,16 +309,22 @@ def maybe_run_segmented(core, flags: tuple):
     """Run ``core`` through the segmented tier, or return ``None`` to
     let the scalar specialized kernel handle it.
 
-    Eligibility: a leanmem/static-BP flag tuple without a sampler (the
-    sampler reads live per-instruction stats), ``REPRO_KERNEL`` not
-    ``scalar``/``generic``, a cold stock hierarchy
+    Eligibility: a static-BP flag tuple without a sampler (the sampler
+    reads live per-instruction stats), a hierarchy without telemetry (a
+    credit tracker is replayed, telemetry events are not),
+    ``REPRO_KERNEL`` not ``scalar``/``generic``, a cold stock hierarchy
     (:func:`_stock_cold_hierarchy`), and a segment-event coverage
     fraction at most :data:`SEGMENT_MAX_COVERAGE`.
     """
     if len(flags) != 7:
         return None
     instr, oa, ona, of, samp, sbp, lean = flags
-    if samp or not sbp or not lean:
+    if samp or not sbp:
+        return None
+    # Not lean: a tracker or a telemetry hub is attached.  The tier
+    # replays the tracker protocol, but not telemetry.
+    tracked = not lean
+    if tracked and core.hierarchy.telemetry is not None:
         return None
     from repro.engine.kernel import GENERIC, KERNEL_ENV, SCALAR, _count
 
@@ -364,7 +376,8 @@ def maybe_run_segmented(core, flags: tuple):
     pow2 = all(v > 0 and v & (v - 1) == 0
                for v in (cfg.channels, bpc, rows_div))
 
-    kernel = _segment_kernel(instr, oa, ona, of, low_first, pow2, nfeeds)
+    kernel = _segment_kernel(instr, oa, ona, of, tracked, low_first, pow2,
+                             nfeeds)
     return kernel(core, plan, feeds, route)
 
 
@@ -372,26 +385,29 @@ _SEG_KERNELS: dict[tuple, object] = {}
 
 
 def _segment_kernel(instr: bool, oa: bool, ona: bool, of: bool,
-                    low_first: bool, pow2: bool, nfeeds: int):
+                    tracked: bool, low_first: bool, pow2: bool,
+                    nfeeds: int):
     """Compile (and memoize) one segmented replay kernel.
 
     Like ``repro.engine.kernel``, the loop is generated with dead hook
-    branches absent; the kernel is additionally specialized on the DRAM
-    drop policy (RANDOM queues hold bare completion times; the
-    LOW_PRIORITY_FIRST victim scan needs full entries), on
-    power-of-two channel/bank/row geometry (shift/mask address math),
-    and on the number of devirtualized instruction feeds (``nfeeds``;
-    -1 calls the composite's forwarder per instruction instead).
+    branches absent; the kernel is additionally specialized on whether
+    a credit tracker is attached (``tracked``: only then are its
+    callbacks emitted), on the DRAM drop policy (RANDOM queues hold
+    bare completion times; the LOW_PRIORITY_FIRST victim scan needs
+    full entries), on power-of-two channel/bank/row geometry
+    (shift/mask address math), and on the number of devirtualized
+    instruction feeds (``nfeeds``; -1 calls the composite's forwarder
+    per instruction instead).
     """
-    key = (instr, oa, ona, of, low_first, pow2, nfeeds)
+    key = (instr, oa, ona, of, tracked, low_first, pow2, nfeeds)
     fn = _SEG_KERNELS.get(key)
     if fn is None:
         from repro.core.base import AccessEvent
         from repro.engine.kernel import _count
         from repro.memory.dram import LOW_PRIORITY_COMPONENTS
 
-        _count("compiled."
-               + segment_variant((instr, oa, ona, of, False, True, True)))
+        _count("compiled." + segment_variant(
+            (instr, oa, ona, of, False, True, not tracked)))
         source = _segment_source(*key)
         namespace = {
             "_FAR": _FAR,
@@ -405,7 +421,8 @@ def _segment_kernel(instr: bool, oa: bool, ona: bool, of: bool,
 
 
 def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
-                    low_first: bool, pow2: bool, nfeeds: int) -> str:
+                    tracked: bool, low_first: bool, pow2: bool,
+                    nfeeds: int) -> str:
     """Source of a specialized segmented replay loop.
 
     The emitted code retires the whole trace with live hooks: the
@@ -423,8 +440,10 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     load/store arms; ``do_prefetch`` keeps its early-return shape as a
     closure.  Hook call positions and ``AccessEvent`` payloads are
     exactly the scalar kernel's, so the prefetcher cannot distinguish
-    the tiers.  Stats accumulate in locals and write back once at the
-    end, matching the scalar kernels' deferred-accumulator contract.
+    the tiers; with ``tracked``, so are the tracker calls (bar the
+    order of each ``victims`` list).  Stats accumulate in locals and
+    write back once at the end, matching the scalar kernels'
+    deferred-accumulator contract.
     """
     build_event = oa or ona
     lines: list[str] = []
@@ -504,6 +523,12 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
             emit(f"{ind}if {flag}:")
             emit(f"{ind}    on_prefetch_hit(line, {level_expr})")
 
+    def pollution_call(ind: str, level: int, tset: str) -> None:
+        # Hierarchy._prefetch_victims before the fill: the set's
+        # prefetched entries, in recency rather than fill order.
+        emit(f"{ind}on_pollution({level}, [(v, e[4]) for v, e "
+             f"in {tset}.items() if e[2]])")
+
     def demand_miss_block(ind: str, is_write: str) -> None:
         # Hierarchy._demand_miss + _access_l2 + _access_l3 with the
         # primary fills inlined (each preceding lookup or probe proves
@@ -516,6 +541,8 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{ind}    miss_lines_l1[line] += 1")
         emit(f"{ind}if sh1:")
         emit(f"{ind}    pollution_l1 += 1")
+        if tracked:
+            pollution_call(ind + "    ", 1, "tset1")
         emit(f"{ind}if l1_min_p <= mnow:")
         emit(f"{ind}    l1_pending[:] = [x for x in l1_pending "
              f"if x > mnow]")
@@ -553,6 +580,8 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{ind}        l2_useful += 1")
         emit(f"{ind}        if ready > t:")
         emit(f"{ind}            l2_late += 1")
+        if tracked:
+            emit(f"{ind}        on_useful(line, entry[4], 2)")
         emit(f"{ind}    if ready < t:")
         emit(f"{ind}        ready = t")
         emit(f"{ind}    fill_time = ready + l2_lat")
@@ -565,6 +594,8 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{i2}    miss_lines_l2[line] += 1")
         emit(f"{i2}if not sh1 and sh2_hit:")
         emit(f"{i2}    pollution_l2 += 1")
+        if tracked:
+            pollution_call(i2 + "    ", 2, "tset2")
         emit(f"{i2}if l2_min_p <= t:")
         emit(f"{i2}    l2_pending[:] = [x for x in l2_pending "
              f"if x > t]")
@@ -667,6 +698,8 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{ind}    l1_useful += 1")
         emit(f"{ind}    if ready > issue:")
         emit(f"{ind}        l1_late += 1")
+        if tracked:
+            emit(f"{ind}    on_useful(line, cl[4], 1)")
         emit(f"{ind}elif ready > issue and not cl[2]:")
         emit(f"{ind}    l1_merges += 1")
 
@@ -736,6 +769,11 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     if of:
         emit("    on_fill = core._on_fill")
     emit("    on_prefetch_hit = core.prefetcher.on_prefetch_hit")
+    if tracked:
+        emit("    tracker = hierarchy.tracker")
+        emit("    on_useful = tracker.on_useful")
+        emit("    on_pollution = tracker.on_pollution")
+        emit("    on_prefetch_issued = tracker.on_prefetch_issued")
     emit("")
     emit("    far = _FAR")
     emit("    l1_sets = [dict() for _ in range(l1.num_sets)]")
@@ -1081,6 +1119,8 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("            l2_pending.append(fill_time)")
     emit("            if fill_time < l2_min_p:")
     emit("                l2_min_p = fill_time")
+    if tracked:
+        emit("        on_prefetch_issued(pline, component)")
     emit("        return True")
     emit("")
 

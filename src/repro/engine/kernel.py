@@ -17,13 +17,18 @@ compiled trace's derived columns (:mod:`repro.isa.trace`), built once
 per workload and persisted by the trace cache.
 
 When the hierarchy carries no credit tracker and no telemetry hub (the
-``leanmem`` flag — every benchmark and experiment-matrix cell), the
+``leanmem`` flag — every cacheable experiment-matrix cell), the
 kernel additionally inlines the L1 *hit* leg of
 ``Hierarchy.demand_access``: the set-dict probe, LRU touch, shadow-tag
 update, and hit accounting run as straight-line code, and the hierarchy
 is only called on a miss (``Hierarchy._demand_miss``).  Hit-counter
 updates are accumulated in locals and written back once at the end —
-nothing reads them mid-run without telemetry attached.
+nothing reads them mid-run without telemetry attached.  A kernel
+without ``leanmem`` calls ``demand_access`` on every access.  A
+single-core cell with only a tracker attached (the credit-tracked
+Figs. 13-14 cells) gets one only when the segmented tier
+(:mod:`repro.engine.batch`), which replays the tracker protocol, turns
+the cell down; a multicore core with a tracker always gets one.
 
 Bit-identity is the contract: a specialized kernel must retire every
 instruction with exactly the timing of the generic loop — only wall

@@ -122,6 +122,11 @@ class Hierarchy:
     ``on_useful(line, component, level)``, and
     ``on_pollution(level, victims)`` where ``victims`` is a list of
     ``(line_addr, component)`` for prefetched lines in the affected set.
+    ``victims`` is unordered: this class lists them in fill order, the
+    segmented replay tier (:mod:`repro.engine.batch`) in recency order,
+    so a tracker must treat the list as a multiset.  Callbacks must not
+    read the hierarchy's state: the segmented tier replays it on private
+    structures and writes it back only when the run ends.
     """
 
     __slots__ = (

@@ -29,10 +29,13 @@ chase_ladder        pointer-chase depth ladder: scattered chains of
                     exponentially growing depth — pins the dependent-
                     load serialization path (one outstanding miss at a
                     time, per-PC miss-latency accounting).
-shadow_mix          shadow-tag pollution mix: a hot block that lives in
-                    the shadow L1 interleaved with a sweeping polluter
-                    that evicts it — pins ``ShadowTagStore`` recency
-                    and the pollution-miss attribution.
+shadow_mix          shadow-tag pollution mix: a hot block interleaved
+                    with a stride-2 sweep whose prefetch fills, not its
+                    demand traffic, evict the hot lines — the shadow
+                    tags still hold them, so the re-touch is a
+                    pollution miss; pins ``ShadowTagStore`` recency,
+                    pollution-miss attribution, and the tracker's
+                    ``on_pollution`` victim lists.
 mshr_burst          MSHR saturation bursts: fully independent misses
                     issued back-to-back, more than the 32 MSHRs can
                     hold, then a quiet ALU phase — pins the
@@ -49,7 +52,7 @@ oddgeom             non-power-of-two geometry walks: 192-byte strides
                     pinning the shift/mask vs modulo address math.
 ==================  =====================================================
 
-Sizing: stressors run ~6-40k dynamic instructions (vs the 160k default
+Sizing: stressors run ~4-14k dynamic instructions (vs the 160k default
 simpoint) — long enough to leave the warm-up regime of the mechanism
 they pin, short enough that the fuzz harness can sweep the whole suite
 times every registered prefetcher times three replay tiers in seconds.
@@ -192,14 +195,19 @@ def chase_ladder(asm: Assembler, alloc: Allocator, *, rungs: int = 6,
 # shadow_mix — shadow-tag pollution interleave
 # ---------------------------------------------------------------------------
 def shadow_mix(asm: Assembler, alloc: Allocator, *, hot_lines: int = 32,
-               sweep_lines: int = 1600, rounds: int = 6) -> int:
-    """Alternate a reused hot block with a one-shot polluting sweep.
+               sweep_lines: int = 512, rounds: int = 6) -> int:
+    """Alternate a reused hot block with a polluting strided sweep.
 
-    The hot block fits in the (scaled, 8 KB) L1; each polluting sweep
-    evicts it from both the real L1 and the shadow tags.  On re-touch,
-    whether the shadow still remembers the hot line decides the
-    pollution-miss attribution — any tier that replays shadow recency
-    differently diverges here first.
+    The hot block fits in the (scaled, 8 KB, 32-set) L1, one line per
+    set.  The sweep demands every other line, so its demand traffic
+    lands only in the even sets: the hot lines in the odd sets stay in
+    the shadow tags, which see demand traffic alone.  A next-line or
+    stream prefetcher fills the skipped odd lines, and those prefetch
+    fills evict the odd-set hot lines from the real L1 (and, under
+    deeper prefetchers, from the L2).  The next hot pass then misses
+    where the shadow still hits: a pollution miss, shared among the
+    set's prefetched lines.  Any tier that replays shadow recency or
+    the victim list differently diverges here first.
     """
     hot = alloc.alloc(hot_lines * 64)
     sweep = alloc.alloc(sweep_lines * 64)
@@ -220,7 +228,7 @@ def shadow_mix(asm: Assembler, alloc: Allocator, *, hot_lines: int = 32,
     sweep_loop = asm.label()
     asm.load("r14", "r1", 0)
     asm.add("r15", "r15", "r14")
-    asm.addi("r1", "r1", 64)
+    asm.addi("r1", "r1", 128)               # every other line
     asm.blt("r1", "r2", sweep_loop)
     asm.addi("r10", "r10", 1)
     asm.blt("r10", "r11", outer)
@@ -324,8 +332,9 @@ _stress("chase_ladder",
         "pointer-chase depth ladder (pins dependent-miss serialization)",
         lambda asm, alloc: chase_ladder(asm, alloc), simpoint=16_000)
 _stress("shadow_mix",
-        "hot block vs polluting sweep (pins shadow tags + pollution)",
-        lambda asm, alloc: shadow_mix(asm, alloc), simpoint=40_000)
+        "hot block vs prefetch-polluting sweep (pins shadow tags + "
+        "pollution)",
+        lambda asm, alloc: shadow_mix(asm, alloc), simpoint=8_000)
 _stress("mshr_burst",
         "48-wide independent miss bursts (pins MSHR acquire/stall)",
         lambda asm, alloc: mshr_burst(asm, alloc), simpoint=16_000)

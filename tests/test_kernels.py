@@ -12,6 +12,9 @@ hooked cells alike: tier selection, scalar/generic escape hatches,
 degenerate segmentations, hook islands at the trace boundaries,
 back-to-back islands, the all-event degrade to scalar, kernel-compile
 and plan-build counting, and identity under injected cache corruption.
+Credit-tracked cells (Figs. 13-14) replay on the segmented tier too:
+their figures, credit buckets and tracker call sequences are pinned
+registry-wide against both escape hatches.
 Multicore mixes run their 32-instruction bursts on the resumable form
 of the scalar kernels; their per-core results are pinned against the
 generic ``step()`` loop, including the burst size itself.
@@ -20,6 +23,7 @@ generic ``step()`` loop, including the burst size itself.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -470,6 +474,127 @@ def test_segmented_identity_under_chaos_corrupt_and_resume(tmp_path):
     assert _identity(second) == _identity(reference)
     assert resumed.counters["simulated"] == 1  # the bad entry was a miss
     assert fault_counters()["cache_corrupt"] >= 1
+
+
+# ----------------------------------------------------------------------
+# Segmented replay tier, credit-tracked cells (Figs. 13-14)
+# ----------------------------------------------------------------------
+TRACKER_CALLBACKS = ("on_useful", "on_pollution", "on_prefetch_issued")
+
+
+class _RecordingTracker(CreditTracker):
+    """A credit tracker that also logs every protocol call in order.
+    ``victims`` is unordered by protocol, so it is logged as a
+    multiset."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def on_prefetch_issued(self, line, component):
+        self.calls.append(("issued", line, component))
+        super().on_prefetch_issued(line, component)
+
+    def on_useful(self, line, component, level):
+        self.calls.append(("useful", line, component, level))
+        super().on_useful(line, component, level)
+
+    def on_pollution(self, level, victims):
+        self.calls.append(("pollution", level, Counter(victims)))
+        super().on_pollution(level, victims)
+
+
+def _tracked(trace, spec):
+    """One tracked cell: its result and its recording tracker."""
+    tracker = _RecordingTracker()
+    return simulate(trace, make_prefetcher(spec), tracker=tracker), tracker
+
+
+@pytest.fixture(scope="module")
+def shadow_mix():
+    from repro.workloads import get_workload
+
+    return get_workload("stress.shadow_mix").trace()
+
+
+@pytest.mark.parametrize("name", available_prefetchers())
+def test_tracked_cells_match_scalar_and_generic_registry_wide(
+        name, strided, chain, shadow_mix, monkeypatch):
+    """A tracked cell replays on the segmented tier and matches both
+    escape hatches in every figure, in the ordered credit buckets, and
+    in the tracker's call sequence."""
+    for trace in (strided, chain, shadow_mix):
+        seg, seg_tracker = _tracked(trace, name)
+        monkeypatch.setenv(KERNEL_ENV, SCALAR)
+        scalar, scalar_tracker = _tracked(trace, name)
+        monkeypatch.setenv(KERNEL_ENV, GENERIC)
+        generic, generic_tracker = _tracked(trace, name)
+        monkeypatch.delenv(KERNEL_ENV)
+        assert seg.kernel.startswith("segmented+"), (name, trace.name)
+        assert "leanmem" not in seg.kernel
+        assert scalar.kernel.startswith("fast+")
+        assert "leanmem" not in scalar.kernel
+        assert generic.kernel == GENERIC
+        assert _identity(seg) == _identity(scalar), (name, trace.name)
+        assert _identity(seg) == _identity(generic), (name, trace.name)
+        buckets = list(seg_tracker.buckets.items())
+        assert buckets == list(scalar_tracker.buckets.items())
+        assert buckets == list(generic_tracker.buckets.items())
+        assert seg_tracker.calls == scalar_tracker.calls, (name, trace.name)
+        assert seg_tracker.calls == generic_tracker.calls, (name, trace.name)
+
+
+def test_tracked_cell_selects_segmented_without_leanmem(strided):
+    result, tracker = _tracked(strided, "tpc")
+    assert result.kernel == "segmented+instr+observe+issue+staticbp"
+    assert tracker.calls
+
+
+@pytest.mark.parametrize("setup", ["telemetry", "sampler", "scalar"])
+def test_tracked_cell_keeps_scalar_kernel(setup, strided, monkeypatch):
+    """Telemetry, a sampler, or ``REPRO_KERNEL=scalar`` keep a tracked
+    cell on the scalar non-``leanmem`` kernel, with the same credit."""
+    from repro.engine.ooo import OoOCore
+    from repro.memory.hierarchy import Hierarchy
+    from repro.telemetry.sampler import TimeSeriesSampler
+
+    _, reference_tracker = _tracked(strided, "tpc")
+    tracker = _RecordingTracker()
+    if setup == "telemetry":
+        result = simulate(strided, make_prefetcher("tpc"), tracker=tracker,
+                          telemetry=Telemetry())
+        kernel = result.kernel
+    elif setup == "sampler":
+        # A sampler on the core, no telemetry hub on the hierarchy.
+        hierarchy = Hierarchy(EXPERIMENT_CONFIG)
+        hierarchy.tracker = tracker
+        core = OoOCore(strided, hierarchy, make_prefetcher("tpc"),
+                       EXPERIMENT_CONFIG.core)
+        core.attach_telemetry(Telemetry(sampler=TimeSeriesSampler(256)))
+        core.run()
+        kernel = core.kernel_variant
+        assert "sample" in kernel
+    else:
+        monkeypatch.setenv(KERNEL_ENV, SCALAR)
+        result, tracker = _tracked(strided, "tpc")
+        kernel = result.kernel
+    assert kernel.startswith("fast+") and "leanmem" not in kernel, setup
+    assert tracker.calls == reference_tracker.calls, setup
+    assert (list(tracker.buckets.items())
+            == list(reference_tracker.buckets.items())), setup
+
+
+def test_untracked_segment_source_names_no_tracker_callback():
+    for instr, oa, ona, of in ((False,) * 4, (True,) * 4):
+        for low_first in (False, True):
+            untracked = batch._segment_source(instr, oa, ona, of, False,
+                                              low_first, True, -1)
+            tracked = batch._segment_source(instr, oa, ona, of, True,
+                                            low_first, True, -1)
+            assert "tracker" not in untracked
+            for callback in TRACKER_CALLBACKS:
+                assert callback not in untracked
+                assert callback in tracked
 
 
 # ----------------------------------------------------------------------

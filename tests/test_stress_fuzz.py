@@ -7,9 +7,11 @@ bit-identity contract ``tests/test_kernels.py`` pins on fixtures,
 promoted to generated inputs: every stressor and every fuzzed seed must
 produce identical figures across kernel tiers (kernel-vs-generic),
 execution modes (fused-vs-singleton), and trace temperatures
-(warm-vs-cold).  Degenerate shapes (empty program, single memory op,
-ALU-only) get explicit coverage, as do the fuzzer's determinism
-contract and the chaos corrupt/resume path through a stress cell.
+(warm-vs-cold), with and without a credit tracker attached.
+Degenerate shapes (empty program, single memory op, ALU-only) get
+explicit coverage, as do the fuzzer's determinism contract, the
+pollution misses ``stress.shadow_mix`` must produce, and the chaos
+corrupt/resume path through a stress cell.
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ STRESS_NAMES = (
 
 # One hooked and one hook-free prefetcher cover both ends of the
 # segmented tier's hook specialization; "spp" adds a second hook
-# shape.  The CI fuzz-identity job sweeps the whole registry — tests
-# keep the matrix small enough for the tier-1 suite.
+# shape, and "tpc" is also in fuzz.TRACKED_PREFETCHERS, so every check
+# runs a credit-tracked cell too.  The CI fuzz-identity job sweeps the
+# whole registry — tests keep the matrix small enough for the tier-1
+# suite.
 TEST_PREFETCHERS = ("none", "tpc", "spp")
 
 
@@ -67,6 +71,32 @@ def test_stress_traces_nonempty_and_deterministic(name):
     assert len(trace) > 0
     rebuilt = compile_trace(workload.object_trace())
     assert len(rebuilt) == len(trace)
+
+
+def test_stress_shadow_mix_pollutes_through_prefetch_fills():
+    """shadow_mix must produce the pollution misses it exists to pin:
+    at L1 under nextline, at L2 under tpc, and at least one
+    ``on_pollution`` call that shares its credit among several
+    victims."""
+    from repro.analysis.credit import CreditTracker
+
+    class _VictimLog(CreditTracker):
+        def __init__(self):
+            super().__init__()
+            self.victims = []
+
+        def on_pollution(self, level, victims):
+            self.victims.append(len(victims))
+            super().on_pollution(level, victims)
+
+    trace = get_workload("stress.shadow_mix").trace()
+    trackers = {name: _VictimLog() for name in ("nextline", "tpc")}
+    results = {name: simulate(trace, make_prefetcher(name), tracker=tracker)
+               for name, tracker in trackers.items()}
+    assert results["nextline"].pollution_misses_l1 > 0
+    assert results["tpc"].pollution_misses_l2 > 0
+    assert max(max(t.victims) for t in trackers.values()) >= 2
+    assert simulate(trace, make_prefetcher("none")).pollution_misses_l1 == 0
 
 
 def test_stress_hook_storm_is_island_dense():
@@ -136,6 +166,12 @@ def test_run_fuzz_report_shape():
     assert sum(report["mix_kernels"].values()) == 2 * 4
     assert all(k.startswith("fast+") for k in report["mix_kernels"])
     assert 0 <= report["mix_seconds"] <= report["seconds"]
+    # The tracked leg: tpc once more per seed, with a credit tracker,
+    # on the segmented tier's non-leanmem kernel.
+    assert 0 < report["tracked_seconds"] <= report["seconds"]
+    tracked = [k for k in report["kernels"] if "leanmem" not in k]
+    assert tracked == ["segmented+instr+observe+issue+staticbp"]
+    assert report["kernels"][tracked[0]] == 2
 
 
 def test_fuzz_mix_leg_runs_drop_policies():
@@ -171,6 +207,29 @@ def test_fuzz_mix_leg_reports_divergence(monkeypatch):
     assert violation.invariant == "kernel-vs-generic"
     assert violation.reference_kernel == GENERIC
     assert any(name.startswith("core") for name in violation.fields)
+
+
+def test_fuzz_tracked_leg_reports_divergence(monkeypatch):
+    """A generic tracked run whose tracker saw one extra use is reported
+    as a kernel-vs-generic violation on ``tpc+tracker``, naming the
+    buckets alone, since every figure still matches."""
+    simulate_tier = fuzz._simulate_tier
+
+    def skewed(trace, prefetcher, config, tier, tracker=None):
+        result = simulate_tier(trace, prefetcher, config, tier, tracker)
+        if tier == GENERIC and tracker is not None:
+            tracker.on_useful(0, "skew", 1)
+        return result
+
+    monkeypatch.setattr(fuzz, "_simulate_tier", skewed)
+    summary = check_workload(fuzz_workload(1), ("none", "tpc"),
+                             fused=False, cold=False)
+    (violation,) = summary["violations"]
+    assert violation.workload == fuzz_name(1)
+    assert violation.prefetcher == "tpc+tracker"
+    assert violation.invariant == "kernel-vs-generic"
+    assert violation.reference_kernel == GENERIC
+    assert violation.fields == ["tracker.buckets"]
 
 
 # ----------------------------------------------------------------------
