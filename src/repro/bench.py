@@ -11,7 +11,7 @@ writes a machine-readable ``BENCH_simulator.json``:
   variants, and whether the figures were bit-identical (they must be;
   ``--check`` and ``--require-specialized`` gate on this section).
   Its ``segmented`` subsection re-times the cells that selected the
-  segmented replay tier (:mod:`repro.engine.batch` — the hook-free
+  segmented replay tier (:mod:`repro.engine.segmented` — the hook-free
   ``none`` cells and the paper's ``bop``/``tpc`` prefetchers) against
   the ``REPRO_KERNEL=scalar`` comparator, per cell — coverage
   fraction, seconds, speedup, identity — plus the aggregate
@@ -51,14 +51,6 @@ completes with zero failed cells, final figures bit-identical to the
 clean reference, and the resume pass re-simulating only the corrupted
 cell.  This is the CI proof that the robustness layer degrades instead
 of breaking.
-
-``--fuzz`` switches the harness into identity-property verification
-(see docs/workloads.md): the stress suite plus ``--fuzz-seeds`` seeded
-adversarial traces are replayed under every registered prefetcher and
-must produce bit-identical figures across kernel tiers, fused vs
-singleton execution, and warm vs cold trace caches.  The gate fails
-(exit 1) on any violation; the JSON report names the seed, prefetcher,
-invariant, and diverging fields so the break replays by hand.
 """
 
 from __future__ import annotations
@@ -241,7 +233,7 @@ def bench_segmented(matrix, config, variants: dict) -> dict:
     share of instructions that run as scalar islands rather than
     hook-free stretches — which bounds how much the tier can win.
     """
-    from repro.engine.batch import SEGMENT_PREFIX
+    from repro.engine.segmented import SEGMENT_PREFIX
     from repro.engine.kernel import KERNEL_ENV, SCALAR
     from repro.experiments.runner import simulate_spec
     from repro.workloads import get_workload
@@ -521,22 +513,6 @@ def run_chaos_bench(quick: bool = True, jobs: int = 0,
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def run_fuzz_bench(seeds: int = 10, progress=None) -> dict:
-    """Identity property gate (``repro bench --fuzz``).
-
-    Runs the cross-tier identity sweep from
-    :mod:`repro.workloads.fuzz` — the stress suite plus ``seeds``
-    seeded adversarial traces, every registered prefetcher, the three
-    invariants (kernel-vs-generic, fused-vs-singleton, warm-vs-cold) —
-    and returns its report; ``ok`` is the gate.  A compact companion to
-    the ``repro fuzz`` verb so CI can attach the report artifact the
-    same way it attaches the timing report.
-    """
-    from repro.workloads.fuzz import run_fuzz
-
-    return run_fuzz(seeds=seeds, stress=True, progress=progress)
-
-
 def run_bench(quick: bool = False, jobs: int = 0,
               progress=None) -> dict:
     from repro.parallel import default_jobs
@@ -583,10 +559,6 @@ def run_bench(quick: bool = False, jobs: int = 0,
     parallel = bench_parallel(matrix, config, jobs, serial["seconds"])
     say("cache cold/warm passes")
     cache = bench_cache(matrix, config)
-    # Note the parallel phase breakdown lives only under
-    # ``parallel.phases`` (it used to be duplicated under
-    # ``phases.parallel``); read it via :func:`parallel_phases`, which
-    # still understands old logs.
     return {
         "quick": quick,
         "cpus": os.cpu_count() or 1,
@@ -605,19 +577,6 @@ def run_bench(quick: bool = False, jobs: int = 0,
         "parallel": parallel,
         "cache": cache,
     }
-
-
-def parallel_phases(report: dict) -> dict:
-    """The parallel pass's phase breakdown from a bench report.
-
-    Reads the current schema (``parallel.phases``) and falls back to the
-    pre-dedupe form (``phases.parallel``), so tooling over the shared
-    bench log keeps working on records written by older versions.
-    """
-    phases = (report.get("parallel") or {}).get("phases")
-    if phases is not None:
-        return phases
-    return (report.get("phases") or {}).get("parallel", {})
 
 
 def check_regression(report: dict, baseline_path: str,
@@ -736,13 +695,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="degraded-mode verification instead of timing: "
                              "inject worker kill / slow cell / corrupted "
                              "cache entry and gate on bit-identical figures")
-    parser.add_argument("--fuzz", action="store_true",
-                        help="cross-tier identity property gate instead "
-                             "of timing: stress suite + fuzzed traces "
-                             "under every prefetcher, fail on any "
-                             "bit-identity violation")
-    parser.add_argument("--fuzz-seeds", type=int, default=10, metavar="N",
-                        help="fuzzed traces for --fuzz (default 10)")
     parser.add_argument("--require-specialized", action="store_true",
                         help="fail if any matrix cell fell back to the "
                              "generic replay kernel (CI kernel-parity "
@@ -769,24 +721,6 @@ def main(argv: list[str] | None = None) -> int:
         if not report["ok"]:
             log.error("FAIL: chaos gate — degraded or resume pass did not "
                       "reproduce the clean-serial figures (see report)")
-            return 1
-        return 0
-
-    if args.fuzz:
-        report = run_fuzz_bench(seeds=args.fuzz_seeds, progress=log.info)
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        append_bench_log({"kind": "bench-fuzz", "output": args.output,
-                          "report": report})
-        log.info(f"wrote {args.output}")
-        print(json.dumps({k: v for k, v in report.items()
-                          if k != "per_workload"},
-                         indent=2, sort_keys=True))
-        if not report["ok"]:
-            log.error(f"FAIL: fuzz identity gate — "
-                      f"{len(report['violations'])} violation(s) across "
-                      f"tiers (see report)")
             return 1
         return 0
 

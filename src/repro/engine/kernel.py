@@ -1,53 +1,54 @@
 """Specializing replay kernels: partial evaluation of the step loop.
 
-The generic replay paths in :mod:`repro.engine.ooo` carry a branch for
-every optional feature — instruction-stream feed, per-access observers,
-prefetch-request hooks, fill notifications, the telemetry sampler, the
-choice of branch predictor — and re-derive per-record facts (line index,
-``mPC``, dispatch class, the static predictor's outcome) on every
-retired instruction of every matrix cell.
+The generic replay loop (``OoOCore.step`` in :mod:`repro.engine.ooo`)
+carries a branch for every optional prefetcher hook — instruction-stream
+feed, per-access observer, prefetch-request generator, fill
+notification — and re-derives per-record facts (line index, ``mPC``,
+dispatch class, the static predictor's outcome) on every retired
+instruction of every matrix cell.
 
-This module partial-evaluates that loop.  A core's configuration is
-summarized as a small tuple of feature flags (:func:`kernel_flags`);
-for each distinct tuple we generate the *source* of a ``run_fast(core)``
-function with the dead branches simply absent, ``exec``-compile it once
-per process, and cache it (the same technique :mod:`dataclasses` uses
-for ``__init__``).  The trace-invariant facts come precomputed from the
-compiled trace's derived columns (:mod:`repro.isa.trace`), built once
-per workload and persisted by the trace cache.
+This module partial-evaluates that loop for the cells the paper
+pipeline runs.  A core's hook shape is summarized as a tuple of four
+flags (:func:`kernel_flags`); for each distinct tuple we generate the
+*source* of a ``run_fast(core)`` function with the dead hook branches
+simply absent, ``exec``-compile it once per process, and cache it (the
+same technique :mod:`dataclasses` uses for ``__init__``).  The
+trace-invariant facts come precomputed from the compiled trace's
+derived columns (:mod:`repro.isa.trace`), built once per workload and
+persisted by the trace cache.
 
-When the hierarchy carries no credit tracker and no telemetry hub (the
-``leanmem`` flag — every cacheable experiment-matrix cell), the
-kernel additionally inlines the L1 *hit* leg of
+Every kernel also inlines the L1 *hit* leg of
 ``Hierarchy.demand_access``: the set-dict probe, LRU touch, shadow-tag
 update, and hit accounting run as straight-line code, and the hierarchy
 is only called on a miss (``Hierarchy._demand_miss``).  Hit-counter
 updates are accumulated in locals and written back once at the end —
-nothing reads them mid-run without telemetry attached.  A kernel
-without ``leanmem`` calls ``demand_access`` on every access.  A
-single-core cell with only a tracker attached (the credit-tracked
-Figs. 13-14 cells) gets one only when the segmented tier
-(:mod:`repro.engine.batch`), which replays the tracker protocol, turns
-the cell down; a multicore core with a tracker always gets one.
+nothing reads them mid-run, because a kernel never runs with an
+observer of live state attached.  A sampler, a telemetry hub, a
+dynamic branch predictor, or an object trace makes :func:`kernel_flags`
+return ``None``, and the generic loop runs instead.  A credit tracker
+sends the cell to the generic loop too, unless the segmented tier
+(:mod:`repro.engine.segmented`), which replays the tracker protocol,
+takes it: a scalar kernel never runs with a tracker.
 
 Bit-identity is the contract: a specialized kernel must retire every
 instruction with exactly the timing of the generic loop — only wall
-clock may change, never a number.  ``tests/test_kernels.py`` pins this
-registry-wide, and ``repro bench`` re-checks it in-run against the
-``REPRO_KERNEL=generic`` escape hatch (which disables specialization
-entirely, e.g. to bisect a suspected kernel bug).
+clock may change, never a number.  The kernels read the trace's list
+columns and the generic loop its record views, so the check also pins
+the two representations against each other.  ``tests/test_kernels.py``
+pins it registry-wide, and ``repro bench`` re-checks it in-run against
+the ``REPRO_KERNEL=generic`` escape hatch (which disables
+specialization entirely, e.g. to bisect a suspected kernel bug).
 
-Kernel selection is automatic: any core replaying a
+Kernel selection is automatic: any eligible core replaying a
 :class:`~repro.isa.trace.CompiledTrace` gets a specialized kernel, in
 ``OoOCore.run`` for a whole-trace run and in
 :func:`~repro.engine.multicore.simulate_multicore` for the cores of a
 mix.  A mix runs the resumable form (``run_bursts``), a generator
 generated from the same body lines that yields after every burst of
 retired instructions, so the scheduler can interleave the cores exactly
-as it interleaves ``step()`` bursts.  The object-trace path and the
-escape hatch fall back to the generic per-step loop.  The chosen
-variant name is carried on ``SimulationResult.kernel`` so benchmarks
-and the fault journal can attribute timings to a kernel.
+as it interleaves ``step()`` bursts.  The chosen variant name is
+carried on ``SimulationResult.kernel`` so benchmarks and the fault
+journal can attribute timings to a kernel.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ KERNEL_ENV = "REPRO_KERNEL"
 GENERIC = "generic"
 SCALAR = "scalar"
 """``REPRO_KERNEL=scalar`` disables only the segmented replay tier
-(:mod:`repro.engine.batch`), keeping the scalar specialized kernels —
+(:mod:`repro.engine.segmented`), keeping the scalar specialized kernels —
 the comparator ``repro bench`` measures ``segmented.speedup_vs_scalar``
-against.  ``REPRO_KERNEL=generic`` still disables all specialization."""
+against.  A credit-tracked cell then runs the generic loop.
+``REPRO_KERNEL=generic`` disables all specialization."""
 
 _KERNELS: dict[tuple, object] = {}
 
@@ -76,7 +78,7 @@ def kernel_counters() -> dict:
 
     ``selected.<variant>`` increments on every kernel selection,
     ``compiled.<variant>`` on every exec-compile — here in
-    :func:`get_kernel` and in :mod:`repro.engine.batch` for the
+    :func:`get_kernel` and in :mod:`repro.engine.segmented` for the
     segmented kernels, which also count ``plan_builds`` and
     ``plan_cache_hits``.  Mirrored into the current fabric obs (when
     one is active) so kernel-variant usage shows up in a sweep's
@@ -99,33 +101,35 @@ def _count(event: str) -> None:
 
 
 def kernel_flags(core) -> tuple | None:
-    """The feature-flag tuple for ``core``, or ``None`` for generic.
+    """The hook-shape flag tuple for ``core``, or ``None`` for generic.
 
     Flags (in order): instruction-stream feed, access observer, access
-    hook (request generator), fill hook, sampler attached, static branch
-    predictor, lean memory path (no tracker / no telemetry on the
-    hierarchy).  ``None`` means the generic step loop must run: object
-    trace, or the ``REPRO_KERNEL=generic`` escape hatch.
+    hook (request generator), fill hook.  ``None`` means the generic
+    step loop must run: an object trace, a sampler, a telemetry hub on
+    the hierarchy, a dynamic branch predictor, or the
+    ``REPRO_KERNEL=generic`` escape hatch.  A credit tracker is left to
+    the caller: only the segmented tier replays it.
     """
     if os.environ.get(KERNEL_ENV) == GENERIC:
         return None
     if not isinstance(core.trace, CompiledTrace):
         return None
-    hierarchy = core.hierarchy
+    if (core._sampler is not None
+            or core.hierarchy.telemetry is not None
+            or type(core._branch_predictor) is not StaticPredictor):
+        return None
     return (
         core._observe_instruction is not None,
         core._observe_access is not None,
         core._on_access is not None,
         core._on_fill is not None,
-        core._sampler is not None,
-        type(core._branch_predictor) is StaticPredictor,
-        hierarchy.tracker is None and hierarchy.telemetry is None,
     )
 
 
 def variant_name(flags: tuple) -> str:
-    """Human-readable kernel name, e.g. ``fast+observe+issue+staticbp``."""
-    instr, oa, ona, of, samp, sbp, lean = flags
+    """Human-readable kernel name, e.g.
+    ``fast+observe+issue+leanmem+staticbp``."""
+    instr, oa, ona, of = flags
     parts = ["fast"]
     if instr:
         parts.append("instr")
@@ -135,11 +139,7 @@ def variant_name(flags: tuple) -> str:
         parts.append("issue")
     if of:
         parts.append("fill")
-    if samp:
-        parts.append("sample")
-    if lean:
-        parts.append("leanmem")
-    parts.append("staticbp" if sbp else "dynbp")
+    parts += ["leanmem", "staticbp"]
     return "+".join(parts)
 
 
@@ -165,22 +165,22 @@ def get_kernel(flags: tuple, resumable: bool = False):
 
 # ----------------------------------------------------------------------
 # Source generation.  Every emitted line mirrors a line of the generic
-# loops in engine/ooo.py (and, for leanmem, of Cache.lookup /
-# ShadowTagStore.access / the demand_access hit leg); the specialization
-# only *removes* branches whose condition is decided by the flags, it
-# never reorders effects.
+# loop in engine/ooo.py (or of Cache.lookup / ShadowTagStore.access /
+# the demand_access hit leg); the specialization only *removes*
+# branches whose condition is decided by the flags, it never reorders
+# effects.
 
-def _hook_lines(flags: tuple, is_load: bool, indent: int, *,
-                served: str, component: str, hit: str, primary: str,
-                level: str, latency: str, value: str, dst: str) -> list[str]:
+def _hook_lines(flags: tuple, is_load: bool, indent: int, *, hit: bool,
+                served: str, component: str, level: str, latency: str,
+                value: str, dst: str) -> list[str]:
     """The post-access hook block, parameterized over where the access
-    outcome lives (an ``AccessResult`` or the inlined hit-path locals).
+    outcome lives (the inlined hit-leg locals or the miss leg's
+    ``AccessResult``).
 
-    ``served`` / ``primary`` / ... are source expressions; ``primary``
-    may be the literal ``"True"``/``"False"`` when the branch outcome is
-    statically known, in which case the guard is folded away.
+    ``served`` / ``component`` / ... are source expressions.  ``hit``
+    is static: a hit is never a primary miss, and a miss always is.
     """
-    instr, oa, ona, of, samp, sbp, lean = flags
+    instr, oa, ona, of = flags
     pad = " " * indent
     lines = []
     if oa or ona:
@@ -189,7 +189,7 @@ def _hook_lines(flags: tuple, is_load: bool, indent: int, *,
             pad + "    cycle=issue, pc=pc, mpc=d_mpc[index],",
             pad + f"    addr=addr, line=line, is_load={is_load},",
             pad + f"    hit={hit},",
-            pad + f"    primary_miss={primary},",
+            pad + f"    primary_miss={not hit},",
             pad + f"    latency={latency}, value={value}, dst={dst},",
             pad + f"    served_by_prefetch={served},",
             pad + f"    serving_component={component})",
@@ -221,14 +221,8 @@ def _hook_lines(flags: tuple, is_load: bool, indent: int, *,
             pad + f"if {served}:",
             pad + f"    on_prefetch_hit(line, {level})",
         ]
-    if of:
-        if primary == "True":
-            lines.append(pad + "on_fill(line, 1)")
-        elif primary != "False":
-            lines += [
-                pad + f"if {primary}:",
-                pad + "    on_fill(line, 1)",
-            ]
+    if of and not hit:
+        lines.append(pad + "on_fill(line, 1)")
     return lines
 
 
@@ -259,10 +253,10 @@ def _shadow_lines(indent: int, want_hit: bool) -> list[str]:
     ]
 
 
-def _lean_memory_lines(flags: tuple, is_load: bool) -> list[str]:
-    """The memory-access portion of a LOAD/STORE dispatch arm with the
-    L1 hit leg of ``demand_access`` inlined (leanmem kernels only)."""
-    instr, oa, ona, of, samp, sbp, lean = flags
+def _memory_lines(flags: tuple, is_load: bool) -> list[str]:
+    """The memory-access portion of a LOAD/STORE dispatch arm, with the
+    L1 hit leg of ``demand_access`` inlined."""
+    instr, oa, ona, of = flags
     hooks = oa or ona
     lines = [
         "            pc = c_pc[index]",
@@ -306,9 +300,8 @@ def _lean_memory_lines(flags: tuple, is_load: bool) -> list[str]:
     else:
         lines.append("                stores += 1")
     lines += _hook_lines(
-        flags, is_load, 16,
-        served="first_use", component="cl.component",
-        hit="True", primary="False", level="1",
+        flags, is_load, 16, hit=True,
+        served="first_use", component="cl.component", level="1",
         latency="latency" if is_load else "0",
         value="c_value[index]" if is_load else "0",
         dst="c_dst[index]" if is_load else "-1",
@@ -331,50 +324,9 @@ def _lean_memory_lines(flags: tuple, is_load: bool) -> list[str]:
     else:
         lines.append("                stores += 1")
     lines += _hook_lines(
-        flags, is_load, 16,
+        flags, is_load, 16, hit=False,
         served="result.served_by_prefetch",
-        component="result.prefetch_component",
-        hit="False", primary="True", level="result.hit_level",
-        latency="latency" if is_load else "0",
-        value="c_value[index]" if is_load else "0",
-        dst="c_dst[index]" if is_load else "-1",
-    )
-    if is_load:
-        lines.append("            reg_ready[c_dst[index]] = complete")
-    else:
-        lines.append("            complete = issue + 1")
-    return lines
-
-
-def _call_memory_lines(flags: tuple, is_load: bool) -> list[str]:
-    """The memory-access portion of a LOAD/STORE dispatch arm that calls
-    ``demand_access`` (kernels with a tracker or telemetry attached)."""
-    lines = [
-        "            pc = c_pc[index]",
-        "            addr = c_addr[index]",
-        f"            result = demand_access(addr, issue, "
-        f"is_write={not is_load},",
-        "                                   pc=pc)",
-    ]
-    if is_load:
-        lines += [
-            "            complete = result.ready_time",
-            "            latency = complete - issue",
-            "            loads += 1",
-            "            load_latency_total += latency",
-            "            if result.primary_miss:",
-            "                miss_pcs[pc] += 1",
-            "                miss_latency_by_pc[pc] += latency",
-        ]
-    else:
-        lines.append("            stores += 1")
-    lines.append("            line = d_line[index]")
-    lines += _hook_lines(
-        flags, is_load, 12,
-        served="result.served_by_prefetch",
-        component="result.prefetch_component",
-        hit="result.l1_hit", primary="result.primary_miss",
-        level="result.hit_level",
+        component="result.prefetch_component", level="result.hit_level",
         latency="latency" if is_load else "0",
         value="c_value[index]" if is_load else "0",
         dst="c_dst[index]" if is_load else "-1",
@@ -396,8 +348,7 @@ def kernel_source(flags: tuple, resumable: bool = False) -> str:
     it) and yields ``True``.  Deferred counters are still flushed once,
     when the trace runs out.
     """
-    instr, oa, ona, of, samp, sbp, lean = flags
-    memory_lines = _lean_memory_lines if lean else _call_memory_lines
+    instr, oa, ona, of = flags
     head = [
         ("def run_bursts(core, burst):" if resumable
          else "def run_fast(core):"),
@@ -432,27 +383,24 @@ def kernel_source(flags: tuple, resumable: bool = False) -> str:
     ]
     if resumable:
         head.append("    stop = index + burst")
-    if lean:
-        head += [
-            "    hierarchy = core.hierarchy",
-            "    l1d = hierarchy.l1d",
-            "    l1_stats = l1d.stats",
-            "    l1_sets = l1d._sets",
-            "    l1_mask = l1d._set_mask",
-            "    l1_latency = l1d.hit_latency",
-            "    shadow = hierarchy.shadow_l1",
-            "    sh_sets = shadow._sets",
-            "    sh_mask = shadow._set_mask",
-            "    sh_ways = shadow.ways",
-            "    demand_miss = hierarchy._demand_miss",
-            "    l1_acc = 0",
-            "    l1_hits = 0",
-            "    l1_useful = 0",
-            "    l1_late = 0",
-            "    l1_merges = 0",
-        ]
-    else:
-        head.append("    demand_access = core.hierarchy.demand_access")
+    head += [
+        "    hierarchy = core.hierarchy",
+        "    l1d = hierarchy.l1d",
+        "    l1_stats = l1d.stats",
+        "    l1_sets = l1d._sets",
+        "    l1_mask = l1d._set_mask",
+        "    l1_latency = l1d.hit_latency",
+        "    shadow = hierarchy.shadow_l1",
+        "    sh_sets = shadow._sets",
+        "    sh_mask = shadow._set_mask",
+        "    sh_ways = shadow.ways",
+        "    demand_miss = hierarchy._demand_miss",
+        "    l1_acc = 0",
+        "    l1_hits = 0",
+        "    l1_useful = 0",
+        "    l1_late = 0",
+        "    l1_merges = 0",
+    ]
     if instr:
         head += [
             "    observe_instruction = core._observe_instruction",
@@ -467,14 +415,6 @@ def kernel_source(flags: tuple, resumable: bool = False) -> str:
         ]
     if of:
         head.append("    on_fill = core._on_fill")
-    if samp:
-        head.append("    sampler_tick = core._sampler.on_instruction")
-    if not sbp:
-        head += [
-            "    predictor = core._branch_predictor",
-            "    predict = predictor.predict",
-            "    update = predictor.update",
-        ]
 
     body = [
         "    while index < n:",
@@ -513,7 +453,7 @@ def kernel_source(flags: tuple, resumable: bool = False) -> str:
         "            src = c_src1[index]",
         "            if src >= 0 and reg_ready[src] > issue:",
         "                issue = reg_ready[src]",
-        *memory_lines(flags, is_load=True),
+        *_memory_lines(flags, is_load=True),
         "        elif disp == 3:  # conditional branch",
         "            issue = dispatch",
         "            src = c_src1[index]",
@@ -524,27 +464,10 @@ def kernel_source(flags: tuple, resumable: bool = False) -> str:
         "                issue = reg_ready[src]",
         "            complete = issue + 1",
         "            branches += 1",
-    ]
-    if sbp:
-        body += [
-            "            if d_bp[index]:",
-            "                mispredicts += 1",
-            "                fetch_cycle = complete + branch_penalty",
-            "                fetch_slot = 0",
-        ]
-    else:
-        body += [
-            "            pc = c_pc[index]",
-            "            target_pc = c_target[index]",
-            "            taken = c_taken[index]",
-            "            predicted_taken = predict(pc, target_pc)",
-            "            update(pc, target_pc, taken)",
-            "            if predicted_taken != taken:",
-            "                mispredicts += 1",
-            "                fetch_cycle = complete + branch_penalty",
-            "                fetch_slot = 0",
-        ]
-    body += [
+        "            if d_bp[index]:",
+        "                mispredicts += 1",
+        "                fetch_cycle = complete + branch_penalty",
+        "                fetch_slot = 0",
         "        elif disp == 1:  # STORE",
         "            issue = dispatch",
         "            src = c_src1[index]",
@@ -553,7 +476,7 @@ def kernel_source(flags: tuple, resumable: bool = False) -> str:
         "            data = c_src2[index]",
         "            if data >= 0 and reg_ready[data] > issue:",
         "                issue = reg_ready[data]",
-        *memory_lines(flags, is_load=False),
+        *_memory_lines(flags, is_load=False),
         "        elif disp == 4:  # unconditional branch",
         "            issue = dispatch",
         "            src = c_src2[index]",
@@ -574,12 +497,6 @@ def kernel_source(flags: tuple, resumable: bool = False) -> str:
         "        commit_ring[rob_slot] = last_commit",
         "        index += 1",
     ]
-    if samp:
-        body += [
-            "        stats.instructions += 1",
-            "        stats.cycles = last_commit",
-            "        sampler_tick()",
-        ]
     if resumable:
         body += [
             "        if index == stop:",
@@ -599,19 +516,13 @@ def kernel_source(flags: tuple, resumable: bool = False) -> str:
         "    stats.branches += branches",
         "    stats.mispredicts += mispredicts",
         "    stats.load_latency_total += load_latency_total",
+        "    l1_stats.demand_accesses += l1_acc",
+        "    l1_stats.demand_hits += l1_hits",
+        "    l1_stats.useful_prefetches += l1_useful",
+        "    l1_stats.late_prefetch_hits += l1_late",
+        "    l1_stats.mshr_merges += l1_merges",
+        "    stats.instructions += index - start_index",
+        "    stats.cycles = last_commit",
+        "    return stats",
     ]
-    if lean:
-        tail += [
-            "    l1_stats.demand_accesses += l1_acc",
-            "    l1_stats.demand_hits += l1_hits",
-            "    l1_stats.useful_prefetches += l1_useful",
-            "    l1_stats.late_prefetch_hits += l1_late",
-            "    l1_stats.mshr_merges += l1_merges",
-        ]
-    if not samp:
-        tail += [
-            "    stats.instructions += index - start_index",
-            "    stats.cycles = last_commit",
-        ]
-    tail.append("    return stats")
     return "\n".join(head + body + tail) + "\n"

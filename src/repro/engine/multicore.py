@@ -10,10 +10,11 @@ memory controller — the contention that the drop-policy experiment
 
 Each core replaying a compiled trace runs its bursts on the resumable
 form of its specialized scalar kernel (:mod:`repro.engine.kernel`), a
-generator that keeps its locals between bursts; object traces and
-``REPRO_KERNEL=generic`` run them as ``OoOCore.step()`` calls.  Both
-retire the same instructions per burst, so the interleaving, and every
-number, is the same on either path.
+generator that keeps its locals between bursts.  Cores no kernel takes
+— object traces, a credit tracker, and ``REPRO_KERNEL=generic`` — run
+them as ``OoOCore.step()`` calls.  Both retire the same instructions
+per burst, so the interleaving, and every number, is the same on
+either path.
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ def _step_bursts(core: OoOCore, burst: int):
 
 def _bursts(core: OoOCore):
     """``core``'s burst generator, on the kernel :func:`kernel_flags`
-    picks (the step loop when it picks none)."""
+    picks (the step loop when it picks none, or the core has a
+    tracker)."""
     flags = kernel_flags(core)
-    if flags is None:
+    if flags is None or core.hierarchy.tracker is not None:
         return _step_bursts(core, BURST)
     core.kernel_variant = variant_name(flags)
     return get_kernel(flags, resumable=True)(core, BURST)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from repro.core.base import AccessEvent, Prefetcher
 from repro.engine.config import CoreConfig
 from repro.isa.instructions import NUM_REGISTERS, OpClass
-from repro.isa.trace import CompiledTrace, Trace
+from repro.isa.trace import Trace
 from repro.memory.hierarchy import LINE_SHIFT, Hierarchy
 
 
@@ -64,9 +64,10 @@ class OoOCore:
     """Incremental core model; ``step()`` retires one instruction.
 
     ``step()`` is the generic loop: the reference every specialized
-    kernel (:mod:`repro.engine.kernel`) is checked against, and the
-    replay path for object traces and ``REPRO_KERNEL=generic``, in whole
-    runs and in the multicore harness's bursts alike.
+    kernel (:mod:`repro.engine.kernel`, :mod:`repro.engine.segmented`)
+    is checked against, and the replay path for every cell no kernel
+    takes (see :meth:`run`), in whole runs and in the multicore
+    harness's bursts alike.
     """
 
     __slots__ = (
@@ -77,17 +78,6 @@ class OoOCore:
         "stats",
         "_records",
         "_num_records",
-        "_step",
-        "_c_pc",
-        "_c_opc",
-        "_c_addr",
-        "_c_value",
-        "_c_dst",
-        "_c_src1",
-        "_c_src2",
-        "_c_taken",
-        "_c_target",
-        "_c_ras",
         "_index",
         "_reg_ready",
         "_fetch_cycle",
@@ -96,12 +86,10 @@ class OoOCore:
         "_rob_size",
         "_last_commit_time",
         "_commits_at_time",
-        "_feed_instructions",
         "_observe_instruction",
         "_observe_access",
         "_on_access",
         "_on_fill",
-        "_telemetry",
         "_sampler",
         "_branch_predictor",
         "_width",
@@ -118,6 +106,8 @@ class OoOCore:
         self.prefetcher = prefetcher
         self.config = config or CoreConfig()
         self.stats = CoreStats()
+        self._records = None
+        self._num_records = len(trace)
         self._index = 0
         self._reg_ready = [0] * NUM_REGISTERS
         self._fetch_cycle = 0
@@ -127,7 +117,6 @@ class OoOCore:
         self._rob_size = rob
         self._last_commit_time = 0
         self._commits_at_time = 0
-        self._feed_instructions = prefetcher.needs_instruction_stream
         # Bind the per-access hooks once, and only when the prefetcher
         # actually overrides them: for the no-prefetch baseline all three
         # stay None and the access path skips building AccessEvents.
@@ -142,13 +131,13 @@ class OoOCore:
             return method
 
         self._observe_instruction = (
-            _bound("observe_instruction") if self._feed_instructions
+            _bound("observe_instruction")
+            if prefetcher.needs_instruction_stream
             else None
         )
         self._observe_access = _bound("observe_access")
         self._on_access = _bound("on_access")
         self._on_fill = _bound("on_fill")
-        self._telemetry = None
         self._sampler = None
         self.kernel_variant = "generic"
         # Hot-loop bindings: read once here instead of chasing
@@ -161,34 +150,16 @@ class OoOCore:
         self._branch_predictor = make_predictor(
             self.config.branch_predictor
         )
-        # Replay-path selection.  Compiled traces are replayed straight
-        # from their list columns (no record objects in the hot loop)
-        # whenever no prefetcher wants the instruction stream.  When one
-        # does (T2/P1/composites), the trace's materialized TraceRecord
-        # views feed ``observe_instruction`` — the thin per-record view
-        # the prefetcher-observation API keeps — via the record path,
-        # which is also the reference path for plain object traces.
-        if (isinstance(trace, CompiledTrace)
-                and self._observe_instruction is None):
-            self._records = None
-            self._num_records = len(trace)
-            (self._c_pc, self._c_opc, self._c_addr, self._c_value,
-             self._c_dst, self._c_src1, self._c_src2, self._c_taken,
-             self._c_target, self._c_ras) = trace.columns
-            self._step = self._step_columns
-        else:
-            self._records = trace.records
-            self._num_records = len(self._records)
-            self._step = self._step_records
 
     def attach_telemetry(self, telemetry) -> None:
         """Wire a :class:`repro.telemetry.Telemetry` hub to this core.
 
         Binds the hub's sampler (if any) to this core + hierarchy so the
-        retire loop can drive it.  Attaching never changes timing: the
-        sampler only reads state.
+        retire loop can drive it.  The sampler only reads state, and its
+        occupancy reads prune nothing, so attaching never changes
+        timing.  A core with a sampler runs the generic loop, which
+        calls it once per retired instruction.
         """
-        self._telemetry = telemetry
         sampler = telemetry.sampler
         if sampler is not None:
             sampler.bind(self, self.hierarchy, telemetry)
@@ -206,21 +177,20 @@ class OoOCore:
 
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Process the next instruction; returns False when trace is done.
+        """Retire the next instruction; returns False when trace is done.
 
-        Dispatches to the column replay (compiled trace, no instruction
-        stream consumer) or the record replay (object traces, and any
-        prefetcher that observes the instruction stream) — selected once
-        in ``__init__``, identical timing by construction.
+        The generic loop, one :class:`TraceRecord` per instruction for
+        object and compiled traces alike.  A compiled trace's record
+        views are materialized on the first step, not when the core is
+        built: the specialized kernels read its columns instead.
         """
-        return self._step()
-
-    def _step_records(self) -> bool:
-        """Record replay: one :class:`TraceRecord` per retired instruction."""
         index = self._index
         if index >= self._num_records:
             return False
-        record = self._records[index]
+        records = self._records
+        if records is None:
+            records = self._records = self.trace.records
+        record = records[index]
         self._index = index + 1
         width = self._width
 
@@ -296,125 +266,6 @@ class OoOCore:
                                                     record.target_pc)
                 predictor.update(record.pc, record.target_pc, record.taken)
                 if predicted_taken != record.taken:
-                    self.stats.mispredicts += 1
-                    self._fetch_cycle = complete + self._branch_penalty
-                    self._fetch_slot = 0
-        else:  # CALL / RET / OTHER: predicted by BTB/RAS, 1-cycle op
-            complete = dispatch + 1
-
-        # In-order commit, `width` per cycle.
-        last_commit = self._last_commit_time
-        if complete > last_commit:
-            commit = complete
-            self._commits_at_time = 1
-        else:
-            commit = last_commit
-            commits_at_time = self._commits_at_time + 1
-            if commits_at_time > width:
-                commit += 1
-                commits_at_time = 1
-            self._commits_at_time = commits_at_time
-        self._last_commit_time = commit
-        self._commit_ring[rob_slot] = commit
-
-        stats = self.stats
-        stats.instructions += 1
-        stats.cycles = commit
-        sampler = self._sampler
-        if sampler is not None:
-            sampler.on_instruction()
-        return True
-
-    def _step_columns(self) -> bool:
-        """Column replay: fields read straight from the compiled trace.
-
-        Mirrors :meth:`_step_records` line for line — only field access
-        differs (list-column indexing instead of record attributes), and
-        only the columns an opcode actually needs are touched.  Never
-        selected when a prefetcher observes the instruction stream, so
-        the ``observe_instruction`` feed is absent here by construction.
-        """
-        index = self._index
-        if index >= self._num_records:
-            return False
-        self._index = index + 1
-        width = self._width
-
-        # Fetch bandwidth: `width` instructions per cycle.
-        fetch_cycle = self._fetch_cycle
-        fetch_slot = self._fetch_slot
-        if fetch_slot >= width:
-            fetch_cycle += 1
-            fetch_slot = 0
-        self._fetch_slot = fetch_slot + 1
-        fetch_time = fetch_cycle
-
-        # ROB occupancy: slot of instruction (index - rob) must be free.
-        rob_slot = index % self._rob_size
-        rob_free = self._commit_ring[rob_slot]
-        if rob_free > fetch_time:
-            # ROB-full stall also stalls fetch.
-            dispatch = rob_free
-            fetch_cycle = rob_free
-            self._fetch_slot = 1
-        else:
-            dispatch = fetch_time
-        self._fetch_cycle = fetch_cycle
-
-        reg_ready = self._reg_ready
-        opc = self._c_opc[index]
-        if opc == _LOAD:
-            issue = dispatch
-            src = self._c_src1[index]
-            if src >= 0 and reg_ready[src] > issue:
-                issue = reg_ready[src]
-            dst = self._c_dst[index]
-            complete = self._do_load(self._c_pc[index],
-                                     self._c_addr[index],
-                                     self._c_value[index], dst,
-                                     self._c_ras[index], issue)
-            reg_ready[dst] = complete
-        elif opc == _STORE:
-            issue = dispatch
-            src = self._c_src1[index]
-            if src >= 0 and reg_ready[src] > issue:
-                issue = reg_ready[src]
-            data = self._c_src2[index]
-            if data >= 0 and reg_ready[data] > issue:
-                issue = reg_ready[data]
-            self._do_store(self._c_pc[index], self._c_addr[index],
-                           self._c_ras[index], issue)
-            complete = issue + 1
-        elif opc == _ALU:
-            issue = dispatch
-            src = self._c_src1[index]
-            if src >= 0 and reg_ready[src] > issue:
-                issue = reg_ready[src]
-            src = self._c_src2[index]
-            if src >= 0 and reg_ready[src] > issue:
-                issue = reg_ready[src]
-            complete = issue + self._alu_latency
-            dst = self._c_dst[index]
-            if dst >= 0:
-                reg_ready[dst] = complete
-        elif opc == _BRANCH:
-            issue = dispatch
-            src1 = self._c_src1[index]
-            if src1 >= 0 and reg_ready[src1] > issue:
-                issue = reg_ready[src1]
-            src = self._c_src2[index]
-            if src >= 0 and reg_ready[src] > issue:
-                issue = reg_ready[src]
-            complete = issue + 1
-            self.stats.branches += 1
-            if src1 >= 0:  # conditional branch: predict and verify
-                pc = self._c_pc[index]
-                target_pc = self._c_target[index]
-                taken = self._c_taken[index]
-                predictor = self._branch_predictor
-                predicted_taken = predictor.predict(pc, target_pc)
-                predictor.update(pc, target_pc, taken)
-                if predicted_taken != taken:
                     self.stats.mispredicts += 1
                     self._fetch_cycle = complete + self._branch_penalty
                     self._fetch_slot = 0
@@ -540,35 +391,34 @@ class OoOCore:
     def run(self) -> CoreStats:
         """Run the whole trace.
 
-        Whole-trace runs of a compiled trace go through a specialized
-        replay kernel (:mod:`repro.engine.kernel`): the step loop is
-        partial-evaluated for this core's exact hook/telemetry/predictor
-        configuration, bit-identically.  Selected here rather than in
-        ``__init__`` because the sampler attaches after construction.
-        Object traces and ``REPRO_KERNEL=generic`` use the generic loop.
+        An eligible core (:func:`~repro.engine.kernel.kernel_flags`)
+        first tries the segmented tier (:mod:`repro.engine.segmented`:
+        vectorized stretches between segment events, scalar islands at
+        them).  When that tier turns the cell down, an untracked core
+        runs its scalar specialized kernel (:mod:`repro.engine.kernel`),
+        the step loop partial-evaluated for its hook shape,
+        bit-identically.  Everything else runs the generic loop: object
+        traces, a sampler, telemetry, a dynamic branch predictor, a
+        credit tracker the segmented tier turned down, and
+        ``REPRO_KERNEL=generic``.  Selected here rather than in
+        ``__init__`` because telemetry attaches after construction.
         The multicore harness does not call ``run``: it selects each
         core's kernel itself and drives its resumable burst form
         (:mod:`repro.engine.multicore`).
         """
-        from repro.engine.batch import maybe_run_segmented
         from repro.engine.kernel import get_kernel, kernel_flags, \
             variant_name
+        from repro.engine.segmented import maybe_run_segmented
 
         flags = kernel_flags(self)
         if flags is not None:
-            # Leanmem/static-BP traces, hook-free or hooked, first try
-            # the segmented tier (repro.engine.batch: vectorized
-            # stretches between segment events, scalar islands at
-            # them).  It declines — warm state, shared or subclassed
-            # hierarchy components, a sampler, REPRO_KERNEL=scalar,
-            # too-dense event coverage — by returning None, and the
-            # scalar kernel runs instead.
             result = maybe_run_segmented(self, flags)
             if result is not None:
                 return result
-            self.kernel_variant = variant_name(flags)
-            return get_kernel(flags)(self)
-        step = self._step
+            if self.hierarchy.tracker is None:
+                self.kernel_variant = variant_name(flags)
+                return get_kernel(flags)(self)
+        step = self.step
         while step():
             pass
         return self.stats

@@ -1,14 +1,16 @@
 """Segmented replay tier: plan once per trace, replay every cell.
 
 The third kernel tier (generic loop -> specialized scalar kernels ->
-this module), applied to every static-BP cell without a sampler or a
-telemetry hub: the hook-free ``none`` cells and the paper's hooked
-``bop``/``tpc`` prefetchers alike, leanmem or credit-tracked (the
-Figs. 13-14 ``run_tracked`` cells).  Prefetches perturb the cache and
-DRAM state — which accesses hit, which victims leave, and which DRAM
-rows open all depend on what the prefetcher did — so the tier plans
-only what the trace alone decides and replays the rest live, splitting
-the work the way the paper splits prefetching:
+this module), applied to every cell the scalar kernels could take
+(:func:`~repro.engine.kernel.kernel_flags`: a compiled trace, static
+branch prediction, no sampler, no telemetry hub): the hook-free
+``none`` cells and the paper's hooked ``bop``/``tpc`` prefetchers
+alike, untracked or credit-tracked (the Figs. 13-14 ``run_tracked``
+cells).  Prefetches perturb the cache and DRAM state — which accesses
+hit, which victims leave, and which DRAM rows open all depend on what
+the prefetcher did — so the tier plans only what the trace alone
+decides and replays the rest live, splitting the work the way the
+paper splits prefetching:
 
 * **Plan (pay once per trace x L1 geometry)** — :func:`_build_segment_plan`
   precomputes only what stays a pure function of the trace: the fused
@@ -52,13 +54,14 @@ scalar specialized kernels) — the comparator the bench's
 ``segmented.speedup_vs_scalar`` measures against — while
 ``REPRO_KERNEL=generic`` still disables all specialization.
 
-Eligibility is deliberately conservative: a sampler, the dynamic branch
-predictor, a telemetry-carrying hierarchy, warm core or
-hierarchy state, subclassed hierarchy/cache/shadow/MSHR/DRAM
-components, DRAM telemetry, missing numpy, or a segment-event coverage
-fraction above :data:`SEGMENT_MAX_COVERAGE` (an all-event trace) all
-fall back to the scalar tier silently (the variant name on
-``SimulationResult.kernel`` records which tier actually ran).  Plans
+Eligibility is deliberately conservative: warm core or hierarchy
+state, subclassed hierarchy/cache/shadow/MSHR/DRAM components, DRAM
+telemetry, missing numpy, or a segment-event coverage fraction above
+:data:`SEGMENT_MAX_COVERAGE` (an all-event trace) all turn the cell
+down silently.  An untracked cell then runs its scalar kernel, a
+tracked one the generic loop, since no scalar kernel replays the
+tracker protocol (the variant name on ``SimulationResult.kernel``
+records which tier actually ran).  Plans
 are memoized on ``CompiledTrace._plans`` (``plan_builds``/
 ``plan_cache_hits`` kernel counters, mirrored into ``repro metrics``);
 ``compiled.<variant>`` counts kernel exec-compiles.
@@ -128,8 +131,8 @@ def _get_plan(trace: CompiledTrace, key: tuple):
 
 def _stock_cold_hierarchy(core):
     """The stock, cold :class:`~repro.memory.hierarchy.Hierarchy` behind
-    ``core`` — or ``None`` when anything deviates and the scalar tier
-    must run instead: warm core state, subclassed hierarchy / cache /
+    ``core`` — or ``None`` when anything deviates and the tier must
+    turn the cell down: warm core state, subclassed hierarchy / cache /
     shadow / MSHR / DRAM components, DRAM telemetry attached, resident
     lines or prior traffic, or numpy missing.  The hierarchy leg of
     :func:`maybe_run_segmented`'s eligibility."""
@@ -193,13 +196,16 @@ _SEG_STORE = 2
 _SEG_BP_MISS = 3
 
 
-def segment_variant(flags: tuple) -> str:
+def segment_variant(flags: tuple, tracked: bool) -> str:
     """Kernel attribution name for the segmented tier: the scalar
     variant's hook spelling with the ``fast`` prefix swapped, e.g.
-    ``segmented+instr+observe+issue+leanmem+staticbp``."""
+    ``segmented+instr+observe+issue+leanmem+staticbp``; a tracked
+    kernel drops ``leanmem``
+    (``segmented+instr+observe+issue+staticbp``)."""
     from repro.engine.kernel import variant_name
 
-    return SEGMENT_PREFIX + variant_name(flags)[4:]
+    name = SEGMENT_PREFIX + variant_name(flags)[4:]
+    return name.replace("+leanmem", "") if tracked else name
 
 
 class SegmentPlan:
@@ -307,38 +313,30 @@ def _build_segment_plan(trace: CompiledTrace, key: tuple) -> SegmentPlan:
 
 def maybe_run_segmented(core, flags: tuple):
     """Run ``core`` through the segmented tier, or return ``None`` to
-    let the scalar specialized kernel handle it.
+    let the caller run the scalar kernel or the generic loop.
 
-    Eligibility: a static-BP flag tuple without a sampler (the sampler
-    reads live per-instruction stats), a hierarchy without telemetry (a
-    credit tracker is replayed, telemetry events are not),
-    ``REPRO_KERNEL`` not ``scalar``/``generic``, a cold stock hierarchy
+    ``flags`` are the hook-shape flags
+    :func:`~repro.engine.kernel.kernel_flags` returned for ``core``, so
+    the trace is compiled and no sampler, telemetry hub or dynamic
+    branch predictor is attached.  A credit tracker on the hierarchy
+    is replayed (a ``tracked`` kernel).  Further eligibility:
+    ``REPRO_KERNEL`` not ``scalar``, a cold stock hierarchy
     (:func:`_stock_cold_hierarchy`), and a segment-event coverage
     fraction at most :data:`SEGMENT_MAX_COVERAGE`.
     """
-    if len(flags) != 7:
-        return None
-    instr, oa, ona, of, samp, sbp, lean = flags
-    if samp or not sbp:
-        return None
-    # Not lean: a tracker or a telemetry hub is attached.  The tier
-    # replays the tracker protocol, but not telemetry.
-    tracked = not lean
-    if tracked and core.hierarchy.telemetry is not None:
-        return None
-    from repro.engine.kernel import GENERIC, KERNEL_ENV, SCALAR, _count
+    from repro.engine.kernel import KERNEL_ENV, SCALAR, _count
 
-    if os.environ.get(KERNEL_ENV) in (GENERIC, SCALAR):
-        return None
-    trace = core.trace
-    if not isinstance(trace, CompiledTrace):
+    if os.environ.get(KERNEL_ENV) == SCALAR:
         return None
     if _stock_cold_hierarchy(core) is None:
         return None
+    trace = core.trace
     n = len(trace)
     if not n or len(trace.segment_events()) / n > SEGMENT_MAX_COVERAGE:
         return None
-    variant = segment_variant(flags)
+    instr, oa, ona, of = flags
+    tracked = core.hierarchy.tracker is not None
+    variant = segment_variant(flags, tracked)
     plan = _get_plan(trace, segment_plan_key(core))
     _count(f"selected.{variant}")
     core.kernel_variant = variant
@@ -406,8 +404,8 @@ def _segment_kernel(instr: bool, oa: bool, ona: bool, of: bool,
         from repro.engine.kernel import _count
         from repro.memory.dram import LOW_PRIORITY_COMPONENTS
 
-        _count("compiled." + segment_variant(
-            (instr, oa, ona, of, False, True, not tracked)))
+        _count("compiled." + segment_variant((instr, oa, ona, of),
+                                             tracked))
         source = _segment_source(*key)
         namespace = {
             "_FAR": _FAR,
@@ -537,8 +535,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         # arm's lookup already indexed.
         emit(f"{ind}mnow = issue")
         emit(f"{ind}l1_misses += 1")
-        emit(f"{ind}if collect_fp:")
-        emit(f"{ind}    miss_lines_l1[line] += 1")
+        emit(f"{ind}miss_lines_l1[line] += 1")
         emit(f"{ind}if sh1:")
         emit(f"{ind}    pollution_l1 += 1")
         if tracked:
@@ -590,8 +587,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{ind}else:")
         i2 = ind + "    "
         emit(f"{i2}l2_missc += 1")
-        emit(f"{i2}if collect_fp:")
-        emit(f"{i2}    miss_lines_l2[line] += 1")
+        emit(f"{i2}miss_lines_l2[line] += 1")
         emit(f"{i2}if not sh1 and sh2_hit:")
         emit(f"{i2}    pollution_l2 += 1")
         if tracked:
@@ -747,7 +743,6 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit("    row_shift = (rows_div - 1).bit_length()")
     if low_first:
         emit("    low_components = LOW_PRIORITY_COMPONENTS")
-    emit("    collect_fp = hierarchy.collect_footprint")
     emit("    miss_lines_l1 = hierarchy.miss_lines_l1")
     emit("    miss_lines_l2 = hierarchy.miss_lines_l2")
     emit("    attempted_add = hierarchy.attempted_prefetch_lines.add")

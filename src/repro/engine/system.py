@@ -75,8 +75,7 @@ class SimulationResult:
 def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
              config: SystemConfig | None = None,
              tracker=None, telemetry=None, config_tag: str = "",
-             spec: str | None = None,
-             collect_footprint: bool = True) -> SimulationResult:
+             spec: str | None = None) -> SimulationResult:
     """Simulate one trace on a single-core system.
 
     Parameters
@@ -97,17 +96,13 @@ def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
     config_tag / spec:
         Provenance strings recorded in the result's manifest (the
         experiment runner passes its cache tag and stable spec key).
-    collect_footprint:
-        When False the hierarchy skips the per-line miss Counters (lean
-        throughput mode for ``repro bench``); every scope/coverage
-        analysis needs the default True.
     """
     prefetcher = prefetcher if prefetcher is not None else NullPrefetcher()
     config = config or EXPERIMENT_CONFIG
     prefetcher.reset()
     if prefetcher.wants_memory_image:
         prefetcher.set_memory(trace.memory)
-    hierarchy = Hierarchy(config, collect_footprint=collect_footprint)
+    hierarchy = Hierarchy(config)
     if tracker is not None:
         hierarchy.tracker = tracker
     core = OoOCore(trace, hierarchy, prefetcher, config.core)

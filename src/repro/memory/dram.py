@@ -263,9 +263,12 @@ class Dram:
         self.stats.writes += 1
 
     def queue_occupancy(self, channel: int, now: int) -> int:
-        """Pending requests on ``channel`` at cycle ``now`` (for tests)."""
-        self._drain(channel, now)
-        return len(self._queues[channel])
+        """Pending requests on ``channel`` at cycle ``now``.  Counts
+        without pruning, so a read at a late cycle (the sampler reads at
+        the latest commit) hides no entry from a request that issues
+        earlier."""
+        return sum(1 for entry in self._queues[channel]
+                   if entry.completion > now)
 
     def queue_depth(self, now: int) -> int:
         """Pending requests across all channels (telemetry sampling)."""

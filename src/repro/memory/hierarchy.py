@@ -107,8 +107,10 @@ class _MshrFile:
             self._min_pending = completion
 
     def occupancy(self, now: int) -> int:
-        self._drain(now)
-        return len(self._pending)
+        """Fills still in flight at ``now``.  Counts without pruning, so
+        a read at a late cycle (the sampler reads at the latest commit)
+        hides no entry from a demand that issues earlier."""
+        return sum(1 for t in self._pending if t > now)
 
 
 class Hierarchy:
@@ -123,7 +125,7 @@ class Hierarchy:
     ``on_pollution(level, victims)`` where ``victims`` is a list of
     ``(line_addr, component)`` for prefetched lines in the affected set.
     ``victims`` is unordered: this class lists them in fill order, the
-    segmented replay tier (:mod:`repro.engine.batch`) in recency order,
+    segmented replay tier (:mod:`repro.engine.segmented`) in recency order,
     so a tracker must treat the list as a multiset.  Callbacks must not
     read the hierarchy's state: the segmented tier replays it on private
     structures and writes it back only when the run ends.
@@ -146,15 +148,13 @@ class Hierarchy:
         "attempted_by_component",
         "pollution_misses_l1",
         "pollution_misses_l2",
-        "collect_footprint",
         "_l1_mshrs",
         "_l2_mshrs",
     )
 
     def __init__(self, config: SystemConfig,
                  l3: Cache | None = None,
-                 dram: Dram | None = None,
-                 collect_footprint: bool = True) -> None:
+                 dram: Dram | None = None) -> None:
         self.config = config
         self.l1d = Cache("L1D", config.l1d.size_bytes, config.l1d.ways,
                          config.l1d.line_bytes, config.l1d.latency)
@@ -179,10 +179,6 @@ class Hierarchy:
         self.attempted_by_component: dict[str, set[int]] = {}
         self.pollution_misses_l1 = 0
         self.pollution_misses_l2 = 0
-        self.collect_footprint = collect_footprint
-        """When False, the per-line miss Counters (``miss_lines_l1/l2``)
-        are not maintained — a lean mode for throughput benchmarking.
-        Scope/coverage analyses need the default True."""
         self._l1_mshrs = _MshrFile(config.l1d.mshrs)
         self._l2_mshrs = _MshrFile(config.l2.mshrs)
 
@@ -245,8 +241,7 @@ class Hierarchy:
         stats = l1.stats
         telemetry = self.telemetry
         stats.demand_misses += 1
-        if self.collect_footprint:
-            self.miss_lines_l1[line] += 1
+        self.miss_lines_l1[line] += 1
         if shadow_l1_hit:
             self.pollution_misses_l1 += 1
             if self.tracker is not None:
@@ -303,8 +298,7 @@ class Hierarchy:
             return ready + l2.hit_latency, 2, served, hit.component
 
         stats.demand_misses += 1
-        if self.collect_footprint:
-            self.miss_lines_l2[line] += 1
+        self.miss_lines_l2[line] += 1
         if not shadow_l1_hit and shadow_l2_hit:
             self.pollution_misses_l2 += 1
             if self.tracker is not None:

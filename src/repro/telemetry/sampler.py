@@ -12,8 +12,10 @@ answers *when* — warmup, phase changes, queue-pressure episodes.  Every
   counters, the same stream :mod:`repro.analysis.windows` consumes).
 
 The sampler is bound by :meth:`repro.engine.ooo.OoOCore.attach_telemetry`
-and driven from the core's retire loop; it never mutates simulation
-state, so sampled and unsampled runs retire identical cycle counts.
+and driven once per retired instruction by the generic loop (a core
+with a sampler runs no specialized kernel).  It only reads state, and
+its MSHR and DRAM-queue reads count in-flight entries without pruning
+them, so a sampled run reports exactly the figures of an unsampled one.
 """
 
 from __future__ import annotations

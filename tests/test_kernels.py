@@ -14,7 +14,9 @@ back-to-back islands, the all-event degrade to scalar, kernel-compile
 and plan-build counting, and identity under injected cache corruption.
 Credit-tracked cells (Figs. 13-14) replay on the segmented tier too:
 their figures, credit buckets and tracker call sequences are pinned
-registry-wide against both escape hatches.
+registry-wide against both escape hatches, which run them on the
+generic loop.  Telemetry, a sampler, a dynamic branch predictor, and a
+tracker the segmented tier turns down all select the generic loop.
 Multicore mixes run their 32-instruction bursts on the resumable form
 of the scalar kernels; their per-core results are pinned against the
 generic ``step()`` loop, including the burst size itself.
@@ -22,6 +24,7 @@ generic ``step()`` loop, including the burst size itself.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -29,12 +32,13 @@ import pytest
 
 from conftest import build_aop_trace, build_chain_trace, build_strided_trace
 from repro.analysis.credit import CreditTracker
-from repro.engine import batch, multicore
-from repro.engine.batch import SEGMENT_MAX_COVERAGE
+from repro.engine import multicore, segmented
+from repro.engine.branch import StaticPredictor
 from repro.engine.config import EXPERIMENT_CONFIG
 from repro.engine.kernel import (GENERIC, KERNEL_ENV, SCALAR, kernel_counters,
                                  kernel_flags, variant_name)
 from repro.engine.multicore import simulate_multicore
+from repro.engine.segmented import SEGMENT_MAX_COVERAGE
 from repro.engine.system import simulate
 from repro.experiments import drop_policy
 from repro.isa import Assembler, Machine
@@ -99,14 +103,13 @@ def test_specialized_matches_generic_registry_wide(name, strided, chain,
         assert _identity(fast) == _identity(slow), (name, trace.name)
 
 
-def test_specialized_matches_generic_with_telemetry(strided, monkeypatch):
-    """Telemetry disables the lean memory path but not specialization."""
-    fast = simulate(strided, make_prefetcher("tpc"), telemetry=Telemetry())
-    monkeypatch.setenv(KERNEL_ENV, GENERIC)
+def test_specialized_matches_generic_with_telemetry(strided):
+    """A telemetry hub sends the cell to the generic loop, which
+    reproduces the specialized plain cell exactly."""
+    fast = simulate(strided, make_prefetcher("tpc"))
     slow = simulate(strided, make_prefetcher("tpc"), telemetry=Telemetry())
-    monkeypatch.delenv(KERNEL_ENV)
-    assert fast.kernel.startswith("fast")
-    assert "leanmem" not in fast.kernel
+    assert fast.kernel.startswith("segmented+")
+    assert slow.kernel == GENERIC
     assert _identity(fast) == _identity(slow)
 
 
@@ -138,7 +141,7 @@ def test_kernel_flags_none_under_escape_hatch(strided, monkeypatch):
         _on_access = None
         _on_fill = None
         _sampler = None
-        _branch_predictor = object()
+        _branch_predictor = StaticPredictor()
 
         class hierarchy:
             tracker = None
@@ -150,9 +153,28 @@ def test_kernel_flags_none_under_escape_hatch(strided, monkeypatch):
 
 
 def test_variant_name_encodes_flags():
-    assert variant_name((False,) * 5 + (True, False)) == "fast+staticbp"
-    name = variant_name((True, True, True, True, True, False, True))
-    assert name == "fast+instr+observe+issue+fill+sample+leanmem+dynbp"
+    assert variant_name((False,) * 4) == "fast+leanmem+staticbp"
+    name = variant_name((True,) * 4)
+    assert name == "fast+instr+observe+issue+fill+leanmem+staticbp"
+
+
+def test_dynamic_branch_predictor_runs_the_generic_loop(strided):
+    """No kernel specializes a dynamic predictor: a ``gshare`` cell
+    runs the generic loop."""
+    config = dataclasses.replace(
+        EXPERIMENT_CONFIG, core=dataclasses.replace(
+            EXPERIMENT_CONFIG.core, branch_predictor="gshare"))
+    result = simulate(strided, make_prefetcher("tpc"), config)
+    assert result.kernel == GENERIC
+
+
+def test_kernel_cells_leave_record_views_unbuilt():
+    """Only the generic loop reads a compiled trace's record views, so
+    a hook-free specialized cell never materializes them."""
+    trace = compile_trace(build_strided_trace(elements=200,
+                                              name="k-records"))
+    assert simulate(trace).kernel != GENERIC
+    assert trace._records is None
 
 
 # ----------------------------------------------------------------------
@@ -250,21 +272,22 @@ def test_batch_matches_scalar_and_generic(strided, chain, monkeypatch):
 def test_batch_steps_aside_for_sampler_with_identical_windows(strided,
                                                               monkeypatch):
     """A TimeSeriesSampler is a live hook: the segmented tier must
-    yield to the scalar kernels, and the sampled windows must match the
-    generic loop sample for sample."""
+    yield to the generic loop, which reproduces the segmented plain
+    cell; the sampled windows do not depend on ``REPRO_KERNEL``."""
     from repro.telemetry.sampler import TimeSeriesSampler
 
+    plain = simulate(strided, make_prefetcher("none"))
     fast_sampler = TimeSeriesSampler(interval=256)
     fast = simulate(strided, make_prefetcher("none"),
                     telemetry=Telemetry(sampler=fast_sampler))
-    monkeypatch.setenv(KERNEL_ENV, GENERIC)
+    monkeypatch.setenv(KERNEL_ENV, SCALAR)
     slow_sampler = TimeSeriesSampler(interval=256)
     slow = simulate(strided, make_prefetcher("none"),
                     telemetry=Telemetry(sampler=slow_sampler))
     monkeypatch.delenv(KERNEL_ENV)
-    assert fast.kernel.startswith("fast+")
-    assert "sample" in fast.kernel
-    assert _identity(fast) == _identity(slow)
+    assert plain.kernel == HOOK_FREE_VARIANT
+    assert fast.kernel == slow.kernel == GENERIC
+    assert _identity(fast) == _identity(plain)
     assert len(fast_sampler.samples) > 0
     assert fast_sampler.samples == slow_sampler.samples
 
@@ -428,7 +451,7 @@ def test_segmented_counts_kernel_compiles_apart_from_plan_builds(
     """Two traces with the same hook shape build two plans but
     exec-compile one kernel: ``compiled.<variant>`` counts compiles,
     ``plan_builds`` counts plans."""
-    monkeypatch.setattr(batch, "_SEG_KERNELS", {})
+    monkeypatch.setattr(segmented, "_SEG_KERNELS", {})
     traces = [
         compile_trace(build_strided_trace(elements=400, name="k-count-a")),
         compile_trace(build_chain_trace(nodes=300, name="k-count-b")),
@@ -521,8 +544,9 @@ def shadow_mix():
 def test_tracked_cells_match_scalar_and_generic_registry_wide(
         name, strided, chain, shadow_mix, monkeypatch):
     """A tracked cell replays on the segmented tier and matches both
-    escape hatches in every figure, in the ordered credit buckets, and
-    in the tracker's call sequence."""
+    escape hatches (each runs it on the generic loop) in every figure,
+    in the ordered credit buckets, and in the tracker's call
+    sequence."""
     for trace in (strided, chain, shadow_mix):
         seg, seg_tracker = _tracked(trace, name)
         monkeypatch.setenv(KERNEL_ENV, SCALAR)
@@ -532,9 +556,7 @@ def test_tracked_cells_match_scalar_and_generic_registry_wide(
         monkeypatch.delenv(KERNEL_ENV)
         assert seg.kernel.startswith("segmented+"), (name, trace.name)
         assert "leanmem" not in seg.kernel
-        assert scalar.kernel.startswith("fast+")
-        assert "leanmem" not in scalar.kernel
-        assert generic.kernel == GENERIC
+        assert scalar.kernel == generic.kernel == GENERIC
         assert _identity(seg) == _identity(scalar), (name, trace.name)
         assert _identity(seg) == _identity(generic), (name, trace.name)
         buckets = list(seg_tracker.buckets.items())
@@ -551,9 +573,11 @@ def test_tracked_cell_selects_segmented_without_leanmem(strided):
 
 
 @pytest.mark.parametrize("setup", ["telemetry", "sampler", "scalar"])
-def test_tracked_cell_keeps_scalar_kernel(setup, strided, monkeypatch):
+def test_tracked_cell_off_the_segmented_tier_runs_generic(setup, strided,
+                                                          monkeypatch):
     """Telemetry, a sampler, or ``REPRO_KERNEL=scalar`` keep a tracked
-    cell on the scalar non-``leanmem`` kernel, with the same credit."""
+    cell off the segmented tier; no scalar kernel replays the tracker
+    protocol, so it runs the generic loop, with the same credit."""
     from repro.engine.ooo import OoOCore
     from repro.memory.hierarchy import Hierarchy
     from repro.telemetry.sampler import TimeSeriesSampler
@@ -573,12 +597,11 @@ def test_tracked_cell_keeps_scalar_kernel(setup, strided, monkeypatch):
         core.attach_telemetry(Telemetry(sampler=TimeSeriesSampler(256)))
         core.run()
         kernel = core.kernel_variant
-        assert "sample" in kernel
     else:
         monkeypatch.setenv(KERNEL_ENV, SCALAR)
         result, tracker = _tracked(strided, "tpc")
         kernel = result.kernel
-    assert kernel.startswith("fast+") and "leanmem" not in kernel, setup
+    assert kernel == GENERIC, setup
     assert tracker.calls == reference_tracker.calls, setup
     assert (list(tracker.buckets.items())
             == list(reference_tracker.buckets.items())), setup
@@ -587,10 +610,10 @@ def test_tracked_cell_keeps_scalar_kernel(setup, strided, monkeypatch):
 def test_untracked_segment_source_names_no_tracker_callback():
     for instr, oa, ona, of in ((False,) * 4, (True,) * 4):
         for low_first in (False, True):
-            untracked = batch._segment_source(instr, oa, ona, of, False,
-                                              low_first, True, -1)
-            tracked = batch._segment_source(instr, oa, ona, of, True,
-                                            low_first, True, -1)
+            untracked = segmented._segment_source(
+                instr, oa, ona, of, False, low_first, True, -1)
+            tracked = segmented._segment_source(
+                instr, oa, ona, of, True, low_first, True, -1)
             assert "tracker" not in untracked
             for callback in TRACKER_CALLBACKS:
                 assert callback not in untracked
@@ -652,9 +675,9 @@ def test_burst_kernel_matches_generic_under_drop_policies(policy, mixes,
 
 
 def test_burst_kernel_with_credit_trackers(mixes, monkeypatch):
-    """Trackers on the hierarchy select the non-``leanmem`` variant,
-    which calls ``demand_access`` and feeds every tracker the same
-    events as the generic loop."""
+    """Trackers on the hierarchies send every core's bursts to the
+    step loop (no scalar kernel replays the tracker protocol), and the
+    mix and every tracker come out as under ``REPRO_KERNEL=generic``."""
     traces = mixes["shared"]
     fast_trackers = [CreditTracker() for _ in traces]
     fast = _run_mix(traces, "tpc", trackers=fast_trackers)
@@ -662,8 +685,7 @@ def test_burst_kernel_with_credit_trackers(mixes, monkeypatch):
     slow_trackers = [CreditTracker() for _ in traces]
     slow = _run_mix(traces, "tpc", trackers=slow_trackers)
     monkeypatch.delenv(KERNEL_ENV)
-    for core in fast.per_core:
-        assert core.kernel.startswith("fast+") and "leanmem" not in core.kernel
+    assert [core.kernel for core in fast.per_core] == [GENERIC] * len(traces)
     assert mix_identity(fast) == mix_identity(slow)
     assert ([dict(t.buckets) for t in fast_trackers]
             == [dict(t.buckets) for t in slow_trackers])
@@ -735,20 +757,6 @@ def test_manifest_carries_kernel_but_run_id_ignores_it(strided, monkeypatch):
     # Bit-identical by contract, so both land in the same run directory.
     assert fast.manifest.run_id == slow.manifest.run_id
     assert fast.manifest.as_dict()["kernel"] == fast.kernel
-
-
-def test_parallel_phases_reads_both_schemas():
-    """The parallel phase breakdown is serialized once (parallel.phases);
-    the reader must still understand pre-dedupe logs (phases.parallel)."""
-    from repro.bench import parallel_phases
-
-    current = {"parallel": {"phases": {"simulate_seconds": 1.0}},
-               "phases": {"trace_build_seconds": 2.0}}
-    old = {"parallel": {"jobs": 4},
-           "phases": {"parallel": {"simulate_seconds": 3.0}}}
-    assert parallel_phases(current) == {"simulate_seconds": 1.0}
-    assert parallel_phases(old) == {"simulate_seconds": 3.0}
-    assert parallel_phases({}) == {}
 
 
 def test_journal_records_kernel(tmp_path):

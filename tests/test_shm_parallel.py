@@ -224,7 +224,7 @@ def test_imbalanced_matrix_records_steals():
 # Plan registry: same-name trace objects share replay plans
 # ----------------------------------------------------------------------
 def test_plan_registry_reuses_plans_across_trace_objects(monkeypatch):
-    from repro.engine import batch
+    from repro.engine import segmented
     from repro.isa.trace import CompiledTrace
 
     simulate_spec(APP, "none", "", EXPERIMENT_CONFIG)
@@ -242,8 +242,8 @@ def test_plan_registry_reuses_plans_across_trace_objects(monkeypatch):
     def boom(trace, key):
         raise AssertionError("plan was rebuilt instead of reused")
 
-    monkeypatch.setattr(batch, "_build_segment_plan", boom)
-    assert batch._get_plan(trace2, key) is plan
+    monkeypatch.setattr(segmented, "_build_segment_plan", boom)
+    assert segmented._get_plan(trace2, key) is plan
     assert trace2._plans[key] is plan
 
 

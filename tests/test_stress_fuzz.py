@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.batch import SEGMENT_MAX_COVERAGE
 from repro.engine.config import EXPERIMENT_CONFIG
 from repro.engine.kernel import GENERIC, KERNEL_ENV, SCALAR
+from repro.engine.segmented import SEGMENT_MAX_COVERAGE
 from repro.engine.system import simulate
 from repro.isa.trace import compile_trace
 from repro.prefetcher_registry import make_prefetcher

@@ -4,7 +4,9 @@ manifests, trace IO, and the profile/events CLI verbs.
 The two contract tests the PR hangs on:
 
 * **Invariance** — attaching telemetry must not perturb timing: every
-  ``SimulationResult`` field is bit-identical with and without a hub.
+  ``SimulationResult`` field is bit-identical with and without a hub,
+  and with and without a sampler or a credit tracker on a contended
+  trace (observer purity).
 * **Reconciliation** — lifecycle event counts must agree exactly with
   the hierarchy's aggregate ``PrefetchStats`` (and the first-use /
   evicted-unused / pollution counters), so the trace can be trusted as
@@ -18,9 +20,12 @@ import json
 import pytest
 
 from repro import make_prefetcher, simulate
+from repro.analysis.credit import CreditTracker
 from repro.analysis.svgplot import lines_svg
 from repro.analysis.windows import windows_from_events
+from repro.engine.kernel import GENERIC
 from repro.experiments.runner import spec_key
+from repro.prefetcher_registry import available_prefetchers
 from repro.telemetry import (
     Telemetry,
     TimeSeriesSampler,
@@ -32,6 +37,8 @@ from repro.telemetry import (
     write_manifest,
 )
 from repro.telemetry import events as ev
+from repro.workloads import get_workload
+from repro.workloads.fuzz import diff_fields, identity_tuple
 from tests.conftest import build_aop_trace, build_strided_trace
 
 
@@ -74,6 +81,36 @@ class TestInvariance:
         tele = simulate(small_trace, telemetry=Telemetry())
         assert tele.cycles == plain.cycles
         assert tele.core == plain.core
+
+
+@pytest.fixture(scope="module")
+def shadow_mix():
+    return get_workload("stress.shadow_mix").trace()
+
+
+class TestObserverPurity:
+    """A sampler and a credit tracker only observe.  On a contended
+    compiled trace (``stress.shadow_mix``: MSHR back-pressure, DRAM
+    queueing, pollution), a cell with either equals the plain cell on
+    every reported figure, under every registered prefetcher."""
+
+    @pytest.mark.parametrize("name", available_prefetchers())
+    def test_observed_cells_equal_the_plain_cell(self, name, shadow_mix):
+        plain = simulate(shadow_mix, make_prefetcher(name))
+        sampler = TimeSeriesSampler(interval=1000)
+        sampled = simulate(shadow_mix, make_prefetcher(name),
+                           telemetry=Telemetry(sampler=sampler))
+        tracked = simulate(shadow_mix, make_prefetcher(name),
+                           tracker=CreditTracker())
+        assert len(sampler.samples) == len(shadow_mix) // 1000
+        assert identity_tuple(sampled) == identity_tuple(plain), (
+            diff_fields(sampled, plain))
+        assert identity_tuple(tracked) == identity_tuple(plain), (
+            diff_fields(tracked, plain))
+        # The plain cell replays on the segmented tier; a telemetry hub
+        # sends the cell to the generic loop.
+        assert plain.kernel.startswith("segmented+")
+        assert sampled.kernel == GENERIC
 
 
 class TestReconciliation:
