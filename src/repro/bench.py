@@ -406,8 +406,8 @@ def run_chaos_bench(quick: bool = True, jobs: int = 0,
     """
     from repro import parallel
     from repro.experiments.runner import ExperimentRunner, simulate_spec
-    from repro.faults import (RetryPolicy, chaos, fault_counters,
-                              reset_fault_counters)
+    from repro.faults import RetryPolicy, chaos, faultlog
+    from repro.obs import metrics
 
     def say(line: str) -> None:
         if progress is not None:
@@ -451,7 +451,7 @@ def run_chaos_bench(quick: bool = True, jobs: int = 0,
     previous_env = os.environ.get(chaos.CHAOS_ENV)
     parallel.shutdown_pool()
     chaos.reset_chaos()
-    reset_fault_counters()
+    before = metrics.mark()
     os.environ[chaos.CHAOS_ENV] = spec_text
     try:
         say(f"chaos: degraded pass at {jobs} jobs "
@@ -477,7 +477,7 @@ def run_chaos_bench(quick: bool = True, jobs: int = 0,
             _cell_figures(resumed.run(w, s)) == reference[(w, s)]
             for w, s in matrix
         )
-        counters = fault_counters()
+        counters = faultlog.faults_since(before)
         report = {
             "quick": quick,
             "jobs": jobs,

@@ -58,6 +58,7 @@ import os
 from repro.core.base import AccessEvent
 from repro.engine.branch import StaticPredictor
 from repro.isa.trace import CompiledTrace
+from repro.obs.metrics import PROCESS
 
 KERNEL_ENV = "REPRO_KERNEL"
 GENERIC = "generic"
@@ -69,35 +70,11 @@ against.  A credit-tracked cell then runs the generic loop.
 ``REPRO_KERNEL=generic`` disables all specialization."""
 
 _KERNELS: dict[tuple, object] = {}
-
-_kernel_counters: dict[str, int] = {}
-
-
-def kernel_counters() -> dict:
-    """Per-variant selection/compile counts for this process.
-
-    ``selected.<variant>`` increments on every kernel selection,
-    ``compiled.<variant>`` on every exec-compile — here in
-    :func:`get_kernel` and in :mod:`repro.engine.segmented` for the
-    segmented kernels, which also count ``plan_builds`` and
-    ``plan_cache_hits``.  Mirrored into the current fabric obs (when
-    one is active) so kernel-variant usage shows up in a sweep's
-    ``metrics.json``.
-    """
-    return dict(_kernel_counters)
-
-
-def reset_kernel_counters() -> None:
-    _kernel_counters.clear()
-
-
-def _count(event: str) -> None:
-    _kernel_counters[event] = _kernel_counters.get(event, 0) + 1
-    from repro.obs import current
-
-    obs = current()
-    if obs is not None:
-        obs.metrics.count(f"kernel.{event}")
+"""Compiled kernels by ``(flags, resumable)``.  Every selection counts
+``kernel.selected.<variant>`` and every exec-compile
+``kernel.compiled.<variant>`` in the process metrics registry
+(:mod:`repro.obs.metrics`); the segmented tier counts its own kernels
+there too, plus ``kernel.plan_builds`` and ``kernel.plan_cache_hits``."""
 
 
 def kernel_flags(core) -> tuple | None:
@@ -147,11 +124,11 @@ def get_kernel(flags: tuple, resumable: bool = False):
     """The compiled ``run_fast`` for ``flags`` (generated on first use),
     or with ``resumable`` its ``run_bursts`` generator form."""
     variant = variant_name(flags)
-    _count(f"selected.{variant}")
+    PROCESS.count(f"kernel.selected.{variant}")
     key = (flags, resumable)
     kernel = _KERNELS.get(key)
     if kernel is None:
-        _count(f"compiled.{variant}")
+        PROCESS.count(f"kernel.compiled.{variant}")
         source = kernel_source(flags, resumable)
         name = "run_bursts" if resumable else "run_fast"
         namespace = {"AccessEvent": AccessEvent}
@@ -368,8 +345,12 @@ def kernel_source(flags: tuple, resumable: bool = False) -> str:
         "    fetch_slot = core._fetch_slot",
         "    last_commit = core._last_commit_time",
         "    commits_at_time = core._commits_at_time",
-        "    (c_pc, c_opc, c_addr, c_value, c_dst, c_src1, c_src2,",
-        "     c_taken, c_target, c_ras) = trace.columns",
+        # Only the columns the body reads: an array-backed trace
+        # materializes each list column on its first touch.
+        "    c_pc = trace.pc",
+        "    c_dst = trace.dst",
+        "    c_src1 = trace.src1",
+        "    c_src2 = trace.src2",
         "    d_line, d_mpc, d_disp, d_bp = trace.derived_columns()",
         "    miss_pcs = stats.miss_pcs",
         "    miss_latency_by_pc = stats.miss_latency_by_pc",
@@ -405,6 +386,11 @@ def kernel_source(flags: tuple, resumable: bool = False) -> str:
         head += [
             "    observe_instruction = core._observe_instruction",
             "    records = trace.records",
+        ]
+    if oa or ona:
+        head += [
+            "    c_addr = trace.addr",
+            "    c_value = trace.value",
         ]
     if oa:
         head.append("    observe_access = core._observe_access")

@@ -62,9 +62,10 @@ down silently.  An untracked cell then runs its scalar kernel, a
 tracked one the generic loop, since no scalar kernel replays the
 tracker protocol (the variant name on ``SimulationResult.kernel``
 records which tier actually ran).  Plans
-are memoized on ``CompiledTrace._plans`` (``plan_builds``/
-``plan_cache_hits`` kernel counters, mirrored into ``repro metrics``);
-``compiled.<variant>`` counts kernel exec-compiles.
+are memoized on ``CompiledTrace._plans``; the process metrics registry
+counts ``kernel.plan_builds``/``kernel.plan_cache_hits`` and kernel
+exec-compiles (``kernel.compiled.<variant>``), and a sweep's
+``repro metrics`` shows what its cells added.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ from repro.isa.trace import (
     DISP_STORE,
     CompiledTrace,
 )
+from repro.obs.metrics import PROCESS
 
 _FAR = 1 << 62
 """Empty-pending sentinel (mirrors ``_MshrFile._NO_PENDING`` and
@@ -105,27 +107,24 @@ def _get_plan(trace: CompiledTrace, key: tuple):
     trace under the same geometry reuses one plan, backed by the
     process-wide :data:`_PLAN_REGISTRY` so a re-materialized trace of
     the same workload (shared-memory attach, cache reload) does not
-    force a rebuild.  ``plan_builds`` / ``plan_cache_hits`` count the
-    split (kernel counters, mirrored into the fabric metrics as
-    ``kernel.plan_builds`` / ``kernel.plan_cache_hits`` for
-    ``repro metrics``).
+    force a rebuild.  ``kernel.plan_builds`` / ``kernel.plan_cache_hits``
+    in the process metrics registry count the split (a sweep's
+    ``repro metrics`` shows its share).
     """
-    from repro.engine.kernel import _count
-
     plan = trace._plans.get(key)
     if plan is None:
         registry_key = (trace.name, len(trace), key)
         plan = _PLAN_REGISTRY.get(registry_key)
         if plan is not None:
-            _count("plan_cache_hits")
+            PROCESS.count("kernel.plan_cache_hits")
             trace._plans[key] = plan
             return plan
-        _count("plan_builds")
+        PROCESS.count("kernel.plan_builds")
         plan = _build_segment_plan(trace, key)
         trace._plans[key] = plan
         _PLAN_REGISTRY[registry_key] = plan
     else:
-        _count("plan_cache_hits")
+        PROCESS.count("kernel.plan_cache_hits")
     return plan
 
 
@@ -324,7 +323,7 @@ def maybe_run_segmented(core, flags: tuple):
     (:func:`_stock_cold_hierarchy`), and a segment-event coverage
     fraction at most :data:`SEGMENT_MAX_COVERAGE`.
     """
-    from repro.engine.kernel import KERNEL_ENV, SCALAR, _count
+    from repro.engine.kernel import KERNEL_ENV, SCALAR
 
     if os.environ.get(KERNEL_ENV) == SCALAR:
         return None
@@ -338,7 +337,7 @@ def maybe_run_segmented(core, flags: tuple):
     tracked = core.hierarchy.tracker is not None
     variant = segment_variant(flags, tracked)
     plan = _get_plan(trace, segment_plan_key(core))
-    _count(f"selected.{variant}")
+    PROCESS.count(f"kernel.selected.{variant}")
     core.kernel_variant = variant
 
     # Resolve the kernel specialization key: devirtualized composite
@@ -401,11 +400,10 @@ def _segment_kernel(instr: bool, oa: bool, ona: bool, of: bool,
     fn = _SEG_KERNELS.get(key)
     if fn is None:
         from repro.core.base import AccessEvent
-        from repro.engine.kernel import _count
         from repro.memory.dram import LOW_PRIORITY_COMPONENTS
 
-        _count("compiled." + segment_variant((instr, oa, ona, of),
-                                             tracked))
+        PROCESS.count("kernel.compiled."
+                      + segment_variant((instr, oa, ona, of), tracked))
         source = _segment_source(*key)
         namespace = {
             "_FAR": _FAR,

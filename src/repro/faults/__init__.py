@@ -138,10 +138,8 @@ from repro.faults.faultlog import (  # noqa: E402
     RESUME_HIT,
     SECTION_FAILED,
     WORKER_LOST,
-    fault_counters,
     fault_log_path,
     log_fault,
-    reset_fault_counters,
 )
 from repro.faults.journal import DEFAULT_JOURNAL_DIR, MatrixJournal  # noqa: E402
 
@@ -166,7 +164,5 @@ __all__ = [
     "RESUME_HIT",
     "SECTION_FAILED",
     "log_fault",
-    "fault_counters",
-    "reset_fault_counters",
     "fault_log_path",
 ]

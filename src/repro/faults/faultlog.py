@@ -24,12 +24,11 @@ affected cell attempt pass ``span`` — the deterministic
 correlate with the sweep's ``runs/<id>/spans.jsonl`` and ``repro
 events`` output lines up with ``repro trace``.
 
-A module-level counter mirror (:func:`fault_counters`) gives in-process
-consumers — ``repro bench --chaos``, the runner, tests — the same
-totals without re-reading the log.  When a fabric obs is current
-(:func:`repro.obs.current`), each fault also increments its
-``faults.<kind>`` metric, which is how retry and chaos-recovery counts
-land in ``metrics.json``.
+Each fault also counts ``faults.<kind>`` in the process metrics
+registry (:mod:`repro.obs.metrics`), so in-process consumers —
+``repro bench --chaos``, tests — read the totals as a registry
+difference (:func:`faults_since`) without re-reading the log, and a
+sweep's retry and chaos-recovery counts land in its ``metrics.json``.
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ import json
 import os
 import time
 from collections import Counter
+
+from repro.obs.metrics import PROCESS, since
 
 FAULT_LOG_ENV = "REPRO_FAULT_LOG"
 DEFAULT_FAULT_LOG = "runs/journal/faults.jsonl"
@@ -62,16 +63,12 @@ FAULT_KINDS = (
     SECTION_FAILED,
 )
 
-_counters: Counter = Counter()
-
-
-def fault_counters() -> dict:
-    """Snapshot of this process's fault counters (kind -> count)."""
-    return dict(_counters)
-
-
-def reset_fault_counters() -> None:
-    _counters.clear()
+def faults_since(before: Counter) -> Counter:
+    """Faults this process logged after ``before`` (a
+    :func:`repro.obs.metrics.mark`), by kind."""
+    return Counter({name[len("faults."):]: value
+                    for name, value in since(before).items()
+                    if name.startswith("faults.")})
 
 
 def fault_log_path() -> "str | None":
@@ -87,12 +84,7 @@ def log_fault(kind: str, *, workload: str = "", spec: str = "",
               detail: str = "", span: str = "") -> None:
     """Count one fault and append its JSONL record (best-effort: a
     failing log write never takes the run down with it)."""
-    _counters[kind] += 1
-    from repro.obs import current
-
-    obs = current()
-    if obs is not None:
-        obs.metrics.count(f"faults.{kind}")
+    PROCESS.count(f"faults.{kind}")
     path = fault_log_path()
     if not path:
         return

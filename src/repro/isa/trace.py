@@ -27,6 +27,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from repro.isa.instructions import OpClass
+from repro.obs.metrics import PROCESS
 
 LINE_SHIFT = 6
 """log2 of the cache-line size; the single source of truth shared with
@@ -222,7 +223,9 @@ def numpy_dtype(code: str) -> str:
 # recompute for every (workload x prefetcher) cell.  Computed once per
 # workload at compile time, persisted alongside the primary columns by
 # the trace cache, and consumed by the specialized replay kernels
-# (repro.engine.kernel).
+# (repro.engine.kernel).  Derivation passes and cache restores count
+# as trace_cache.derived_builds / derived_hits in the process metrics
+# registry (repro.obs.metrics).
 
 DISP_LOAD = 0
 DISP_STORE = 1
@@ -251,19 +254,6 @@ def _np():
     import numpy
 
     return numpy
-
-
-_derived_counters = {"derived_builds": 0, "derived_hits": 0}
-
-
-def derived_counters() -> dict:
-    """Snapshot of this process's derived-column build/hit counters."""
-    return dict(_derived_counters)
-
-
-def reset_derived_counters() -> None:
-    for key in _derived_counters:
-        _derived_counters[key] = 0
 
 
 class CompiledTrace:
@@ -508,7 +498,7 @@ class CompiledTrace:
         return self._segments
 
     def _build_derived(self) -> tuple:
-        _derived_counters["derived_builds"] += 1
+        PROCESS.count("trace_cache.derived_builds")
         branch = int(OpClass.BRANCH)
         load = int(OpClass.LOAD)
         store = int(OpClass.STORE)
@@ -671,7 +661,7 @@ class CompiledTrace:
                     np.frombuffer(derived[field_name], dtype=dtype)
                 )
             trace._derived_arrays = tuple(restored)
-            _derived_counters["derived_hits"] += 1
+            PROCESS.count("trace_cache.derived_hits")
         if segments is not None:
             trace._segments = np.frombuffer(segments, dtype=np.int64)
         return trace

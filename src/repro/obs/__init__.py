@@ -4,7 +4,7 @@ Where :mod:`repro.telemetry` watches the *simulated machine* (prefetch
 lifecycles, IPC/MPKI windows), this package watches the machinery that
 runs the simulations: span-based tracing of every sweep (cell attempts,
 fused units, trace warms, cache gets/puts, journal resumes,
-retry/backoff waits, pool rebuilds), a process-wide metrics registry
+retry/backoff waits, pool rebuilds), a metrics registry per sweep
 (cache hit rates, retry and chaos-recovery counts, per-worker busy/idle
 seconds, queue wait, instr/sec per kernel variant), and a
 pool-utilization/straggler report.  Snapshots land in
@@ -12,17 +12,18 @@ pool-utilization/straggler report.  Snapshots land in
 the sweep as a Chrome ``trace_event`` timeline with one lane per worker
 (open in ui.perfetto.dev), and ``repro metrics`` prints the registry.
 
-The design contract mirrors PR 1's telemetry hub: every integration
-point takes ``obs=None`` by default and guards with ``is not None``, so
-a run without observability executes the exact prior code path and an
-obs-enabled run is bit-identical in every figure (enforced by
-``tests/test_obs.py``).
+The design contract mirrors the telemetry hub's: every integration
+point takes ``obs=None`` by default and guards with ``is not None``,
+and an obs-enabled run is bit-identical in every figure to an
+unobserved one (enforced by ``tests/test_obs.py``).
 
 Deep layers that never see the obs object — the result cache, the trace
-cache, the fault log, the kernel registry — report metrics through the
-process-current obs (:func:`current`): constructing a
-:class:`FabricObs` makes it current, :meth:`FabricObs.finish` steps it
-down.  ``current() is None`` is the cheap steady-state check.
+cache, the fault log, the replay kernels — count into the one process
+registry (:data:`repro.obs.metrics.PROCESS`).  A :class:`FabricObs`
+marks the process counters when it is built and adds what was counted
+since to its own registry when it finishes; pool workers send each
+unit's counts back with the unit, and the parent adds them to the
+sweep's registry.
 
 See ``docs/observability.md`` ("Fabric observability") for the schema
 and a Perfetto walkthrough.
@@ -43,27 +44,6 @@ from repro.obs.spans import (
 )
 
 OBS_ENV = "REPRO_OBS"
-
-_CURRENT: "FabricObs | None" = None
-
-
-def current() -> "FabricObs | None":
-    """The process-current obs, or ``None`` (the zero-overhead default)."""
-    return _CURRENT
-
-
-def activate(obs: FabricObs) -> FabricObs:
-    """Make ``obs`` the process-current obs (last activation wins)."""
-    global _CURRENT
-    _CURRENT = obs
-    return obs
-
-
-def deactivate(obs: "FabricObs | None" = None) -> None:
-    """Clear the current obs (no-op if ``obs`` is no longer current)."""
-    global _CURRENT
-    if obs is None or _CURRENT is obs:
-        _CURRENT = None
 
 
 def obs_enabled(jobs: int = 1) -> bool:
@@ -122,9 +102,6 @@ __all__ = [
     "read_spans",
     "read_metrics",
     "write_metrics",
-    "current",
-    "activate",
-    "deactivate",
     "obs_enabled",
     "resolve_run",
     "OBS_ENV",

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry for the execution fabric.
+"""Metrics registries for the execution fabric.
 
 Three instrument shapes, all plain data so a snapshot is just a dict:
 
@@ -15,6 +15,15 @@ snapshot serializes to ``metrics.json`` next to ``spans.jsonl`` (see
 :class:`repro.obs.FabricObs`) and round-trips exactly through
 :func:`write_metrics` / :func:`read_metrics` — the journal-resume test
 pins that.
+
+One registry per process, :data:`PROCESS`, is where every layer counts
+(``PROCESS.count(name)``): the replay kernels (``kernel.*``), the trace
+cache and the derived trace columns (``trace_cache.*``), the result
+cache (``result_cache.*``) and the fault log (``faults.*``).  Nothing
+resets it; a reader takes a :func:`mark` and later reads what was
+counted since (:func:`since`, a ``Counter`` subtraction).  That is how a sweep's
+:class:`repro.obs.FabricObs` gets its counts, and how a pool worker
+reports a unit's counts back to the parent inside the unit's metadata.
 """
 
 from __future__ import annotations
@@ -80,6 +89,21 @@ class MetricsRegistry:
         return (f"MetricsRegistry({len(self.counters)} counters, "
                 f"{len(self.gauges)} gauges, "
                 f"{len(self._observations)} histograms)")
+
+
+PROCESS = MetricsRegistry()
+"""This process's registry.  Its counters only ever grow."""
+
+
+def mark() -> Counter:
+    """A copy of the process counters, to take :func:`since` against."""
+    return Counter(PROCESS.counters)
+
+
+def since(before: Counter) -> Counter:
+    """What the process counted after ``before`` was marked (names that
+    did not move drop out)."""
+    return PROCESS.counters - before
 
 
 def write_metrics(snapshot: dict, path) -> None:

@@ -5,15 +5,14 @@ this module instruments the machinery that runs the simulations.  One
 :class:`FabricObs` object observes one sweep: every cell attempt, fused
 unit, trace warm, cache get/put, journal resume, retry/backoff wait, and
 pool rebuild becomes a :class:`Span` with a wall-clock start, a
-duration, and a worker lane.  Worker-side spans travel back in the slim
-result payloads of :mod:`repro.parallel` and are merged parent-side in
+duration, and a worker lane.  Worker-side spans travel back in the
+unit metadata of :mod:`repro.parallel` and are merged parent-side in
 deterministic order, so a ``--jobs 4`` sweep and a ``--jobs 1`` sweep
 emit the same cell-span sequence (pinned by ``tests/test_obs.py``).
 
-The contract mirrors PR 1's telemetry hub: ``obs=None`` (the default
-everywhere) executes the exact pre-existing code path — emitters guard
-with ``obs is not None`` — and an obs-enabled run produces bit-identical
-figures, only wall clock may change.
+The contract mirrors the telemetry hub's: ``obs=None`` is the default
+everywhere and emitters guard with ``obs is not None``; an obs-enabled
+run produces bit-identical figures, only wall clock may change.
 
 Span JSONL records are a superset of the fault-log schema
 (``kind``/``cycle``/``line``/``component``/``level``/``pc``/``dur``), so
@@ -37,7 +36,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs.metrics import MetricsRegistry, write_metrics
+from repro.obs.metrics import MetricsRegistry, mark, since, write_metrics
 
 #: Deterministic snapshot order: spans sort by (kind rank, id, attempt).
 SPAN_KINDS = (
@@ -115,14 +114,14 @@ class Span:
 class FabricObs:
     """Span recorder + metrics registry for one sweep.
 
-    Creating an instance makes it the process's *current* obs (see
-    :func:`repro.obs.current`), which is how deep layers that never see
-    the object — result cache, trace cache, fault log, kernel registry —
-    contribute metrics without threading a parameter through every call.
-    :meth:`finish` steps down again.
+    Deep layers that never see the object — result cache, trace cache,
+    fault log, replay kernels — count into the process registry
+    (:data:`repro.obs.metrics.PROCESS`).  The obs marks those counters
+    when it is built and :meth:`finish` adds what this process counted
+    since; the pool adds its workers' counts as their units come back.
     """
 
-    def __init__(self, label: str = "sweep", *, activate: bool = True) -> None:
+    def __init__(self, label: str = "sweep") -> None:
         self.label = label
         self.metrics = MetricsRegistry()
         self.spans: list[Span] = []
@@ -131,10 +130,7 @@ class FabricObs:
         self._lanes: dict[int, int] = {}
         self._seq: dict[str, int] = {}
         self._finished = False
-        if activate:
-            from repro import obs as _obs
-
-            _obs.activate(self)
+        self._process_mark = mark()
 
     # ------------------------------------------------------------------
     # Recording
@@ -188,12 +184,14 @@ class FabricObs:
     # Snapshot
     # ------------------------------------------------------------------
     def finish(self) -> "FabricObs":
-        """Close the sweep span and fold derived metrics into the
-        registry (idempotent).  Steps down as the current obs."""
+        """Close the sweep span, add the process counts made since the
+        obs was built, and fold derived metrics into the registry
+        (idempotent: a second call adds nothing)."""
         if self._finished:
             return self
         self._finished = True
         wall = time.perf_counter() - self._p0
+        self.metrics.counters.update(since(self._process_mark))
         cells = [s for s in self.spans if s.name == "cell"]
         self.record("sweep", t0=self._t0, dur=wall,
                     sid=f"sweep:{_slug(self.label)}", cells=len(cells))
@@ -215,15 +213,6 @@ class FabricObs:
                 self.metrics.gauge(f"kernel.{kernel}.instr_per_sec",
                                    round(instructions / seconds))
 
-        # Replay-kernel process counters (tier selections, plan
-        # builds vs memoized reuses) — ``kernel.plan_cache_hits`` in
-        # ``repro metrics`` is how a sweep shows its plans were reused
-        # rather than rebuilt per cell.
-        from repro.engine.kernel import kernel_counters
-
-        for name, value in sorted(kernel_counters().items()):
-            self.metrics.gauge(f"kernel.{name}", value)
-
         # Per-worker busy/idle seconds (and executed steals) from the
         # unit spans — a stolen unit carries ``stolen=True`` so the
         # rebalancing is attributed to the lane that ran it.
@@ -244,10 +233,6 @@ class FabricObs:
                 if stolen.get(lane):
                     self.metrics.gauge(f"pool.worker.{lane}.steals",
                                        stolen[lane])
-
-        from repro import obs as _obs
-
-        _obs.deactivate(self)
         return self
 
     def records(self) -> list[dict]:

@@ -75,14 +75,17 @@ Every degradation is counted and JSONL-logged via
 records carry the cell's deterministic span id, so they correlate with
 ``repro trace`` output.
 
-Observability (this PR; see docs/observability.md "Fabric"): pass an
-``obs`` (:class:`repro.obs.FabricObs`) and the scheduler traces every
-trace warm, fused unit, cell attempt, retry/backoff wait, pool rebuild,
-and merge batch as spans.  Worker-side cell spans (wall start, duration,
-kernel variant, instruction count, pid) travel back inside the slim
-result payloads and are merged parent-side in deterministic order.
-``obs=None`` — the default — executes the exact prior code path:
-payloads, scheduling, and figures are bit-identical.
+Observability (see docs/observability.md "Fabric"): pass an ``obs``
+(:class:`repro.obs.FabricObs`) and the scheduler traces every trace
+warm, fused unit, cell attempt, retry/backoff wait, pool rebuild, and
+merge batch as spans.  Every unit returns its metadata with its
+outcomes: the worker pid, the unit's worker-side start and duration,
+one span per cell (wall start, duration, kernel variant, instruction
+count), and what the worker counted into its process metrics registry
+while running the unit.  The parent merges the spans in deterministic
+order and adds the counts to the sweep's registry.  ``obs=None`` — the
+default — drops the metadata; scheduling and figures are identical
+either way.
 """
 
 from __future__ import annotations
@@ -98,6 +101,7 @@ from collections import Counter
 from typing import Sequence
 
 from repro.engine.config import SystemConfig
+from repro.obs import metrics
 from repro.obs.spans import cell_span_id
 from repro.parallel import shm
 from repro.parallel.stealing import StealScheduler
@@ -340,74 +344,59 @@ class RemoteCellError(Exception):
 def _simulate_unit(payload):
     """Worker entry point: one fused unit of same-workload cells.
 
-    The compiled trace is deserialized/memoized once (workload-registry
-    memo), then every cell replays against it back-to-back.  Each cell
-    is isolated: an exception is captured per cell and returned as data,
-    so one bad prefetcher config never voids its unit-mates' work.
+    ``payload`` is ``(cells, config, attempt, shared)``.  ``shared``
+    holds the shared-memory manifest entries for the unit's workload
+    (:class:`repro.parallel.shm.SharedTrace`, or ``None``);
+    :func:`shm.install` adopts them as zero-copy trace views before the
+    first cell runs (a fork-inherited memo wins, so attach cost is paid
+    at most once per worker per workload).  Then every cell replays
+    against the trace back-to-back.  Each cell is isolated: an
+    exception is captured per cell and returned as data, so one bad
+    prefetcher config never voids its unit-mates' work.
 
     The chaos checkpoint runs per cell: under injection this is where a
     targeted cell sleeps or its worker dies — deterministically, on
     attempt 0 only, so the retry always runs clean.
 
-    A 3-tuple payload is the classic form and returns the bare outcome
-    list — byte-for-byte what pre-observability workers returned.  A
-    4-tuple payload (``collect_spans`` appended by an obs-enabled
-    parent) additionally times each cell and returns ``(outcomes,
-    meta)`` where ``meta`` carries the worker pid and one span dict per
-    cell (wall start, duration, kernel variant, instruction count) for
-    the parent to merge.  A 5-tuple payload appends the shared-memory
-    manifest entries for the unit's workload
-    (:class:`repro.parallel.shm.SharedTrace`); :func:`shm.install`
-    adopts them as zero-copy trace views before the first cell runs (a
-    fork-inherited memo wins, so attach cost is paid at most once per
-    worker per workload).
+    Returns ``(outcomes, meta)``.  ``meta`` carries the worker pid, the
+    unit's worker-side wall start (``t0``) and duration (``dur``), one
+    span dict per cell (wall start, duration, kernel variant,
+    instruction count), and ``counters``: what this process counted
+    into its metrics registry during the unit, marked before the
+    shared-memory attach so ``trace_cache.shm_attaches`` is included.
     """
     from repro.experiments.runner import simulate_spec
     from repro.faults import chaos
 
-    if len(payload) == 5:
-        cells, config, attempt, collect_spans, shared = payload
-    elif len(payload) == 4:
-        cells, config, attempt, collect_spans = payload
-        shared = None
-    else:
-        cells, config, attempt = payload
-        collect_spans = False
-        shared = None
+    cells, config, attempt, shared = payload
+    t0 = time.time()
+    started = time.perf_counter()
+    before = metrics.mark()
     if shared:
         shm.install(shared)
     outcomes = []
     spans = []
     for workload, spec, tag in cells:
         chaos.on_cell_start(workload, spec, tag, attempt)
-        if not collect_spans:
-            try:
-                outcomes.append(
-                    ("ok", _pack_result(simulate_spec(workload, spec, tag,
-                                                      config))))
-            except Exception as exc:
-                outcomes.append(("err", repr(exc),
-                                 "".join(traceback.format_exception(exc))))
-            continue
         span = {"t0": time.time(), "workload": workload,
                 "spec": _safe_spec_key(spec), "tag": tag,
                 "attempt": attempt}
-        started = time.perf_counter()
+        cell_started = time.perf_counter()
         try:
             result = simulate_spec(workload, spec, tag, config)
-            span["dur"] = time.perf_counter() - started
+            span["dur"] = time.perf_counter() - cell_started
             span["kernel"] = getattr(result, "kernel", "generic")
             span["instructions"] = result.core.instructions
             outcomes.append(("ok", _pack_result(result)))
         except Exception as exc:
-            span["dur"] = time.perf_counter() - started
+            span["dur"] = time.perf_counter() - cell_started
             span["error"] = repr(exc)
             outcomes.append(("err", repr(exc),
                              "".join(traceback.format_exception(exc))))
         spans.append(span)
-    if collect_spans:
-        return outcomes, {"pid": os.getpid(), "spans": spans}
-    return outcomes
+    return outcomes, {"pid": os.getpid(), "t0": t0,
+                      "dur": time.perf_counter() - started,
+                      "spans": spans, "counters": metrics.since(before)}
 
 
 def _fusion_units(remote, normalized, workers) -> list[tuple]:
@@ -500,7 +489,7 @@ def run_jobs(jobs: Sequence[SimJob], config: SystemConfig,
     is filled on **every** exit path with the phase breakdown
     (``trace_warm_seconds``, ``simulate_seconds``, ``merge_seconds``).
     ``obs`` (a :class:`repro.obs.FabricObs`) attaches fabric span
-    tracing; ``None`` executes the exact unobserved code path.
+    tracing and receives the workers' counts; ``None`` records nothing.
 
     ``auto_serial=True`` additionally falls back to the serial path
     when :func:`serial_fallback_reason` predicts the pool would lose
@@ -707,8 +696,8 @@ def _run_pool(remote, local, normalized, config, results, workers,
     scheduler = StealScheduler()
     for unit in _fusion_units(remote, normalized, workers):
         scheduler.push(normalized[unit[0]][0], unit, 0, 0.0, start)
-    # future -> (unit, attempt, dispatched_at, wall_t0, queue_wait,
-    #            slot, steal_wait | None)
+    # future -> (unit, attempt, dispatched_at, queue_wait, slot,
+    #            steal_wait | None)
     inflight: dict = {}
     lane_home: dict[int, "str | None"] = {
         slot: None for slot in range(window)}
@@ -788,14 +777,10 @@ def _run_pool(remote, local, normalized, config, results, workers,
                        for workload in dict.fromkeys(
                            normalized[i][0] for i in unit)
                        if workload in shared} or None
-        if entries is not None:
-            return (cells, config, attempt, obs is not None, entries)
-        if obs is not None:
-            return (cells, config, attempt, True)
-        return (cells, config, attempt)
+        return (cells, config, attempt, entries)
 
     def launch(now: float) -> None:
-        busy = {entry[5] for entry in inflight.values()}
+        busy = {entry[4] for entry in inflight.values()}
         for slot in range(window):
             if slot in busy or not len(scheduler):
                 continue
@@ -827,8 +812,8 @@ def _run_pool(remote, local, normalized, config, results, workers,
                 # the submission once on the fresh pool.
                 replace_pool("pool broken at submit")
                 future = executor.submit(_simulate_unit, payload)
-            inflight[future] = (unit, attempt, now, time.time(),
-                                queue_wait, slot, steal_wait)
+            inflight[future] = (unit, attempt, now, queue_wait, slot,
+                                steal_wait)
 
     launch(time.monotonic())
     # Overlap the non-picklable stragglers with the first wave.
@@ -855,10 +840,10 @@ def _run_pool(remote, local, normalized, config, results, workers,
         broken = False
         merged: list = []
         for future in done:
-            (unit, attempt, dispatched, wall_t0, queue_wait, _slot,
+            (unit, attempt, dispatched, queue_wait, _slot,
              steal_wait) = inflight.pop(future)
             try:
-                outcomes = future.result()
+                outcomes, meta = future.result()
             except BrokenProcessPool:
                 broken = True
                 lose_unit(unit, attempt, dispatched, now)
@@ -868,7 +853,9 @@ def _run_pool(remote, local, normalized, config, results, workers,
                     reschedule(i, attempt, "error", exc, now)
                 continue
             if obs is not None:
-                outcomes, meta = outcomes
+                # Worker counts go to the sweep's registry; the
+                # parent's own process registry never sees them.
+                obs.metrics.counters.update(meta["counters"])
                 lane = obs.lane_for(meta["pid"])
                 unit_attrs = {"cells": len(unit),
                               "queue_seconds": round(queue_wait, 6)}
@@ -879,8 +866,11 @@ def _run_pool(remote, local, normalized, config, results, workers,
                     # FabricObs.finish read it back per worker.
                     unit_attrs["stolen"] = True
                     unit_attrs["steal_wait_seconds"] = round(steal_wait, 6)
+                # Worker-timed: the unit's wait in the executor queue
+                # is not busy time (``queue_seconds`` is the wait in
+                # the scheduler's queues before submission).
                 obs.record(
-                    "unit", t0=wall_t0, dur=now - dispatched,
+                    "unit", t0=meta["t0"], dur=meta["dur"],
                     sid=f"unit:{'-'.join(map(str, unit))}@{attempt}",
                     worker=lane, workload=normalized[unit[0]][0],
                     attempt=attempt, **unit_attrs,

@@ -51,6 +51,7 @@ from repro.isa.trace import (
     TRACE_FIELDS,
     CompiledTrace,
 )
+from repro.obs.metrics import PROCESS
 
 SHM_ENV = "REPRO_SHM"
 MP_CONTEXT_ENV = "REPRO_MP_CONTEXT"
@@ -172,9 +173,7 @@ def publish(workload: str, trace: CompiledTrace) -> SharedTrace | None:
     if not _ATEXIT_REGISTERED:
         atexit.register(release_all)
         _ATEXIT_REGISTERED = True
-    from repro.workloads import tracecache
-
-    tracecache.count("shm_publishes")
+    PROCESS.count("trace_cache.shm_publishes")
     return entry
 
 
@@ -278,9 +277,7 @@ def attach(entry: SharedTrace) -> CompiledTrace:
         (views[_MEMORY_ADDR_FIELD], views[_MEMORY_VAL_FIELD]),
     )
     _ATTACHED[entry.segment] = (handle, trace)
-    from repro.workloads import tracecache
-
-    tracecache.count("shm_attaches")
+    PROCESS.count("trace_cache.shm_attaches")
     return trace
 
 

@@ -18,6 +18,9 @@ extends the PR-1 manifest content-hash idea into a read-through store:
 * **Invalidation** — stale versions are never read; ``repro cache stats``
   counts them and ``repro cache clear --stale`` (or ``clear``) deletes
   them.  Corrupt or unreadable entries behave as misses.
+* **Counters** — every probe and store counts ``result_cache.disk_hit``/
+  ``disk_miss``/``corrupt``/``put`` in the process metrics registry
+  (:mod:`repro.obs.metrics`).
 
 Entries are pickles of simulation results produced by this repository's
 own code; like any pickle store, the cache directory should not be
@@ -30,6 +33,8 @@ import hashlib
 import pickle
 import re
 from pathlib import Path
+
+from repro.obs.metrics import PROCESS
 
 CACHE_VERSION = 1
 DEFAULT_CACHE_DIR = "runs/cache"
@@ -124,25 +129,16 @@ class ResultCache:
         name = f"{_slug(workload)}__{_slug(spec)}__{content}.pkl"
         return self.root / code_version() / name
 
-    @staticmethod
-    def _count(metric: str) -> None:
-        """Mirror a cache event into the current fabric obs (if any)."""
-        from repro.obs import current
-
-        obs = current()
-        if obs is not None:
-            obs.metrics.count(metric)
-
     def get(self, workload: str, spec: str, tag: str, cfg_digest: str):
         """Cached result or ``None``; unreadable entries count as misses."""
         path = self.entry_path(workload, spec, tag, cfg_digest)
         try:
             with open(path, "rb") as fh:
                 result = pickle.load(fh)
-            self._count("result_cache.disk_hit")
+            PROCESS.count("result_cache.disk_hit")
             return result
         except FileNotFoundError:
-            self._count("result_cache.disk_miss")
+            PROCESS.count("result_cache.disk_miss")
             return None
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError) as exc:
@@ -153,7 +149,7 @@ class ResultCache:
 
             log_fault(CACHE_CORRUPT, workload=workload, spec=spec, tag=tag,
                       detail=f"{type(exc).__name__}: {path.name}")
-            self._count("result_cache.corrupt")
+            PROCESS.count("result_cache.corrupt")
             path.unlink(missing_ok=True)
             return None
 
@@ -165,7 +161,7 @@ class ResultCache:
         from repro.faults import atomic_write_pickle
 
         path = self.entry_path(workload, spec, tag, cfg_digest)
-        self._count("result_cache.put")
+        PROCESS.count("result_cache.put")
         return atomic_write_pickle(
             path, result, label=f"result:{workload}/{spec}:{tag}"
         )

@@ -29,16 +29,14 @@ single load, single store, ALU-only) that only ever break edge-case
 handling, never throughput.
 
 ``repro fuzz --seeds N`` runs the harness over the stress suite plus N
-fuzzed traces and exits nonzero on any violation; ``repro bench
---fuzz`` embeds a small sweep as a report section and gate.  A tracked
-leg re-runs the :data:`TRACKED_PREFETCHERS` cells with a credit tracker
-attached, as Figs. 13-14 do, and compares the tracker's buckets too.
+fuzzed traces and exits nonzero on any violation; its report counts
+the simulations and violations.  A tracked leg re-runs the
+:data:`TRACKED_PREFETCHERS` cells with a credit tracker attached, as
+Figs. 13-14 do, and compares the tracker's buckets too.
 The sweep ends with a mix leg: the fuzzed seeds, :data:`MIX_WIDTH` at a
 time, run as one shared-L3/DRAM
 :func:`~repro.engine.multicore.simulate_multicore` mix,
-kernel-vs-generic (:func:`check_mix`).  Harness counters mirror
-into the current fabric obs (``fuzz.*`` in ``repro metrics``) like
-every other subsystem's.
+kernel-vs-generic (:func:`check_mix`).
 """
 
 from __future__ import annotations
@@ -308,15 +306,6 @@ def diff_fields(a, b) -> list:
             if getattr(a, name) != getattr(b, name)]
 
 
-def _count(event: str, n: int = 1) -> None:
-    """Mirror a harness counter into the current fabric obs (if any)."""
-    from repro.obs import current
-
-    obs = current()
-    if obs is not None:
-        obs.metrics.count(f"fuzz.{event}", n)
-
-
 @contextmanager
 def _pinned_kernel(tier: str | None):
     """``REPRO_KERNEL`` pinned to ``tier`` (unset, i.e. the automatic
@@ -489,7 +478,7 @@ def check_workload(workload: Workload, prefetchers, config=None, *,
         # The exact pool-worker entry point, in-process: one fused unit
         # of every prefetcher cell, slim-payload round trip included.
         cells = [(workload.name, name, "") for name in prefetchers]
-        outcomes = _simulate_unit((cells, config, 0))
+        outcomes, _meta = _simulate_unit((cells, config, 0, None))
         sims += len(cells)
         for (name, outcome) in zip(prefetchers, outcomes):
             if outcome[0] != "ok":
@@ -505,10 +494,6 @@ def check_workload(workload: Workload, prefetchers, config=None, *,
                     fused_result.kernel, singles[name].kernel,
                     diff_fields(fused_result, singles[name])))
 
-    _count("cells", len(prefetchers))
-    _count("simulations", sims)
-    if violations:
-        _count("violations", len(violations))
     return {
         "workload": workload.name,
         "trace_instructions": len(warm),
@@ -557,9 +542,6 @@ def check_mix(workloads, prefetchers, config=None) -> dict:
                 ",".join(core.kernel for core in tiered.per_core),
                 GENERIC, _mix_diff(tiered, generic)))
 
-    _count("simulations", 2 * len(runs))
-    if violations:
-        _count("violations", len(violations))
     return {
         "workload": label,
         "violations": violations,

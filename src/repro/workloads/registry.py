@@ -22,6 +22,7 @@ from typing import Callable
 from repro.isa.machine import Machine
 from repro.isa.program import Program
 from repro.isa.trace import CompiledTrace, Trace, compile_trace
+from repro.obs.metrics import PROCESS
 
 DEFAULT_SIMPOINT = 160_000
 """Default dynamic-instruction budget per workload (the paper uses 10M
@@ -49,9 +50,7 @@ class Workload:
         the compiled/cached representation is verified against
         (``tests/test_tracecache.py``) and is not memoized.
         """
-        from repro.workloads import tracecache
-
-        tracecache.count("builds")
+        PROCESS.count("trace_cache.builds")
         machine = Machine(max_instructions=self.simpoint, truncate=True)
         trace = machine.run(self.program())
         trace.name = self.name
@@ -62,12 +61,12 @@ class Workload:
         from repro.workloads import tracecache
 
         if self._trace is not None:
-            tracecache.count("memory_hits")
+            PROCESS.count("trace_cache.memory_hits")
             return self._trace
         cache = tracecache.TraceCache()
         cached = cache.get(self.name, self.simpoint)
         if cached is not None:
-            tracecache.count("disk_hits")
+            PROCESS.count("trace_cache.disk_hits")
             self._trace = cached
             return cached
         compiled = compile_trace(self.object_trace())

@@ -27,9 +27,11 @@ builder-code version**, ever, per machine:
   ``repro cache clear --stale`` deletes them.  Corrupt entries behave as
   misses.
 
-Module-level counters (``builds``/``disk_hits``/``memory_hits``) expose
-how many traces were actually generated in this process — a warm
-``report_all`` run must show zero builds.
+:func:`trace_counters` reads this process's ``trace_cache.*`` counts
+from the process metrics registry (:mod:`repro.obs.metrics`): how many
+traces were actually generated here (``builds`` — a warm
+``report_all`` run must show zero), loaded, published to and attached
+from shared memory, and how many derived-column passes ran.
 """
 
 from __future__ import annotations
@@ -40,11 +42,8 @@ import re
 from array import array
 from pathlib import Path
 
-from repro.isa.trace import (
-    CompiledTrace,
-    derived_counters,
-    reset_derived_counters,
-)
+from repro.isa.trace import CompiledTrace
+from repro.obs.metrics import PROCESS
 
 # Version 3: columns restore as numpy arrays (no tolist round-trip) and
 # entries carry the precomputed segment-event positions alongside
@@ -63,44 +62,21 @@ _SIGNED_64_MAX = (1 << 63) - 1
 
 _trace_code_version_cache: str | None = None
 
-_counters = {"builds": 0, "disk_hits": 0, "memory_hits": 0,
-             "cache_stale_format": 0,
-             # Shared-memory column sharing (repro.parallel.shm):
-             # segments published by this process (parent side) and
-             # zero-copy attaches performed (worker side).
-             "shm_publishes": 0, "shm_attaches": 0}
+TRACE_COUNTERS = ("builds", "disk_hits", "memory_hits",
+                  "cache_stale_format",
+                  # Shared-memory column sharing (repro.parallel.shm):
+                  # segments published by this process (parent side)
+                  # and zero-copy attaches performed (worker side).
+                  "shm_publishes", "shm_attaches",
+                  # Derived-column passes and restores (repro.isa.trace).
+                  "derived_builds", "derived_hits")
 
 
 def trace_counters() -> dict:
-    """Snapshot of this process's trace-generation counters.
-
-    Merges the derived-column build/hit counters kept by
-    :mod:`repro.isa.trace` so ``repro cache stats`` shows both layers.
-    """
-    merged = dict(_counters)
-    merged.update(derived_counters())
-    return merged
-
-
-def count(event: str) -> None:
-    """Bump one of the trace counters (``builds``/``disk_hits``/...).
-
-    When a fabric obs is current, the event also lands in its metrics
-    registry as ``trace_cache.<event>`` — how trace-cache hit rates
-    reach ``metrics.json``.
-    """
-    _counters[event] += 1
-    from repro.obs import current
-
-    obs = current()
-    if obs is not None:
-        obs.metrics.count(f"trace_cache.{event}")
-
-
-def reset_trace_counters() -> None:
-    for key in _counters:
-        _counters[key] = 0
-    reset_derived_counters()
+    """This process's ``trace_cache.<key>`` counts, one per
+    :data:`TRACE_COUNTERS` key (``repro cache stats`` prints them)."""
+    counters = PROCESS.counters
+    return {key: counters[f"trace_cache.{key}"] for key in TRACE_COUNTERS}
 
 
 def trace_code_version() -> str:
@@ -166,7 +142,7 @@ class TraceCache:
                 # directory (format bump without a code change, or a
                 # hand-moved file): drop it with attribution instead of
                 # silently rebuilding over it forever.
-                count("cache_stale_format")
+                PROCESS.count("trace_cache.cache_stale_format")
                 from repro.faults import CACHE_CORRUPT, log_fault
 
                 log_fault(CACHE_CORRUPT, workload=name,

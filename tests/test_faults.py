@@ -26,12 +26,12 @@ from repro.faults import (
     RetryPolicy,
     atomic_write_pickle,
     failures_in,
-    fault_counters,
-    reset_fault_counters,
 )
 from repro.faults import chaos
 from repro.faults.atomic import tmp_path_for
+from repro.faults.faultlog import faults_since
 from repro.faults.journal import MatrixJournal
+from repro.obs import metrics
 from repro.parallel import run_jobs, shutdown_pool
 from repro.resultcache import digest_sources
 
@@ -40,14 +40,14 @@ APP2 = "spec.astar"
 
 
 @pytest.fixture(autouse=True)
-def _fault_isolation(monkeypatch):
-    """Every test starts with chaos off, counters zeroed, log disabled."""
+def faults(monkeypatch):
+    """Every test starts with chaos off and the log disabled; calling
+    the fixture's value reads the fault counts the test logged."""
     monkeypatch.setenv("REPRO_FAULT_LOG", "")
     chaos.reset_chaos()
-    reset_fault_counters()
-    yield
+    before = metrics.mark()
+    yield lambda: faults_since(before)
     chaos.reset_chaos()
-    reset_fault_counters()
     shutdown_pool()
 
 
@@ -107,7 +107,7 @@ def test_chaos_spec_parse_and_roundtrip(monkeypatch):
 # Per-cell isolation
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("n_jobs", [1, 2])
-def test_failing_cell_is_isolated_not_fatal(n_jobs):
+def test_failing_cell_is_isolated_not_fatal(n_jobs, faults):
     """One bad cell yields a CellFailure slot; its siblings complete and
     the phase timings fill even though the matrix degraded."""
     jobs = [(APP, "none"), (APP, _BoomFactory()), (APP2, "none")]
@@ -127,7 +127,7 @@ def test_failing_cell_is_isolated_not_fatal(n_jobs):
     assert "boom" in failure.describe()
     assert set(timings) == {"trace_warm_seconds", "simulate_seconds",
                             "merge_seconds"}
-    counters = fault_counters()
+    counters = faults()
     assert counters["cell_retry"] >= 1
     assert counters["cell_failed"] == 1
 
@@ -150,7 +150,7 @@ def test_prefill_skips_failed_cells_and_counts_them(tmp_path):
 # ----------------------------------------------------------------------
 # Chaos: worker kill and hung-cell timeout
 # ----------------------------------------------------------------------
-def test_chaos_kill_recovers_bit_identical(monkeypatch):
+def test_chaos_kill_recovers_bit_identical(monkeypatch, faults):
     reference = [_figures(simulate_spec(app, "none", "", EXPERIMENT_CONFIG))
                  for app in (APP, APP2)]
     shutdown_pool()  # fresh pool must fork with the chaos env below
@@ -161,12 +161,12 @@ def test_chaos_kill_recovers_bit_identical(monkeypatch):
                                           backoff_seconds=0.01))
     assert not failures_in(results)
     assert [_figures(r) for r in results] == reference
-    counters = fault_counters()
+    counters = faults()
     assert counters["worker_lost"] >= 1
     assert counters["pool_degraded"] >= 1
 
 
-def test_chaos_slow_cell_hits_timeout_and_retries(monkeypatch):
+def test_chaos_slow_cell_hits_timeout_and_retries(monkeypatch, faults):
     reference = [_figures(simulate_spec(app, "none", "", EXPERIMENT_CONFIG))
                  for app in (APP, APP2)]
     shutdown_pool()
@@ -178,7 +178,7 @@ def test_chaos_slow_cell_hits_timeout_and_retries(monkeypatch):
                        policy=policy)
     assert not failures_in(results)
     assert [_figures(r) for r in results] == reference
-    counters = fault_counters()
+    counters = faults()
     assert counters["cell_timeout"] >= 1
     assert counters["pool_degraded"] >= 1
 
@@ -197,7 +197,8 @@ def test_chaos_kill_never_fires_in_parent(monkeypatch):
 # Chaos: torn and corrupted cache writes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("verb", ["torn", "corrupt"])
-def test_bad_cache_entry_is_miss_with_single_resimulation(tmp_path, verb):
+def test_bad_cache_entry_is_miss_with_single_resimulation(tmp_path, verb,
+                                                        faults):
     chaos.set_chaos(chaos.parse_spec(f"{verb}=result:{APP}/none"))
     writer = ExperimentRunner(cache_dir=str(tmp_path))
     reference = _figures(writer.run(APP, "none"))
@@ -207,7 +208,7 @@ def test_bad_cache_entry_is_miss_with_single_resimulation(tmp_path, verb):
     assert _figures(reader.run(APP, "none")) == reference
     assert reader.counters["simulated"] == 1  # the bad entry was a miss
     assert reader.counters["disk_hits"] == 0
-    assert fault_counters()["cache_corrupt"] == 1
+    assert faults()["cache_corrupt"] == 1
 
     # The re-simulation rewrote a good entry: third reader hits disk.
     warm = ExperimentRunner(cache_dir=str(tmp_path))
@@ -219,7 +220,8 @@ def test_bad_cache_entry_is_miss_with_single_resimulation(tmp_path, verb):
 # ----------------------------------------------------------------------
 # Resumable-matrix journal
 # ----------------------------------------------------------------------
-def test_interrupted_matrix_resumes_with_zero_resimulations(tmp_path):
+def test_interrupted_matrix_resumes_with_zero_resimulations(tmp_path,
+                                                          faults):
     cache = str(tmp_path / "cache")
     journal = str(tmp_path / "journal")
     cells = [(APP, "none"), (APP, "bop"), (APP2, "none")]
@@ -236,7 +238,7 @@ def test_interrupted_matrix_resumes_with_zero_resimulations(tmp_path):
     assert resumed.counters["resume_hits"] == 2  # settled cells: no sims
     assert resumed.counters["disk_hits"] == 2
     assert resumed.counters["simulated"] == 1  # only the new cell
-    assert fault_counters()["resume_hit"] == 2
+    assert faults()["resume_hit"] == 2
 
 
 def test_journal_scoping_load_and_torn_lines(tmp_path):
@@ -321,7 +323,8 @@ def test_digest_sources_uses_package_relative_paths(tmp_path):
 # ----------------------------------------------------------------------
 # Fault telemetry
 # ----------------------------------------------------------------------
-def test_fault_log_records_share_the_event_schema(tmp_path, monkeypatch):
+def test_fault_log_records_share_the_event_schema(tmp_path, monkeypatch,
+                                                 faults):
     log = tmp_path / "faults.jsonl"
     monkeypatch.setenv("REPRO_FAULT_LOG", str(log))
     from repro.faults import CELL_RETRY, log_fault
@@ -338,13 +341,13 @@ def test_fault_log_records_share_the_event_schema(tmp_path, monkeypatch):
     assert record["level"] == 2
     assert record["dur"] == 1500
     assert record["workload"] == APP
-    assert fault_counters()["cell_retry"] == 1
+    assert faults()["cell_retry"] == 1
 
 
 # ----------------------------------------------------------------------
 # report_all section isolation
 # ----------------------------------------------------------------------
-def test_report_all_isolates_failing_sections(monkeypatch):
+def test_report_all_isolates_failing_sections(monkeypatch, faults):
     fake = [
         ("good section", lambda runner: "rendered fine"),
         ("bad section", lambda runner: 1 / 0),
@@ -358,6 +361,6 @@ def test_report_all_isolates_failing_sections(monkeypatch):
     assert "SECTION FAILED" in text
     assert "ZeroDivisionError" in text
     assert errors == ["bad section"]
-    assert fault_counters()["section_failed"] == 1
+    assert faults()["section_failed"] == 1
     with pytest.raises(ZeroDivisionError):
         report_all.generate(runner=object(), fail_fast=True)

@@ -35,22 +35,24 @@ from repro.analysis.credit import CreditTracker
 from repro.engine import multicore, segmented
 from repro.engine.branch import StaticPredictor
 from repro.engine.config import EXPERIMENT_CONFIG
-from repro.engine.kernel import (GENERIC, KERNEL_ENV, SCALAR, kernel_counters,
-                                 kernel_flags, variant_name)
+from repro.engine.kernel import (GENERIC, KERNEL_ENV, SCALAR, kernel_flags,
+                                 variant_name)
 from repro.engine.multicore import simulate_multicore
 from repro.engine.segmented import SEGMENT_MAX_COVERAGE
 from repro.engine.system import simulate
 from repro.experiments import drop_policy
+from repro.faults.faultlog import faults_since
 from repro.isa import Assembler, Machine
 from repro.isa.trace import (
     DERIVED_FIELDS,
     LINE_SHIFT,
+    TRACE_FIELDS,
     CompiledTrace,
     Trace,
     compile_trace,
-    derived_counters,
 )
 from repro.memory.dram import DropPolicy
+from repro.obs import metrics
 from repro.parallel import _fusion_units, run_jobs, shutdown_pool
 from repro.prefetcher_registry import available_prefetchers, make_prefetcher
 from repro.telemetry import Telemetry
@@ -111,11 +113,6 @@ def test_specialized_matches_generic_with_telemetry(strided):
     assert fast.kernel.startswith("segmented+")
     assert slow.kernel == GENERIC
     assert _identity(fast) == _identity(slow)
-
-
-def test_lean_flag_set_without_telemetry(strided):
-    result = simulate(strided, make_prefetcher("none"))
-    assert "leanmem" in result.kernel
 
 
 # ----------------------------------------------------------------------
@@ -191,18 +188,18 @@ def test_derived_columns_round_trip(chain):
     original = chain.derived_columns()
     blobs = chain.column_bytes()
     derived = chain.derived_bytes()
-    before = derived_counters()
+    before = metrics.mark()
 
     restored = CompiledTrace.from_column_bytes(chain.name, blobs,
                                                chain.memory, derived=derived)
-    after = derived_counters()
-    assert after["derived_hits"] == before["derived_hits"] + 1
+    assert metrics.since(before)["trace_cache.derived_hits"] == 1
+    after = metrics.mark()
     # Restored from the cache blobs: no derivation pass happened — the
     # arrays arrive pre-built — yet the list views materialized from
     # them are exactly what a fresh derivation produces.
     assert restored._derived_arrays is not None
     assert restored.derived_columns() == original
-    assert after["derived_builds"] == derived_counters()["derived_builds"]
+    assert metrics.since(after)["trace_cache.derived_builds"] == 0
 
     rebuilt = CompiledTrace.from_column_bytes(chain.name, blobs, chain.memory)
     assert rebuilt._derived is None and rebuilt._derived_arrays is None
@@ -353,7 +350,7 @@ def test_batch_identity_under_chaos_corrupt_and_resume(tmp_path):
     is a miss on re-read; the resumed runner re-simulates once and
     reproduces the reference figures exactly."""
     from repro.experiments.runner import ExperimentRunner, simulate_spec
-    from repro.faults import chaos, fault_counters, reset_fault_counters
+    from repro.faults import chaos
 
     app = "spec.libquantum"
     cache = str(tmp_path / "cache")
@@ -361,7 +358,7 @@ def test_batch_identity_under_chaos_corrupt_and_resume(tmp_path):
     reference = simulate_spec(app, "none", "", EXPERIMENT_CONFIG)
     assert reference.kernel == HOOK_FREE_VARIANT
 
-    reset_fault_counters()
+    before = metrics.mark()
     chaos.set_chaos(chaos.parse_spec(f"corrupt=result:{app}/none"))
     try:
         writer = ExperimentRunner(cache_dir=cache, journal_dir=journal)
@@ -373,7 +370,7 @@ def test_batch_identity_under_chaos_corrupt_and_resume(tmp_path):
     assert _identity(first) == _identity(reference)
     assert _identity(second) == _identity(reference)
     assert resumed.counters["simulated"] == 1  # the bad entry was a miss
-    assert fault_counters()["cache_corrupt"] >= 1
+    assert faults_since(before)["cache_corrupt"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -456,19 +453,16 @@ def test_segmented_counts_kernel_compiles_apart_from_plan_builds(
         compile_trace(build_strided_trace(elements=400, name="k-count-a")),
         compile_trace(build_chain_trace(nodes=300, name="k-count-b")),
     ]
-    before = kernel_counters()
+    before = metrics.mark()
     variants = {simulate(trace, make_prefetcher("bop")).kernel
                 for trace in traces}
-    after = kernel_counters()
-
-    def delta(name):
-        return after.get(name, 0) - before.get(name, 0)
+    counted = metrics.since(before)
 
     (variant,) = variants
     assert variant.startswith("segmented+")
-    assert delta(f"selected.{variant}") == 2
-    assert delta(f"compiled.{variant}") == 1
-    assert delta("plan_builds") == 2
+    assert counted[f"kernel.selected.{variant}"] == 2
+    assert counted[f"kernel.compiled.{variant}"] == 1
+    assert counted["kernel.plan_builds"] == 2
 
 
 def test_segmented_identity_under_chaos_corrupt_and_resume(tmp_path):
@@ -476,7 +470,7 @@ def test_segmented_identity_under_chaos_corrupt_and_resume(tmp_path):
     on re-read; the resumed runner re-simulates once and reproduces the
     reference figures exactly."""
     from repro.experiments.runner import ExperimentRunner, simulate_spec
-    from repro.faults import chaos, fault_counters, reset_fault_counters
+    from repro.faults import chaos
 
     app = "spec.libquantum"
     cache = str(tmp_path / "cache")
@@ -484,7 +478,7 @@ def test_segmented_identity_under_chaos_corrupt_and_resume(tmp_path):
     reference = simulate_spec(app, "bop", "", EXPERIMENT_CONFIG)
     assert reference.kernel.startswith("segmented+")
 
-    reset_fault_counters()
+    before = metrics.mark()
     chaos.set_chaos(chaos.parse_spec(f"corrupt=result:{app}/bop"))
     try:
         writer = ExperimentRunner(cache_dir=cache, journal_dir=journal)
@@ -496,7 +490,7 @@ def test_segmented_identity_under_chaos_corrupt_and_resume(tmp_path):
     assert _identity(first) == _identity(reference)
     assert _identity(second) == _identity(reference)
     assert resumed.counters["simulated"] == 1  # the bad entry was a miss
-    assert fault_counters()["cache_corrupt"] >= 1
+    assert faults_since(before)["cache_corrupt"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -674,22 +668,49 @@ def test_burst_kernel_matches_generic_under_drop_policies(policy, mixes,
     assert fast.per_core[0].dram.dropped_prefetches > 0
 
 
-def test_burst_kernel_with_credit_trackers(mixes, monkeypatch):
+def test_burst_kernel_with_credit_trackers(mixes):
     """Trackers on the hierarchies send every core's bursts to the
-    step loop (no scalar kernel replays the tracker protocol), and the
-    mix and every tracker come out as under ``REPRO_KERNEL=generic``."""
+    step loop (no scalar kernel replays the tracker protocol).  A
+    tracker only observes, so the tracked mix equals the untracked mix,
+    whose cores run the burst kernels."""
     traces = mixes["shared"]
-    fast_trackers = [CreditTracker() for _ in traces]
-    fast = _run_mix(traces, "tpc", trackers=fast_trackers)
-    monkeypatch.setenv(KERNEL_ENV, GENERIC)
-    slow_trackers = [CreditTracker() for _ in traces]
-    slow = _run_mix(traces, "tpc", trackers=slow_trackers)
-    monkeypatch.delenv(KERNEL_ENV)
-    assert [core.kernel for core in fast.per_core] == [GENERIC] * len(traces)
-    assert mix_identity(fast) == mix_identity(slow)
-    assert ([dict(t.buckets) for t in fast_trackers]
-            == [dict(t.buckets) for t in slow_trackers])
-    assert any(t.buckets for t in fast_trackers)
+    trackers = [CreditTracker() for _ in traces]
+    tracked = _run_mix(traces, "tpc", trackers=trackers)
+    untracked = _run_mix(traces, "tpc")
+    assert ([core.kernel for core in tracked.per_core]
+            == [GENERIC] * len(traces))
+    assert all(core.kernel.startswith("fast+")
+               for core in untracked.per_core)
+    assert mix_identity(tracked) == mix_identity(untracked)
+    assert any(t.buckets for t in trackers)
+
+
+def _built_list_columns(trace) -> set:
+    """The list columns an array-backed trace has materialized (read
+    through the slot descriptors, which never materialize one)."""
+    built = set()
+    for name in TRACE_FIELDS:
+        try:
+            getattr(CompiledTrace, name).__get__(trace)
+        except AttributeError:
+            continue
+        built.add(name)
+    return built
+
+
+def test_burst_kernel_binds_only_the_columns_it_reads(chain, strided):
+    """A hook-free core of a mix on cache-loaded (array-backed) traces
+    materializes only the four list columns its kernel reads."""
+    traces = [CompiledTrace.from_column_bytes(
+                  f"{trace.name}-arrays", trace.column_bytes(),
+                  trace.memory, derived=trace.derived_bytes())
+              for trace in (chain, strided)]
+    assert all(not _built_list_columns(trace) for trace in traces)
+    result = _run_mix(traces, "none")
+    assert all(core.kernel == "fast+leanmem+staticbp"
+               for core in result.per_core)
+    for trace in traces:
+        assert _built_list_columns(trace) == {"pc", "dst", "src1", "src2"}
 
 
 def test_object_trace_mix_runs_the_step_loop():

@@ -9,6 +9,12 @@ The contracts under test:
   nothing but wall clock: every figure equals the unobserved run's.
 * **Metrics round-trip** — a snapshot written through a journal-resume
   cycle reads back exactly, and the resume pass is visible in it.
+* **One registry** — every layer counts into the process registry; a
+  sweep reads what its process counted while it ran, plus what its
+  pool workers counted per unit, so ``--jobs 1`` and ``--jobs 2``
+  sweeps record the same kernel selections.
+* **Utilization** — unit spans are worker-timed, so no worker is busy
+  for longer than the sweep ran.
 * **Correlation** — fault-log records carry the cell's deterministic
   span id, so ``repro events`` output lines up with ``repro trace``.
 """
@@ -22,14 +28,13 @@ import pytest
 import repro.__main__ as cli
 from repro import parallel
 from repro.engine.config import EXPERIMENT_CONFIG
-from repro.engine.kernel import kernel_counters
 from repro.experiments.runner import ExperimentRunner
 from repro.faults import RetryPolicy, faultlog
 from repro.log import Logger
 from repro.obs import (
     FabricObs,
     cell_span_id,
-    current,
+    metrics,
     obs_enabled,
     read_metrics,
     read_spans,
@@ -127,11 +132,17 @@ def test_observed_figures_bit_identical_to_unobserved(sweeps):
     assert _figures(sweeps["pooled"]) == reference
 
 
-def test_obs_deactivates_after_finish(sweeps):
-    assert current() is None
-    # finish() is idempotent.
-    sweeps["pool_obs"].finish()
-    assert current() is None
+def test_second_finish_adds_no_counts():
+    """finish() adds the process counts made since the obs was built,
+    exactly once."""
+    obs = FabricObs("finish-test")
+    metrics.PROCESS.count("test.finish_probe")
+    obs.finish()
+    first = obs.metrics.snapshot()
+    assert first["counters"]["test.finish_probe"] == 1
+    metrics.PROCESS.count("test.finish_probe")
+    obs.finish()
+    assert obs.metrics.snapshot() == first
 
 
 # ----------------------------------------------------------------------
@@ -176,10 +187,61 @@ def test_metrics_roundtrip_through_journal_resume(tmp_path, monkeypatch):
     assert read_spans(out / "spans.jsonl") == warm_obs.records()
 
 
-def test_kernel_counters_track_selection(sweeps):
-    counters = kernel_counters()
-    assert any(name.startswith("selected.") for name in counters)
-    assert any(name.startswith("compiled.") for name in counters)
+def test_process_registry_counts_kernel_selection(sweeps):
+    counters = metrics.PROCESS.counters
+    assert any(name.startswith("kernel.selected.") for name in counters)
+    assert any(name.startswith("kernel.compiled.") for name in counters)
+
+
+@pytest.fixture(scope="module")
+def jobs2():
+    """A ``--jobs 2`` pool sweep of MATRIX (one unit per cell, so more
+    units than workers) and a ``--jobs 1`` sweep of the same matrix."""
+    mp = pytest.MonkeyPatch()
+    mp.setenv(faultlog.FAULT_LOG_ENV, "")
+    try:
+        serial_obs = FabricObs("jobs2-test")
+        run_jobs(MATRIX, EXPERIMENT_CONFIG, 1, obs=serial_obs)
+        serial_obs.finish()
+        pool_obs = FabricObs("jobs2-test")
+        run_jobs(MATRIX, EXPERIMENT_CONFIG, 2, obs=pool_obs)
+        pool_obs.finish()
+        shutdown_pool()
+        return {"serial_obs": serial_obs, "pool_obs": pool_obs}
+    finally:
+        mp.undo()
+
+
+def _selected(obs) -> dict:
+    return {name: value for name, value
+            in obs.metrics.snapshot()["counters"].items()
+            if name.startswith("kernel.selected.")}
+
+
+def test_pool_workers_report_their_counts_to_the_sweep(jobs2):
+    """Cells that ran in pool workers count their kernel selections in
+    the sweep's registry, exactly as the same cells run serially."""
+    serial = _selected(jobs2["serial_obs"])
+    assert sum(serial.values()) == len(MATRIX)
+    assert _selected(jobs2["pool_obs"]) == serial
+    units = [r for r in jobs2["pool_obs"].records() if r["kind"] == "unit"]
+    assert len(units) > 2
+
+
+def test_worker_busy_time_fits_in_the_sweep(jobs2):
+    """Unit spans are timed in the worker, so a unit waiting in the
+    executor queue is not busy time: no worker is busy for longer than
+    the sweep ran."""
+    obs = jobs2["pool_obs"]
+    report = pool_report(obs.records())
+    assert report["mode"] == "pool"
+    for entry in report["workers"].values():
+        assert entry["busy_seconds"] <= report["wall_seconds"]
+        assert entry["idle_fraction"] >= 0.0
+    gauges = obs.metrics.snapshot()["gauges"]
+    busy = [value for name, value in gauges.items()
+            if name.endswith(".busy_seconds")]
+    assert busy and max(busy) <= report["wall_seconds"]
 
 
 # ----------------------------------------------------------------------
@@ -289,10 +351,18 @@ def test_cli_trace_and_metrics_verbs(sweeps, tmp_path, capsys):
     cli.main(["metrics", str(out / "metrics.json")])
     shown = capsys.readouterr()
     assert "pool.workers" in shown.out
-    # Replay-kernel counters are mirrored into the registry, so a sweep
-    # can show its plans were memoized rather than rebuilt per cell.
-    assert "kernel.plan_builds" in shown.out
-    assert "kernel.plan_cache_hits" in shown.out
+    # The workers' replay-kernel counts reach the sweep's registry: a
+    # selection per cell, and per segmented cell one plan lookup, a
+    # build or a memoized reuse (which one depends on what the worker
+    # inherited, so the sweep shows whether its plans were rebuilt).
+    assert "kernel.selected." in shown.out
+    assert "kernel.plan_" in shown.out
+    counters = read_metrics(out / "metrics.json")["counters"]
+    segmented_cells = sum(
+        1 for r in sweeps["pool_obs"].records()
+        if r["kind"] == "cell" and r["kernel"].startswith("segmented+"))
+    assert (counters.get("kernel.plan_builds", 0)
+            + counters.get("kernel.plan_cache_hits", 0)) == segmented_cells
 
     # `events` reads the span stream unchanged (schema superset).
     cli.main(["events", str(out / "spans.jsonl"), "--kind", "cell"])

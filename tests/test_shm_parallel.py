@@ -22,10 +22,10 @@ import pytest
 
 from repro.engine.config import EXPERIMENT_CONFIG
 from repro.experiments.runner import simulate_spec
-from repro.faults import RetryPolicy, chaos, fault_counters, \
-    reset_fault_counters
+from repro.faults import RetryPolicy, chaos
+from repro.faults.faultlog import faults_since
 from repro.isa.trace import DERIVED_FIELDS, TRACE_FIELDS
-from repro.obs import FabricObs
+from repro.obs import FabricObs, metrics
 from repro.obs.report import pool_report
 from repro.parallel import run_jobs, shutdown_pool, shm
 from repro.workloads import get_workload
@@ -41,12 +41,10 @@ def _shm_isolation(monkeypatch):
     next — REPRO_MP_CONTEXT/REPRO_SHM are read at fork time)."""
     monkeypatch.setenv("REPRO_FAULT_LOG", "")
     chaos.reset_chaos()
-    reset_fault_counters()
     shutdown_pool()
     shm.release_all()
     yield
     chaos.reset_chaos()
-    reset_fault_counters()
     shutdown_pool()
     shm.release_all()
 
@@ -168,6 +166,7 @@ def test_chaos_killed_worker_does_not_unlink_segments(monkeypatch):
     """A dying worker's resource tracker must never take parent-owned
     segments down with it (attach unregisters them); the rebuilt pool
     finishes the sweep off the same segments, bit-identically."""
+    before = metrics.mark()
     reference = [_figures(simulate_spec(w, s, "", EXPERIMENT_CONFIG))
                  for w, s in MATRIX]
     monkeypatch.setenv(chaos.CHAOS_ENV, f"kill={APP}/none")
@@ -176,7 +175,7 @@ def test_chaos_killed_worker_does_not_unlink_segments(monkeypatch):
                        policy=RetryPolicy(max_attempts=3,
                                           backoff_seconds=0.01))
     assert _ok_figures(results) == reference
-    assert fault_counters()["worker_lost"] >= 1
+    assert faults_since(before)["worker_lost"] >= 1
     # The segments survived the kill: still in the manifest, and still
     # attachable from this process (the file exists in /dev/shm).
     entries = shm.published()

@@ -22,7 +22,9 @@ from repro.engine.config import EXPERIMENT_CONFIG
 from repro.engine.kernel import GENERIC, KERNEL_ENV, SCALAR
 from repro.engine.segmented import SEGMENT_MAX_COVERAGE
 from repro.engine.system import simulate
+from repro.faults.faultlog import faults_since
 from repro.isa.trace import compile_trace
+from repro.obs import metrics
 from repro.prefetcher_registry import make_prefetcher
 from repro.workloads import get_suite, get_workload
 from repro.workloads import fuzz
@@ -283,14 +285,14 @@ def test_stress_identity_under_chaos_corrupt_and_resume(tmp_path):
     re-read; the resumed runner re-simulates once and reproduces the
     reference figures exactly (the satellite REPRO_CHAOS requirement)."""
     from repro.experiments.runner import ExperimentRunner, simulate_spec
-    from repro.faults import chaos, fault_counters, reset_fault_counters
+    from repro.faults import chaos
 
     app = "stress.mshr_burst"
     cache = str(tmp_path / "cache")
     journal = str(tmp_path / "journal")
     reference = simulate_spec(app, "tpc", "", EXPERIMENT_CONFIG)
 
-    reset_fault_counters()
+    before = metrics.mark()
     chaos.set_chaos(chaos.parse_spec(f"corrupt=result:{app}/tpc"))
     try:
         writer = ExperimentRunner(cache_dir=cache, journal_dir=journal)
@@ -302,7 +304,7 @@ def test_stress_identity_under_chaos_corrupt_and_resume(tmp_path):
     assert identity_tuple(first) == identity_tuple(reference)
     assert identity_tuple(second) == identity_tuple(reference)
     assert resumed.counters["simulated"] == 1
-    assert fault_counters()["cache_corrupt"] >= 1
+    assert faults_since(before)["cache_corrupt"] >= 1
 
 
 # ----------------------------------------------------------------------
