@@ -597,15 +597,8 @@ def check_regression(report: dict, baseline_path: str,
     record of a serial fallback, which measured no pool at all; falling
     back *is* the fix on such hosts.
 
-    Two more gates cover the replay kernels: the specialized pass must
-    be bit-identical to the ``REPRO_KERNEL=generic`` reference (this is
-    the invariant, never tolerance-scaled), and the specialized-vs-
-    generic speedup must not fall below 1.0 — a specialization that no
-    longer pays for itself is a regression.  The same pair applies to
-    the segmented tier when any cell selected it:
-    ``segmented.identical`` must hold and
-    ``segmented.speedup_vs_scalar`` must not fall below 1.0 (the
-    stricter >= 1.5 target is ``--require-segmented``'s gate).
+    The replay-kernel gates ``--check`` also turns on are rows of
+    :data:`GATES`.
     """
     with open(baseline_path) as handle:
         baseline = json.load(handle)
@@ -648,31 +641,76 @@ def check_regression(report: dict, baseline_path: str,
             f"{parallel['speedup_vs_serial']} < 1.0 at "
             f"{parallel['jobs']} jobs on a {os.cpu_count()}-core host"
         )
-    kernels = report.get("kernels")
-    if kernels is not None:
-        if not kernels["identical"]:
-            return (
-                "specialized kernels are not bit-identical to the "
-                "generic path (REPRO_KERNEL=generic) — figures diverged"
-            )
-        if kernels["speedup_vs_generic"] < 1.0:
-            return (
-                f"specialized kernels slower than the generic loop: "
-                f"{kernels['speedup_vs_generic']}x < 1.0"
-            )
-        segmented = kernels.get("segmented")
-        if segmented is not None and segmented["cells"]:
-            if not segmented["identical"]:
-                return (
-                    "segmented tier is not bit-identical to the scalar "
-                    "kernels (REPRO_KERNEL=scalar) — figures diverged"
-                )
-            if segmented["speedup_vs_scalar"] < 1.0:
-                return (
-                    f"segmented tier slower than the scalar kernels: "
-                    f"{segmented['speedup_vs_scalar']}x < 1.0"
-                )
     return None
+
+
+def _kernels_identical(report: dict, args) -> str | None:
+    if not report["kernels"]["identical"]:
+        return ("specialized kernels are not bit-identical to the "
+                "generic loop (REPRO_KERNEL=generic) — figures diverged")
+    return None
+
+
+def _kernels_beat_generic(report: dict, args) -> str | None:
+    speedup = report["kernels"]["speedup_vs_generic"]
+    if speedup < 1.0:
+        return (f"specialized kernels slower than the generic loop: "
+                f"{speedup}x < 1.0")
+    return None
+
+
+def _no_generic_cells(report: dict, args) -> str | None:
+    cells = report["kernels"]["generic_cells"]
+    if cells:
+        return ("generic fallback selected for standard cells: "
+                + ", ".join(cells))
+    return None
+
+
+def _segmented_cells_present(report: dict, args) -> str | None:
+    if not report["kernels"]["segmented"]["cells"]:
+        return ("no matrix cell selected the segmented tier — leanmem "
+                "none/bop/tpc cells missing or fell back to scalar")
+    return None
+
+
+def _segmented_identical(report: dict, args) -> str | None:
+    per_cell = report["kernels"]["segmented"]["per_cell"]
+    broken = sorted(cell for cell, fig in per_cell.items()
+                    if not fig["identical"])
+    if broken:
+        return ("segmented tier is not bit-identical to the scalar "
+                "kernels (REPRO_KERNEL=scalar) on: " + ", ".join(broken))
+    return None
+
+
+def _segmented_beats_scalar(target: float):
+    def check(report: dict, args) -> str | None:
+        segmented = report["kernels"]["segmented"]
+        speedup = segmented["speedup_vs_scalar"]
+        if segmented["cells"] and speedup < target:
+            return (f"segmented tier below the {target}x aggregate "
+                    f"target: {speedup}x vs scalar")
+        return None
+    return check
+
+
+GATES = (
+    (("check",),
+     lambda report, args: check_regression(report, args.check,
+                                           args.tolerance)),
+    (("check", "require_specialized"), _kernels_identical),
+    (("check",), _kernels_beat_generic),
+    (("require_specialized",), _no_generic_cells),
+    (("require_segmented",), _segmented_cells_present),
+    (("check", "require_segmented"), _segmented_identical),
+    (("check",), _segmented_beats_scalar(1.0)),
+    (("require_segmented",), _segmented_beats_scalar(1.5)),
+)
+"""Every gate of a timing run, in the order :func:`main` walks them: the
+options that turn a row on, and its check, which returns an error
+message or ``None``.  The first failing row fails the run.  The
+baseline row goes first so ``--check`` always annotates the report."""
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -727,32 +765,9 @@ def main(argv: list[str] | None = None) -> int:
     report = run_bench(quick=args.quick, jobs=args.jobs,
                        progress=log.info)
     error = None
-    if args.require_specialized:
-        if report["kernels"]["generic_cells"]:
-            error = (
-                "generic fallback selected for standard cells: "
-                + ", ".join(report["kernels"]["generic_cells"])
-            )
-        elif not report["kernels"]["identical"]:
-            error = ("specialized kernels are not bit-identical to the "
-                     "generic loop")
-    if args.require_segmented and error is None:
-        segmented = report["kernels"]["segmented"]
-        broken = sorted(cell for cell, fig in segmented["per_cell"].items()
-                        if not fig["identical"])
-        if not segmented["cells"]:
-            error = ("no matrix cell selected the segmented tier — "
-                     "leanmem none/bop/tpc cells missing or fell back "
-                     "to scalar")
-        elif broken:
-            error = ("segmented tier is not bit-identical to the "
-                     "scalar kernels (REPRO_KERNEL=scalar) on: "
-                     + ", ".join(broken))
-        elif segmented["speedup_vs_scalar"] < 1.5:
-            error = (f"segmented tier below the 1.5x aggregate target: "
-                     f"{segmented['speedup_vs_scalar']}x vs scalar")
-    if args.check and error is None:
-        error = check_regression(report, args.check, args.tolerance)
+    for options, check in GATES:
+        if error is None and any(getattr(args, o) for o in options):
+            error = check(report, args)
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

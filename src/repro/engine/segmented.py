@@ -21,8 +21,8 @@ paper splits prefetching:
   traffic, so their whole story is trace-determined even under
   prefetching).
 * **Replay (every cell)** — a generated kernel (:func:`_segment_source`,
-  compiled and memoized per hook/policy/geometry shape like
-  ``repro.engine.kernel``) retires the hook-free stretches through a
+  compiled and memoized per hook shape like ``repro.engine.kernel``)
+  retires the hook-free stretches through a
   tight class-dispatch loop and executes a *scalar island* at each
   segment event: the L1 hit leg, the full demand-miss leg, and the
   entire prefetch path run against a virtualized hierarchy — flat
@@ -54,16 +54,21 @@ scalar specialized kernels) — the comparator the bench's
 ``segmented.speedup_vs_scalar`` measures against — while
 ``REPRO_KERNEL=generic`` still disables all specialization.
 
+The replayed DRAM is the paper's single-core controller: the RANDOM
+drop policy (a full queue sheds every incoming prefetch) and the
+``Dram._map`` address split, ``%`` and ``//`` for any geometry.
 Eligibility is deliberately conservative: warm core or hierarchy
 state, subclassed hierarchy/cache/shadow/MSHR/DRAM components, DRAM
-telemetry, missing numpy, or a segment-event coverage fraction above
+telemetry, a drop policy other than RANDOM (the §V-C1 policy belongs
+to the 4-core mixes), or a segment-event coverage fraction above
 :data:`SEGMENT_MAX_COVERAGE` (an all-event trace) all turn the cell
-down silently.  An untracked cell then runs its scalar kernel, a
-tracked one the generic loop, since no scalar kernel replays the
-tracker protocol (the variant name on ``SimulationResult.kernel``
-records which tier actually ran).  Plans
-are memoized on ``CompiledTrace._plans``; the process metrics registry
-counts ``kernel.plan_builds``/``kernel.plan_cache_hits`` and kernel
+down silently.  An untracked cell then runs its scalar kernel, which
+calls the real ``Dram``; a tracked one runs the generic loop, since no
+scalar kernel replays the tracker protocol (the variant name on
+``SimulationResult.kernel`` records which tier actually ran).  A plan
+is memoized on the ``CompiledTrace._plans`` of the trace it was built
+from, and nowhere else; the process metrics registry counts
+``kernel.plan_builds``/``kernel.plan_cache_hits`` and kernel
 exec-compiles (``kernel.compiled.<variant>``), and a sweep's
 ``repro metrics`` shows what its cells added.
 """
@@ -71,7 +76,6 @@ exec-compiles (``kernel.compiled.<variant>``), and a sweep's
 from __future__ import annotations
 
 import os
-import weakref
 
 from repro.isa.trace import (
     DISP_ALU,
@@ -89,40 +93,19 @@ _FAR = 1 << 62
 ``Dram._NO_PENDING``)."""
 
 
-#: Process-wide plan pool keyed by (trace name, trace length, plan
-#: geometry key).  Trace content is deterministic per name within a
-#: builder-code version, so two *distinct* trace objects carrying the
-#: same workload — a fork-inherited memo and a later shared-memory
-#: attach, or a cache reload — share one plan instead of rebuilding it.
-#: Weak values: a plan lives only while some trace's ``_plans`` dict
-#: (a strong ref) still holds it.
-_PLAN_REGISTRY: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-
-
 def _get_plan(trace: CompiledTrace, key: tuple):
     """Segment-plan memoizer.
 
     Plans live on ``CompiledTrace._plans`` keyed by structural geometry,
     so every cell of a sweep replaying the same (warm, process-shared)
-    trace under the same geometry reuses one plan, backed by the
-    process-wide :data:`_PLAN_REGISTRY` so a re-materialized trace of
-    the same workload (shared-memory attach, cache reload) does not
-    force a rebuild.  ``kernel.plan_builds`` / ``kernel.plan_cache_hits``
-    in the process metrics registry count the split (a sweep's
-    ``repro metrics`` shows its share).
+    trace under the same geometry reuses one plan.  ``kernel.plan_builds``
+    / ``kernel.plan_cache_hits`` in the process metrics registry count
+    the split (a sweep's ``repro metrics`` shows its share).
     """
     plan = trace._plans.get(key)
     if plan is None:
-        registry_key = (trace.name, len(trace), key)
-        plan = _PLAN_REGISTRY.get(registry_key)
-        if plan is not None:
-            PROCESS.count("kernel.plan_cache_hits")
-            trace._plans[key] = plan
-            return plan
         PROCESS.count("kernel.plan_builds")
-        plan = _build_segment_plan(trace, key)
-        trace._plans[key] = plan
-        _PLAN_REGISTRY[registry_key] = plan
+        plan = trace._plans[key] = _build_segment_plan(trace, key)
     else:
         PROCESS.count("kernel.plan_cache_hits")
     return plan
@@ -132,14 +115,14 @@ def _stock_cold_hierarchy(core):
     """The stock, cold :class:`~repro.memory.hierarchy.Hierarchy` behind
     ``core`` — or ``None`` when anything deviates and the tier must
     turn the cell down: warm core state, subclassed hierarchy / cache /
-    shadow / MSHR / DRAM components, DRAM telemetry attached, resident
-    lines or prior traffic, or numpy missing.  The hierarchy leg of
-    :func:`maybe_run_segmented`'s eligibility."""
+    shadow / MSHR / DRAM components, DRAM telemetry attached, a drop
+    policy other than RANDOM, or resident lines or prior traffic.  The
+    hierarchy leg of :func:`maybe_run_segmented`'s eligibility."""
     if (core._index or core._fetch_cycle or core._fetch_slot
             or core._last_commit_time or core._commits_at_time):
         return None
     from repro.memory.cache import Cache
-    from repro.memory.dram import Dram
+    from repro.memory.dram import Dram, DropPolicy
     from repro.memory.hierarchy import Hierarchy, _MshrFile
     from repro.memory.shadow import ShadowTagStore
 
@@ -157,6 +140,8 @@ def _stock_cold_hierarchy(core):
     dram = hierarchy.dram
     if type(dram) is not Dram or dram.telemetry is not None:
         return None
+    if dram.config.drop_policy is not DropPolicy.RANDOM:
+        return None
     dram_stats = dram.stats
     if (l1._use_counter or hierarchy.l2._use_counter
             or hierarchy.l3._use_counter
@@ -166,10 +151,6 @@ def _stock_cold_hierarchy(core):
             or hierarchy._l2_mshrs._pending
             or hierarchy.pollution_misses_l1
             or hierarchy.pollution_misses_l2):
-        return None
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
         return None
     return hierarchy
 
@@ -224,7 +205,6 @@ class SegmentPlan:
     """
 
     __slots__ = (
-        "__weakref__",
         "rows", "ev_rows",
         "n_mem", "loads", "stores", "branches", "mispredicts",
         "coverage",
@@ -340,8 +320,7 @@ def maybe_run_segmented(core, flags: tuple):
     PROCESS.count(f"kernel.selected.{variant}")
     core.kernel_variant = variant
 
-    # Resolve the kernel specialization key: devirtualized composite
-    # hooks, DRAM drop policy, and power-of-two DRAM geometry.
+    # Resolve the devirtualized composite hooks of the kernel key.
     from repro.core.composite import CompositePrefetcher
 
     feeds = None
@@ -364,17 +343,7 @@ def maybe_run_segmented(core, flags: tuple):
         else:
             route = hook
 
-    from repro.memory.dram import DropPolicy
-
-    cfg = core.hierarchy.dram.config
-    low_first = cfg.drop_policy is DropPolicy.LOW_PRIORITY_FIRST
-    bpc = cfg.ranks_per_channel * cfg.banks_per_rank
-    rows_div = bpc * cfg.lines_per_row
-    pow2 = all(v > 0 and v & (v - 1) == 0
-               for v in (cfg.channels, bpc, rows_div))
-
-    kernel = _segment_kernel(instr, oa, ona, of, tracked, low_first, pow2,
-                             nfeeds)
+    kernel = _segment_kernel(instr, oa, ona, of, tracked, nfeeds)
     return kernel(core, plan, feeds, route)
 
 
@@ -382,34 +351,25 @@ _SEG_KERNELS: dict[tuple, object] = {}
 
 
 def _segment_kernel(instr: bool, oa: bool, ona: bool, of: bool,
-                    tracked: bool, low_first: bool, pow2: bool,
-                    nfeeds: int):
+                    tracked: bool, nfeeds: int):
     """Compile (and memoize) one segmented replay kernel.
 
     Like ``repro.engine.kernel``, the loop is generated with dead hook
     branches absent; the kernel is additionally specialized on whether
     a credit tracker is attached (``tracked``: only then are its
-    callbacks emitted), on the DRAM drop policy (RANDOM queues hold
-    bare completion times; the LOW_PRIORITY_FIRST victim scan needs
-    full entries), on power-of-two channel/bank/row geometry
-    (shift/mask address math), and on the number of devirtualized
-    instruction feeds (``nfeeds``; -1 calls the composite's forwarder
-    per instruction instead).
+    callbacks emitted) and on the number of devirtualized instruction
+    feeds (``nfeeds``; -1 calls the composite's forwarder per
+    instruction instead).
     """
-    key = (instr, oa, ona, of, tracked, low_first, pow2, nfeeds)
+    key = (instr, oa, ona, of, tracked, nfeeds)
     fn = _SEG_KERNELS.get(key)
     if fn is None:
         from repro.core.base import AccessEvent
-        from repro.memory.dram import LOW_PRIORITY_COMPONENTS
 
         PROCESS.count("kernel.compiled."
                       + segment_variant((instr, oa, ona, of), tracked))
         source = _segment_source(*key)
-        namespace = {
-            "_FAR": _FAR,
-            "AccessEvent": AccessEvent,
-            "LOW_PRIORITY_COMPONENTS": LOW_PRIORITY_COMPONENTS,
-        }
+        namespace = {"_FAR": _FAR, "AccessEvent": AccessEvent}
         exec(compile(source, f"<segmented kernel {key}>", "exec"),
              namespace)
         fn = _SEG_KERNELS[key] = namespace["run_segmented"]
@@ -417,8 +377,7 @@ def _segment_kernel(instr: bool, oa: bool, ona: bool, of: bool,
 
 
 def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
-                    tracked: bool, low_first: bool, pow2: bool,
-                    nfeeds: int) -> str:
+                    tracked: bool, nfeeds: int) -> str:
     """Source of a specialized segmented replay loop.
 
     The emitted code retires the whole trace with live hooks: the
@@ -446,19 +405,12 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit = lines.append
 
     def addr_math(ind: str, p: str, line: str) -> None:
-        # Dram address decomposition (channel, bank, row) for one line.
-        if pow2:
-            emit(f"{ind}{p}ch = {line} & ch_mask")
-            emit(f"{ind}{p}rest = {line} >> ch_shift")
-            emit(f"{ind}{p}bank = ({p}ch << bpc_shift) + "
-                 f"({p}rest & bpc_mask)")
-            emit(f"{ind}{p}row = {p}rest >> row_shift")
-        else:
-            emit(f"{ind}{p}ch = {line} % channels")
-            emit(f"{ind}{p}rest = {line} // channels")
-            emit(f"{ind}{p}bank = {p}ch * banks_per_channel + "
-                 f"{p}rest % banks_per_channel")
-            emit(f"{ind}{p}row = {p}rest // rows_div")
+        # Dram._map: (channel, bank, row) for one line.
+        emit(f"{ind}{p}ch = {line} % channels")
+        emit(f"{ind}{p}rest = {line} // channels")
+        emit(f"{ind}{p}bank = {p}ch * banks_per_channel + "
+             f"{p}rest % banks_per_channel")
+        emit(f"{ind}{p}row = {p}rest // rows_div")
 
     def dram_read_tail(ind: str) -> None:
         # Bank/row/bus algebra shared by the inlined demand and
@@ -618,24 +570,19 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{i2}else:")
         i3 = i2 + "    "
         emit(f"{i3}l3_missc += 1")
-        if low_first:
-            # Demand reads are never dropped, so no -1 check.
-            emit(f"{i3}fill_time = dram_read(line, now3 + l3_lat, "
-                 f"False, None)")
-        else:
-            emit(f"{i3}dnow = now3 + l3_lat")
-            addr_math(i3, "d", "line")
-            emit(f"{i3}dq = queues[dch]")
-            emit(f"{i3}if q_min[dch] <= dnow:")
-            emit(f"{i3}    dq[:] = [c for c in dq if c > dnow]")
-            emit(f"{i3}    q_min[dch] = min(dq, default=far)")
-            emit(f"{i3}dstart = dnow")
-            emit(f"{i3}if len(dq) >= q_cap:")
-            emit(f"{i3}    dstart = min(dq)")
-            emit(f"{i3}    d_stalls += 1")
-            emit(f"{i3}    dq[:] = [c for c in dq if c > dstart]")
-            emit(f"{i3}    q_min[dch] = min(dq, default=far)")
-            dram_read_tail(i3)
+        emit(f"{i3}dnow = now3 + l3_lat")
+        addr_math(i3, "d", "line")
+        emit(f"{i3}dq = queues[dch]")
+        emit(f"{i3}if q_min[dch] <= dnow:")
+        emit(f"{i3}    dq[:] = [c for c in dq if c > dnow]")
+        emit(f"{i3}    q_min[dch] = min(dq, default=far)")
+        emit(f"{i3}dstart = dnow")
+        emit(f"{i3}if len(dq) >= q_cap:")
+        emit(f"{i3}    dstart = min(dq)")
+        emit(f"{i3}    d_stalls += 1")
+        emit(f"{i3}    dq[:] = [c for c in dq if c > dstart]")
+        emit(f"{i3}    q_min[dch] = min(dq, default=far)")
+        dram_read_tail(i3)
         emit(f"{i3}if len(tset3) >= l3_ways:")
         emit(f"{i3}    vline = next(iter(tset3))")
         emit(f"{i3}    victim = tset3.pop(vline)")
@@ -733,14 +680,6 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("    t_rp_rcd_cas = cfg.t_rp + t_rcd_cas")
     emit("    t_rcd = cfg.t_rcd")
     emit("    t_rp_rcd = cfg.t_rp + t_rcd")
-    if pow2:
-        emit("    ch_mask = channels - 1")
-        emit("    ch_shift = ch_mask.bit_length()")
-        emit("    bpc_mask = banks_per_channel - 1")
-        emit("    bpc_shift = bpc_mask.bit_length()")
-        emit("    row_shift = (rows_div - 1).bit_length()")
-    if low_first:
-        emit("    low_components = LOW_PRIORITY_COMPONENTS")
     emit("    miss_lines_l1 = hierarchy.miss_lines_l1")
     emit("    miss_lines_l2 = hierarchy.miss_lines_l2")
     emit("    attempted_add = hierarchy.attempted_prefetch_lines.add")
@@ -829,72 +768,6 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("        d_writes += 1")
     emit("")
 
-    if low_first:
-        # --------------------------------------------------------------
-        # dram_read closure: only the LOW_PRIORITY_FIRST policy needs
-        # full queue entries and a victim scan.
-        # --------------------------------------------------------------
-        emit("    def dram_read(rline, now, is_prefetch, component):")
-        emit("        # Dram._admit + Dram.read; -1 = dropped prefetch.")
-        emit("        nonlocal d_reads, row_hits, row_empty, \\")
-        emit("            row_conflicts, d_dropped, d_stalls")
-        addr_math("        ", "r", "rline")
-        emit("        q = queues[rch]")
-        emit("        if q_min[rch] <= now:")
-        emit("            q[:] = [e for e in q if e[0] > now]")
-        emit("            q_min[rch] = min((e[0] for e in q), "
-             "default=far)")
-        emit("        start = now")
-        emit("        if len(q) >= q_cap:")
-        emit("            if not is_prefetch:")
-        emit("                start = min(e[0] for e in q)")
-        emit("                d_stalls += 1")
-        emit("                q[:] = [e for e in q if e[0] > start]")
-        emit("                q_min[rch] = min((e[0] for e in q), "
-             "default=far)")
-        emit("            elif component in low_components:")
-        emit("                d_dropped += 1")
-        emit("                return -1")
-        emit("            else:")
-        emit("                victim = None")
-        emit("                for e in q:")
-        emit("                    if e[1] and e[2] in low_components:")
-        emit("                        victim = e")
-        emit("                        break")
-        emit("                if victim is None:")
-        emit("                    d_dropped += 1")
-        emit("                    return -1")
-        emit("                q.remove(victim)  # stale q_min is "
-             "lazily harmless")
-        emit("                d_dropped += 1")
-        emit("        ready = bank_ready[rbank]")
-        emit("        if ready > start:")
-        emit("            start = ready")
-        emit("        open_row = bank_row[rbank]")
-        emit("        if open_row == rrow:")
-        emit("            access = t_cas")
-        emit("            row_hits += 1")
-        emit("        elif open_row is None:")
-        emit("            access = t_rcd_cas")
-        emit("            row_empty += 1")
-        emit("        else:")
-        emit("            access = t_rp_rcd_cas")
-        emit("            row_conflicts += 1")
-        emit("        data_start = start + access")
-        emit("        ready = bus_free[rch]")
-        emit("        if ready > data_start:")
-        emit("            data_start = ready")
-        emit("        completion = data_start + burst")
-        emit("        bank_row[rbank] = rrow")
-        emit("        bank_ready[rbank] = data_start")
-        emit("        bus_free[rch] = completion")
-        emit("        q.append((completion, is_prefetch, component))")
-        emit("        if completion < q_min[rch]:")
-        emit("            q_min[rch] = completion")
-        emit("        d_reads += 1")
-        emit("        return completion")
-        emit("")
-
     # ------------------------------------------------------------------
     # Writeback-cascade fills: full Cache.fill semantics (the cascaded
     # line may be resident below).  Primary fills are inlined at their
@@ -961,11 +834,9 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
          "l2_min_p, \\")
     emit("            l1_evic, l1_wb, l1_pfe, l1_pff, l2_evic, l2_wb, "
          "\\")
-    emit("            l2_pfe, l2_pff, l3_evic, l3_wb, l3_pfe, l3_pff"
-         + ("" if low_first else ", \\"))
-    if not low_first:
-        emit("            d_reads, d_dropped, row_hits, row_empty, \\")
-        emit("            row_conflicts")
+    emit("            l2_pfe, l2_pff, l3_evic, l3_wb, l3_pfe, l3_pff, \\")
+    emit("            d_reads, d_dropped, row_hits, row_empty, \\")
+    emit("            row_conflicts")
     emit("        if target_level == 1:")
     emit("            tset = l1_sets[pline & l1_mask]")
     emit("        elif target_level == 2:")
@@ -1035,27 +906,20 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("                    ready = now")
     emit("                fill_time = ready + l3_lat")
     emit("            else:")
-    if low_first:
-        emit("                fill_time = dram_read(pline, "
-             "now + l3_lat, True, component)")
-        emit("                if fill_time < 0:")
-        emit("                    pf_drop_dram += 1")
-        emit("                    return False")
-    else:
-        emit("                dnow = now + l3_lat")
-        addr_math("                ", "d", "pline")
-        emit("                dq = queues[dch]")
-        emit("                if q_min[dch] <= dnow:")
-        emit("                    dq[:] = [c for c in dq if c > dnow]")
-        emit("                    q_min[dch] = min(dq, default=far)")
-        emit("                if len(dq) >= q_cap:")
-        emit("                    # RANDOM policy: a full queue sheds")
-        emit("                    # every incoming prefetch.")
-        emit("                    d_dropped += 1")
-        emit("                    pf_drop_dram += 1")
-        emit("                    return False")
-        emit("                dstart = dnow")
-        dram_read_tail("                ")
+    emit("                dnow = now + l3_lat")
+    addr_math("                ", "d", "pline")
+    emit("                dq = queues[dch]")
+    emit("                if q_min[dch] <= dnow:")
+    emit("                    dq[:] = [c for c in dq if c > dnow]")
+    emit("                    q_min[dch] = min(dq, default=far)")
+    emit("                if len(dq) >= q_cap:")
+    emit("                    # RANDOM policy: a full queue sheds")
+    emit("                    # every incoming prefetch.")
+    emit("                    d_dropped += 1")
+    emit("                    pf_drop_dram += 1")
+    emit("                    return False")
+    emit("                dstart = dnow")
+    dram_read_tail("                ")
     emit("                # Primary L3 fill.")
     emit("                if len(tset3) >= l3_ways:")
     emit("                    vline = next(iter(tset3))")

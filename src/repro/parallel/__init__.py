@@ -237,6 +237,14 @@ def _get_executor(workers: int):
         shutdown_pool()
     if _EXECUTOR is None:
         from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import resource_tracker
+
+        # Workers must share this process's resource tracker, the one
+        # shm.publish registers segments with: fork workers inherit a
+        # running tracker, spawn and forkserver workers are handed its
+        # pipe.  A worker that started its own would unlink every
+        # segment it attached when it died.
+        resource_tracker.ensure_running()
 
         # REPRO_MP_CONTEXT selects the start method (default fork).
         # With shared-memory trace columns the choice is a startup-cost
@@ -697,7 +705,7 @@ def _run_pool(remote, local, normalized, config, results, workers,
     for unit in _fusion_units(remote, normalized, workers):
         scheduler.push(normalized[unit[0]][0], unit, 0, 0.0, start)
     # future -> (unit, attempt, dispatched_at, queue_wait, slot,
-    #            steal_wait | None)
+    #            steal_wait | None, submitted_wall)
     inflight: dict = {}
     lane_home: dict[int, "str | None"] = {
         slot: None for slot in range(window)}
@@ -790,20 +798,20 @@ def _run_pool(remote, local, normalized, config, results, workers,
             (unit, attempt, _ready_at, enqueued), workload, steal_wait = \
                 popped
             lane_home[slot] = workload
-            queue_wait = max(now - enqueued, 0.0)
             payload = unit_payload(unit, attempt)
-            if obs is not None:
-                obs.metrics.observe("pool.queue_wait_seconds", queue_wait)
-                if steal_wait is not None:
-                    obs.metrics.count("pool.steals")
-                    obs.metrics.observe("pool.steal_wait_seconds",
-                                        steal_wait)
-                    obs.record(
-                        "steal", t0=time.time(), dur=steal_wait,
-                        sid=f"steal:{scheduler.steals}:{workload}",
-                        workload=workload, attempt=attempt,
-                        cells=len(unit), slot=slot,
-                    )
+            if obs is not None and steal_wait is not None:
+                obs.metrics.count("pool.steals")
+                obs.metrics.observe("pool.steal_wait_seconds", steal_wait)
+                obs.record(
+                    "steal", t0=time.time(), dur=steal_wait,
+                    sid=f"steal:{scheduler.steals}:{workload}",
+                    workload=workload, attempt=attempt,
+                    cells=len(unit), slot=slot,
+                )
+            # The scheduler-queue wait ends at the submit instant the
+            # executor-queue wait starts from.
+            submitted = time.time()
+            queue_wait = max(time.monotonic() - enqueued, 0.0)
             try:
                 future = executor.submit(_simulate_unit, payload)
             except Exception:
@@ -813,7 +821,7 @@ def _run_pool(remote, local, normalized, config, results, workers,
                 replace_pool("pool broken at submit")
                 future = executor.submit(_simulate_unit, payload)
             inflight[future] = (unit, attempt, now, queue_wait, slot,
-                                steal_wait)
+                                steal_wait, submitted)
 
     launch(time.monotonic())
     # Overlap the non-picklable stragglers with the first wave.
@@ -841,7 +849,7 @@ def _run_pool(remote, local, normalized, config, results, workers,
         merged: list = []
         for future in done:
             (unit, attempt, dispatched, queue_wait, _slot,
-             steal_wait) = inflight.pop(future)
+             steal_wait, submitted) = inflight.pop(future)
             try:
                 outcomes, meta = future.result()
             except BrokenProcessPool:
@@ -856,6 +864,11 @@ def _run_pool(remote, local, normalized, config, results, workers,
                 # Worker counts go to the sweep's registry; the
                 # parent's own process registry never sees them.
                 obs.metrics.counters.update(meta["counters"])
+                # The unit waited in the scheduler's queues until it
+                # was submitted, then in the executor's queue until
+                # its worker started it.
+                queue_wait += max(meta["t0"] - submitted, 0.0)
+                obs.metrics.observe("pool.queue_wait_seconds", queue_wait)
                 lane = obs.lane_for(meta["pid"])
                 unit_attrs = {"cells": len(unit),
                               "queue_seconds": round(queue_wait, 6)}
@@ -866,9 +879,7 @@ def _run_pool(remote, local, normalized, config, results, workers,
                     # FabricObs.finish read it back per worker.
                     unit_attrs["stolen"] = True
                     unit_attrs["steal_wait_seconds"] = round(steal_wait, 6)
-                # Worker-timed: the unit's wait in the executor queue
-                # is not busy time (``queue_seconds`` is the wait in
-                # the scheduler's queues before submission).
+                # Worker-timed: the unit's queue wait is not busy time.
                 obs.record(
                     "unit", t0=meta["t0"], dur=meta["dur"],
                     sid=f"unit:{'-'.join(map(str, unit))}@{attempt}",

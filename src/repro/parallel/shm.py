@@ -25,13 +25,13 @@ worker.  This module replaces both with explicit shared memory:
   published (:func:`manifest_names`).  Segments are unlinked exactly
   once: explicitly via :func:`release_all` (``run_jobs`` calls it when
   a ``KeyboardInterrupt``/``SystemExit`` unwinds a sweep) or by the
-  ``atexit`` hook registered on first publish.  A chaos-killed worker
-  cannot take a segment down with it: attaching registers the segment
-  with the *worker's* resource tracker, which would unlink the
-  parent-owned file when that worker dies, so :func:`attach`
-  immediately unregisters it (Python 3.13 grew ``track=False`` for
-  exactly this; on 3.11/3.12 unregistering is the documented
-  workaround).
+  ``atexit`` hook registered on first publish.  Every pool worker
+  shares the parent's resource tracker: ``repro.parallel`` starts it
+  before it creates the pool, fork workers inherit it, and spawn and
+  forkserver workers are handed its pipe.  A worker's attach registers
+  the segment name with that one tracker, where the parent's publish
+  already registered it, so a chaos-killed worker takes no segment
+  down with it and the parent's unlink is the one unregister.
 
 ``REPRO_SHM=0`` disables publication entirely (workers fall back to
 fork-COW memos or the on-disk trace cache); ``REPRO_MP_CONTEXT``
@@ -237,19 +237,6 @@ def _close_and_unlink(handle) -> None:
 # ----------------------------------------------------------------------
 # Worker side: attach + adopt
 # ----------------------------------------------------------------------
-def _unregister_tracker(handle) -> None:
-    # Attaching registered the segment with THIS process's resource
-    # tracker (unconditional on POSIX through Python 3.12), which would
-    # unlink the parent-owned segment when this worker exits — a
-    # chaos-killed worker must never take the segment down with it.
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(handle._name, "shared_memory")
-    except Exception:
-        pass
-
-
 def attach(entry: SharedTrace) -> CompiledTrace:
     """Open ``entry``'s segment and rebuild its trace as zero-copy views.
 
@@ -264,7 +251,6 @@ def attach(entry: SharedTrace) -> CompiledTrace:
 
     np = _np()
     handle = shared_memory.SharedMemory(name=entry.segment, create=False)
-    _unregister_tracker(handle)
     views = {}
     for field_name, dtype, offset, length in entry.fields:
         views[field_name] = np.frombuffer(handle.buf, dtype=dtype,

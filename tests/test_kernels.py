@@ -493,6 +493,54 @@ def test_segmented_identity_under_chaos_corrupt_and_resume(tmp_path):
     assert faults_since(before)["cache_corrupt"] >= 1
 
 
+def _against_generic(trace, spec, monkeypatch, config=None):
+    fast = simulate(trace, make_prefetcher(spec), config)
+    monkeypatch.setenv(KERNEL_ENV, GENERIC)
+    slow = simulate(trace, make_prefetcher(spec), config)
+    monkeypatch.delenv(KERNEL_ENV)
+    assert slow.kernel == GENERIC
+    return fast, slow
+
+
+def test_same_name_and_length_traces_replay_their_own_plans(monkeypatch):
+    """A plan belongs to the trace it was built from: a different trace
+    that shares its name and length must not replay it."""
+    first = compile_trace(build_chain_trace(nodes=3000, seed=1, name="same"))
+    second = compile_trace(build_chain_trace(nodes=3000, seed=2,
+                                             name="same"))
+    assert len(first) == len(second)
+    for spec in ("none", "bop"):
+        for trace in (first, second):
+            fast, slow = _against_generic(trace, spec, monkeypatch)
+            assert fast.kernel.startswith("segmented+"), spec
+            assert _identity(fast) == _identity(slow), spec
+
+
+def test_priority_drop_policy_runs_the_scalar_kernel(strided, monkeypatch):
+    """The segmented tier replays only the RANDOM drop policy; a
+    single-core cell under LOW_PRIORITY_FIRST runs its scalar kernel,
+    which calls the real ``Dram``."""
+    config = drop_policy._config_with(DropPolicy.LOW_PRIORITY_FIRST)
+    fast, slow = _against_generic(strided, "tpc", monkeypatch, config)
+    assert fast.kernel.startswith("fast+")
+    assert fast.dram.dropped_prefetches > 0
+    assert _identity(fast) == _identity(slow)
+
+
+@pytest.mark.parametrize("spec", ["none", "bop", "tpc"])
+def test_segmented_replays_non_power_of_two_dram(spec, strided, chain,
+                                                 monkeypatch):
+    """Channel, bank and row indices come from ``%`` and ``//`` for any
+    DRAM geometry, exactly as ``Dram._map`` computes them."""
+    dram = dataclasses.replace(EXPERIMENT_CONFIG.dram, channels=3,
+                               banks_per_rank=6)
+    config = dataclasses.replace(EXPERIMENT_CONFIG, dram=dram)
+    for trace in (strided, chain):
+        fast, slow = _against_generic(trace, spec, monkeypatch, config)
+        assert fast.kernel.startswith("segmented+"), trace.name
+        assert _identity(fast) == _identity(slow), trace.name
+
+
 # ----------------------------------------------------------------------
 # Segmented replay tier, credit-tracked cells (Figs. 13-14)
 # ----------------------------------------------------------------------
@@ -603,15 +651,12 @@ def test_tracked_cell_off_the_segmented_tier_runs_generic(setup, strided,
 
 def test_untracked_segment_source_names_no_tracker_callback():
     for instr, oa, ona, of in ((False,) * 4, (True,) * 4):
-        for low_first in (False, True):
-            untracked = segmented._segment_source(
-                instr, oa, ona, of, False, low_first, True, -1)
-            tracked = segmented._segment_source(
-                instr, oa, ona, of, True, low_first, True, -1)
-            assert "tracker" not in untracked
-            for callback in TRACKER_CALLBACKS:
-                assert callback not in untracked
-                assert callback in tracked
+        untracked = segmented._segment_source(instr, oa, ona, of, False, -1)
+        tracked = segmented._segment_source(instr, oa, ona, of, True, -1)
+        assert "tracker" not in untracked
+        for callback in TRACKER_CALLBACKS:
+            assert callback not in untracked
+            assert callback in tracked
 
 
 # ----------------------------------------------------------------------

@@ -244,6 +244,18 @@ def test_worker_busy_time_fits_in_the_sweep(jobs2):
     assert busy and max(busy) <= report["wall_seconds"]
 
 
+def test_unit_queue_seconds_reach_the_worker_start(jobs2):
+    """All first-attempt units enter the scheduler together, and a
+    unit's ``queue_seconds`` runs until its worker starts it, executor
+    queue included: ``start - queue_seconds`` is the same instant for
+    every one of them, however long some waited for a free worker."""
+    units = [r for r in jobs2["pool_obs"].records()
+             if r["kind"] == "unit" and r["level"] == 0]
+    assert len(units) == len(MATRIX)  # one unit per cell, 2 workers
+    enqueued = [u["start"] - u["queue_seconds"] for u in units]
+    assert max(enqueued) - min(enqueued) < 0.05, units
+
+
 # ----------------------------------------------------------------------
 # Fault-log correlation
 # ----------------------------------------------------------------------

@@ -16,7 +16,11 @@ Three contracts under test:
   pool report, with figures still bit-identical to serial.
 """
 
+import glob
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -163,8 +167,8 @@ def test_keyboard_interrupt_releases_segments(monkeypatch):
 
 
 def test_chaos_killed_worker_does_not_unlink_segments(monkeypatch):
-    """A dying worker's resource tracker must never take parent-owned
-    segments down with it (attach unregisters them); the rebuilt pool
+    """A dying worker must never take parent-owned segments down with
+    it (workers share the parent's resource tracker); the rebuilt pool
     finishes the sweep off the same segments, bit-identically."""
     before = metrics.mark()
     reference = [_figures(simulate_spec(w, s, "", EXPERIMENT_CONFIG))
@@ -185,10 +189,42 @@ def test_chaos_killed_worker_does_not_unlink_segments(monkeypatch):
     for entry in entries.values():
         handle = shared_memory.SharedMemory(name=entry.segment,
                                             create=False)
-        shm._unregister_tracker(handle)
         handle.close()
     assert shm.release_all() == len(entries)
     assert shm.manifest_names() == []
+
+
+TWO_SWEEPS = f"""
+from repro.engine.config import EXPERIMENT_CONFIG
+from repro.parallel import run_jobs
+
+run_jobs([("{APP}", "none"), ("{APP}", "bop")], EXPERIMENT_CONFIG, 2)
+# The second sweep's trace is published after the pool forked, so the
+# workers attach a segment they did not inherit.
+run_jobs([("{APP2}", "none"), ("{APP2}", "bop")], EXPERIMENT_CONFIG, 2)
+"""
+
+
+def test_two_sweeps_on_one_pool_exit_cleanly():
+    """Two sweeps on one persistent pool, the second on a workload
+    published after the fork: at exit the parent unlinks every segment
+    exactly once, and the resource tracker reports nothing."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in (shm.SHM_ENV, shm.MP_CONTEXT_ENV, chaos.CHAOS_ENV)}
+    env["PYTHONPATH"] = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.Popen([sys.executable, "-c", TWO_SWEEPS], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    try:
+        _, stderr = proc.communicate(timeout=300)
+    finally:
+        proc.kill()  # no-op once it exited
+    assert proc.returncode == 0, stderr
+    noisy = [line for line in stderr.splitlines()
+             if "KeyError" in line or "resource_tracker" in line]
+    assert noisy == [], stderr
+    assert glob.glob(f"/dev/shm/repro-{proc.pid}-*") == []
 
 
 # ----------------------------------------------------------------------
@@ -217,33 +253,6 @@ def test_imbalanced_matrix_records_steals():
     assert report["steals"] == counters["pool.steals"]
     assert sum(entry["steals"] for entry in report["workers"].values()) \
         == report["steals"]
-
-
-# ----------------------------------------------------------------------
-# Plan registry: same-name trace objects share replay plans
-# ----------------------------------------------------------------------
-def test_plan_registry_reuses_plans_across_trace_objects(monkeypatch):
-    from repro.engine import segmented
-    from repro.isa.trace import CompiledTrace
-
-    simulate_spec(APP, "none", "", EXPERIMENT_CONFIG)
-    trace1 = get_workload(APP).trace()
-    assert trace1._plans, "the none cell should have built a segment plan"
-    key, plan = next(iter(trace1._plans.items()))
-
-    # A re-materialized trace of the same workload (what a shared-memory
-    # attach or a cache reload produces) must reuse the plan, not
-    # rebuild it.
-    trace2 = CompiledTrace.from_column_bytes(
-        trace1.name, trace1.column_bytes(), dict(trace1.memory),
-        derived=trace1.derived_bytes(), segments=trace1.segment_bytes())
-
-    def boom(trace, key):
-        raise AssertionError("plan was rebuilt instead of reused")
-
-    monkeypatch.setattr(segmented, "_build_segment_plan", boom)
-    assert segmented._get_plan(trace2, key) is plan
-    assert trace2._plans[key] is plan
 
 
 # ----------------------------------------------------------------------
@@ -277,6 +286,99 @@ def test_check_regression_skips_gate_on_null_speedup(tmp_path, monkeypatch):
     error = check_regression(report, str(baseline))
     assert error is not None and "0.8" in error
     assert report["baseline"]["parallel_gate"] == "enforced"
+
+
+def _passing_report() -> dict:
+    cell = "spec.mcf/tpc"
+    return {
+        "quick": True,
+        "serial": {"instr_per_sec": 1000},
+        "parallel": {"jobs": 2, "cpus": 4, "speedup_vs_serial": 1.3},
+        "kernels": {
+            "identical": True,
+            "speedup_vs_generic": 2.0,
+            "generic_cells": [],
+            "segmented": {
+                "cells": [cell],
+                "speedup_vs_scalar": 1.6,
+                "identical": True,
+                "per_cell": {cell: {"identical": True}},
+            },
+        },
+    }
+
+
+def _set(path: str, value):
+    def mutate(report):
+        *parents, leaf = path.split(".")
+        target = report
+        for key in parents:
+            target = target[key]
+        target[leaf] = value
+    return mutate
+
+
+def _break_cell(report):
+    report["kernels"]["segmented"]["per_cell"]["spec.mcf/tpc"][
+        "identical"] = False
+
+
+CHECK = ["--check", "baseline.json"]
+
+
+@pytest.mark.parametrize("options, mutate, message", [
+    (CHECK + ["--require-specialized", "--require-segmented"],
+     lambda report: None, None),
+    (CHECK, _set("serial.instr_per_sec", 600),
+     "serial throughput regressed: 600 instr/sec < 700"),
+    (CHECK, _set("parallel.speedup_vs_serial", 0.8),
+     "parallel pass slower than serial: speedup 0.8 < 1.0"),
+    (CHECK, _set("kernels.identical", False),
+     "specialized kernels are not bit-identical to the generic loop"),
+    (["--require-specialized"], _set("kernels.identical", False),
+     "specialized kernels are not bit-identical to the generic loop"),
+    (CHECK, _set("kernels.speedup_vs_generic", 0.9),
+     "specialized kernels slower than the generic loop: 0.9x < 1.0"),
+    (["--require-specialized"], _set("kernels.generic_cells", ["a/b"]),
+     "generic fallback selected for standard cells: a/b"),
+    (["--require-segmented"], _set("kernels.segmented.cells", []),
+     "no matrix cell selected the segmented tier"),
+    (CHECK, _break_cell,
+     "segmented tier is not bit-identical to the scalar kernels "
+     "(REPRO_KERNEL=scalar) on: spec.mcf/tpc"),
+    (["--require-segmented"], _break_cell,
+     "segmented tier is not bit-identical to the scalar kernels "
+     "(REPRO_KERNEL=scalar) on: spec.mcf/tpc"),
+    (CHECK, _set("kernels.segmented.speedup_vs_scalar", 0.9),
+     "segmented tier below the 1.0x aggregate target: 0.9x vs scalar"),
+    (["--require-segmented"],
+     _set("kernels.segmented.speedup_vs_scalar", 1.4),
+     "segmented tier below the 1.5x aggregate target: 1.4x vs scalar"),
+    (CHECK, _set("kernels.segmented.speedup_vs_scalar", 1.4), None),
+])
+def test_bench_gate_table(options, mutate, message, tmp_path, monkeypatch,
+                          capsys):
+    """Each row of the bench's gate table fails the run, with its
+    message, exactly when its option is given and its figure breaks."""
+    import repro.bench as bench_mod
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "baseline.json").write_text(
+        json.dumps({"quick": {"instr_per_sec": 1000}}))
+    report = _passing_report()
+    mutate(report)
+    monkeypatch.setattr(bench_mod, "run_bench", lambda **kwargs: report)
+    monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("REPRO_BENCH_LOG", "")
+    monkeypatch.setenv("REPRO_LOG", "quiet")  # errors still print
+    code = bench_mod.main(options + ["-o", "out.json"])
+    failures = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("FAIL")]
+    if message is None:
+        assert (code, failures) == (0, [])
+    else:
+        assert code == 1
+        assert len(failures) == 1 and message in failures[0], failures
 
 
 def test_bench_parallel_reports_null_speedup_on_fallback(monkeypatch):

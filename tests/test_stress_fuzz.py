@@ -151,6 +151,22 @@ def test_fuzz_identity_invariants(seed):
     assert summary["violations"] == [], summary["violations"]
 
 
+def test_cold_leg_builds_its_own_plan():
+    """The warm-vs-cold invariant replays the cold-compiled trace on a
+    plan built from its own columns, not on the warm trace's plan."""
+    workload = fuzz_workload(1)
+    builds = {}
+    for cold in (False, True):
+        before = metrics.mark()
+        summary = check_workload(workload, ("none",), fused=False,
+                                 cold=cold)
+        builds[cold] = metrics.since(before)["kernel.plan_builds"]
+        assert summary["violations"] == [], summary["violations"]
+        assert summary["round_tripped"]  # a fresh warm trace per call
+        assert all(k.startswith("segmented+") for k in summary["kernels"])
+    assert builds[True] == builds[False] + 1
+
+
 def test_run_fuzz_report_shape():
     report = run_fuzz(seeds=2, stress=False,
                       prefetchers=("none", "tpc"))
