@@ -387,7 +387,6 @@ def _cmd_fuzz(args) -> None:
         ("mixes", report["mixes"]),
         ("simulations", report["simulations"]),
         ("seconds", report["seconds"]),
-        ("tracked seconds", report["tracked_seconds"]),
         ("mix seconds", report["mix_seconds"]),
         ("violations", len(report["violations"])),
     ]

@@ -7,10 +7,13 @@ finds its tag in the alternative-reality cache tags, we have a
 prefetching-induced miss.  In this case, one negative credit is equally
 divided among the prefetched lines currently in the set."
 
-:class:`CreditTracker` implements the hierarchy's tracker protocol
-(``on_prefetch_issued`` / ``on_useful`` / ``on_pollution``) and aggregates
-credits per *component* and per *category* (via an optional classifier),
-which is exactly what Fig. 13 and Fig. 14 plot.
+Accounting only observes, so a simulation records the tracker protocol
+(``on_prefetch_issued`` / ``on_useful`` / ``on_pollution``) as its
+``SimulationResult.credit_log`` and :func:`replay` feeds it to a tracker
+afterwards: a cached cell serves any number of trackers.
+:class:`CreditTracker` implements the protocol and aggregates credits
+per *component* and per *category* (via an optional classifier), which
+is exactly what Fig. 13 and Fig. 14 plot.
 """
 
 from __future__ import annotations
@@ -40,8 +43,16 @@ class CreditBucket:
         return self.credit / self.issued
 
 
+def replay(log, tracker) -> None:
+    """Feed ``tracker`` a recorded credit log, one protocol call per
+    entry, in the recorded order (see ``Hierarchy.credit_log``), so it
+    ends exactly as if it had watched the run."""
+    for name, *args in log:
+        getattr(tracker, name)(*args)
+
+
 class CreditTracker:
-    """Aggregates prefetch credits; plugs into ``Hierarchy.tracker``.
+    """Aggregates prefetch credits from a replayed credit log.
 
     Parameters
     ----------

@@ -14,8 +14,8 @@ Usage::
     for window in recorder.windows:
         print(window.index, window.issued, window.useful_fraction)
 
-The recorder implements the hierarchy tracker protocol, so it composes
-with a simulation run directly; combine with a baseline run's windowed
+The recorder implements the tracker protocol, so ``simulate`` feeds it
+the run's recorded credit log; combine with a baseline run's windowed
 miss counts for per-window scope.
 """
 
@@ -73,7 +73,7 @@ class WindowRecorder:
         self._advance()
 
     # ------------------------------------------------------------------
-    # Hierarchy tracker protocol
+    # Tracker protocol (see repro.analysis.credit.replay)
     # ------------------------------------------------------------------
     def on_prefetch_issued(self, line: int, component) -> None:
         window = self._advance()

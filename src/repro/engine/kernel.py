@@ -19,16 +19,14 @@ persisted by the trace cache.
 
 Every kernel also inlines the L1 *hit* leg of
 ``Hierarchy.demand_access``: the set-dict probe, LRU touch, shadow-tag
-update, and hit accounting run as straight-line code, and the hierarchy
-is only called on a miss (``Hierarchy._demand_miss``).  Hit-counter
-updates are accumulated in locals and written back once at the end —
-nothing reads them mid-run, because a kernel never runs with an
-observer of live state attached.  A sampler, a telemetry hub, a
-dynamic branch predictor, or an object trace makes :func:`kernel_flags`
-return ``None``, and the generic loop runs instead.  A credit tracker
-sends the cell to the generic loop too, unless the segmented tier
-(:mod:`repro.engine.segmented`), which replays the tracker protocol,
-takes it: a scalar kernel never runs with a tracker.
+update, hit accounting, and the ``on_useful`` entry of the hierarchy's
+``credit_log`` run as straight-line code, and the hierarchy is only
+called on a miss (``Hierarchy._demand_miss``).  Hit-counter updates are
+accumulated in locals and written back once at the end — nothing reads
+them mid-run, because a kernel never runs with an observer of live
+state attached.  A sampler, a telemetry hub, a dynamic branch
+predictor, or an object trace makes :func:`kernel_flags` return
+``None``, and the generic loop runs instead.
 
 Bit-identity is the contract: a specialized kernel must retire every
 instruction with exactly the timing of the generic loop — only wall
@@ -66,8 +64,7 @@ SCALAR = "scalar"
 """``REPRO_KERNEL=scalar`` disables only the segmented replay tier
 (:mod:`repro.engine.segmented`), keeping the scalar specialized kernels —
 the comparator ``repro bench`` measures ``segmented.speedup_vs_scalar``
-against.  A credit-tracked cell then runs the generic loop.
-``REPRO_KERNEL=generic`` disables all specialization."""
+against.  ``REPRO_KERNEL=generic`` disables all specialization."""
 
 _KERNELS: dict[tuple, object] = {}
 """Compiled kernels by ``(flags, resumable)``.  Every selection counts
@@ -84,8 +81,7 @@ def kernel_flags(core) -> tuple | None:
     hook (request generator), fill hook.  ``None`` means the generic
     step loop must run: an object trace, a sampler, a telemetry hub on
     the hierarchy, a dynamic branch predictor, or the
-    ``REPRO_KERNEL=generic`` escape hatch.  A credit tracker is left to
-    the caller: only the segmented tier replays it.
+    ``REPRO_KERNEL=generic`` escape hatch.
     """
     if os.environ.get(KERNEL_ENV) == GENERIC:
         return None
@@ -262,6 +258,7 @@ def _memory_lines(flags: tuple, is_load: bool) -> list[str]:
         "                    l1_useful += 1",
         "                    if ready > issue:",
         "                        l1_late += 1",
+        "                    log_append(('on_useful', line, cl.component, 1))",
         "                elif ready > issue and not cl.prefetched:",
         "                    l1_merges += 1",
     ]
@@ -376,6 +373,7 @@ def kernel_source(flags: tuple, resumable: bool = False) -> str:
         "    sh_mask = shadow._set_mask",
         "    sh_ways = shadow.ways",
         "    demand_miss = hierarchy._demand_miss",
+        "    log_append = hierarchy.credit_log.append",
         "    l1_acc = 0",
         "    l1_hits = 0",
         "    l1_useful = 0",

@@ -11,10 +11,11 @@ memory controller — the contention that the drop-policy experiment
 Each core replaying a compiled trace runs its bursts on the resumable
 form of its specialized scalar kernel (:mod:`repro.engine.kernel`), a
 generator that keeps its locals between bursts.  Cores no kernel takes
-— object traces, a credit tracker, and ``REPRO_KERNEL=generic`` — run
-them as ``OoOCore.step()`` calls.  Both retire the same instructions
-per burst, so the interleaving, and every number, is the same on
-either path.
+— object traces and ``REPRO_KERNEL=generic`` — run them as
+``OoOCore.step()`` calls.  Both retire the same instructions per
+burst, so the interleaving, and every number, is the same on either
+path.  Each per-core result carries its own hierarchy's
+``credit_log``.
 """
 
 from __future__ import annotations
@@ -52,10 +53,9 @@ def _step_bursts(core: OoOCore, burst: int):
 
 def _bursts(core: OoOCore):
     """``core``'s burst generator, on the kernel :func:`kernel_flags`
-    picks (the step loop when it picks none, or the core has a
-    tracker)."""
+    picks (the step loop when it picks none)."""
     flags = kernel_flags(core)
-    if flags is None or core.hierarchy.tracker is not None:
+    if flags is None:
         return _step_bursts(core, BURST)
     core.kernel_variant = variant_name(flags)
     return get_kernel(flags, resumable=True)(core, BURST)
@@ -90,7 +90,9 @@ def simulate_multicore(traces: list[Trace],
     """Simulate ``len(traces)`` cores sharing an L3 and memory controller.
 
     Each core gets its own prefetcher instance (they must not share
-    learned state, exactly as per-core hardware would not).
+    learned state, exactly as per-core hardware would not).  Each of
+    ``trackers``, when given, is fed its core's ``credit_log`` after the
+    run (:func:`repro.analysis.credit.replay`).
     """
     config = config or EXPERIMENT_CONFIG
     n = len(traces)
@@ -112,13 +114,11 @@ def simulate_multicore(traces: list[Trace],
 
     cores: list[OoOCore] = []
     hierarchies: list[Hierarchy] = []
-    for i, (trace, prefetcher) in enumerate(zip(traces, prefetchers)):
+    for trace, prefetcher in zip(traces, prefetchers):
         prefetcher.reset()
         if prefetcher.wants_memory_image:
             prefetcher.set_memory(trace.memory)
         hierarchy = Hierarchy(config, l3=shared_l3, dram=shared_dram)
-        if trackers is not None:
-            hierarchy.tracker = trackers[i]
         hierarchies.append(hierarchy)
         cores.append(OoOCore(trace, hierarchy, prefetcher, config.core))
 
@@ -154,9 +154,15 @@ def simulate_multicore(traces: list[Trace],
                 attempted_by_component=hierarchy.attempted_by_component,
                 pollution_misses_l1=hierarchy.pollution_misses_l1,
                 pollution_misses_l2=hierarchy.pollution_misses_l2,
+                credit_log=hierarchy.credit_log,
                 kernel=core.kernel_variant,
             )
         )
+    if trackers is not None:
+        from repro.analysis.credit import replay
+
+        for tracker, result in zip(trackers, per_core):
+            replay(result.credit_log, tracker)
     return MulticoreResult(
         per_core=per_core, dram_traffic=shared_dram.stats.total_traffic
     )

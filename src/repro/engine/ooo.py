@@ -394,12 +394,11 @@ class OoOCore:
         An eligible core (:func:`~repro.engine.kernel.kernel_flags`)
         first tries the segmented tier (:mod:`repro.engine.segmented`:
         vectorized stretches between segment events, scalar islands at
-        them).  When that tier turns the cell down, an untracked core
-        runs its scalar specialized kernel (:mod:`repro.engine.kernel`),
-        the step loop partial-evaluated for its hook shape,
+        them).  When that tier turns the cell down, the core runs its
+        scalar specialized kernel (:mod:`repro.engine.kernel`), the
+        step loop partial-evaluated for its hook shape,
         bit-identically.  Everything else runs the generic loop: object
-        traces, a sampler, telemetry, a dynamic branch predictor, a
-        credit tracker the segmented tier turned down, and
+        traces, a sampler, telemetry, a dynamic branch predictor, and
         ``REPRO_KERNEL=generic``.  Selected here rather than in
         ``__init__`` because telemetry attaches after construction.
         The multicore harness does not call ``run``: it selects each
@@ -415,9 +414,8 @@ class OoOCore:
             result = maybe_run_segmented(self, flags)
             if result is not None:
                 return result
-            if self.hierarchy.tracker is None:
-                self.kernel_variant = variant_name(flags)
-                return get_kernel(flags)(self)
+            self.kernel_variant = variant_name(flags)
+            return get_kernel(flags)(self)
         step = self.step
         while step():
             pass

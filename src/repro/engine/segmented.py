@@ -5,8 +5,7 @@ this module), applied to every cell the scalar kernels could take
 (:func:`~repro.engine.kernel.kernel_flags`: a compiled trace, static
 branch prediction, no sampler, no telemetry hub): the hook-free
 ``none`` cells and the paper's hooked ``bop``/``tpc`` prefetchers
-alike, untracked or credit-tracked (the Figs. 13-14 ``run_tracked``
-cells).  Prefetches perturb the cache and DRAM state — which accesses
+alike.  Prefetches perturb the cache and DRAM state — which accesses
 hit, which victims leave, and which DRAM rows open all depend on what
 the prefetcher did — so the tier plans only what the trace alone
 decides and replays the rest live, splitting the work the way the
@@ -36,12 +35,11 @@ paper splits prefetching:
   ``on_fill``, ``on_prefetch_hit``) are called at exactly the positions
   and with exactly the :class:`~repro.core.base.AccessEvent` payloads
   of the scalar kernels, so prefetcher state is handed off bit-exactly
-  at every stretch/island boundary.  A tracked kernel likewise calls
-  the hierarchy's tracker protocol (``on_useful``, ``on_pollution``,
-  ``on_prefetch_issued``) where ``Hierarchy`` does; an untracked
-  kernel's source names no tracker callback.  ``on_pollution``'s
-  ``victims`` arrive in the virtualized set's recency order rather than
-  ``Cache``'s fill order, which the protocol leaves unordered.
+  at every stretch/island boundary.  Every kernel likewise appends the
+  credit-accounting entries (``on_useful``, ``on_pollution``,
+  ``on_prefetch_issued``) to ``Hierarchy.credit_log`` where
+  ``Hierarchy`` does, with each ``on_pollution``'s victims sorted by
+  line, so the log equals the other tiers'.
 
 Bit-identity is the contract, exactly as for the scalar kernels: the
 replay reproduces every structural decision and every timing of
@@ -62,12 +60,11 @@ state, subclassed hierarchy/cache/shadow/MSHR/DRAM components, DRAM
 telemetry, a drop policy other than RANDOM (the §V-C1 policy belongs
 to the 4-core mixes), or a segment-event coverage fraction above
 :data:`SEGMENT_MAX_COVERAGE` (an all-event trace) all turn the cell
-down silently.  An untracked cell then runs its scalar kernel, which
-calls the real ``Dram``; a tracked one runs the generic loop, since no
-scalar kernel replays the tracker protocol (the variant name on
-``SimulationResult.kernel`` records which tier actually ran).  A plan
-is memoized on the ``CompiledTrace._plans`` of the trace it was built
-from, and nowhere else; the process metrics registry counts
+down silently.  The cell then runs its scalar kernel, which calls the
+real ``Dram`` (the variant name on ``SimulationResult.kernel`` records
+which tier actually ran).  A plan is memoized on the
+``CompiledTrace._plans`` of the trace it was built from, and nowhere
+else; the process metrics registry counts
 ``kernel.plan_builds``/``kernel.plan_cache_hits`` and kernel
 exec-compiles (``kernel.compiled.<variant>``), and a sweep's
 ``repro metrics`` shows what its cells added.
@@ -176,16 +173,13 @@ _SEG_STORE = 2
 _SEG_BP_MISS = 3
 
 
-def segment_variant(flags: tuple, tracked: bool) -> str:
+def segment_variant(flags: tuple) -> str:
     """Kernel attribution name for the segmented tier: the scalar
     variant's hook spelling with the ``fast`` prefix swapped, e.g.
-    ``segmented+instr+observe+issue+leanmem+staticbp``; a tracked
-    kernel drops ``leanmem``
-    (``segmented+instr+observe+issue+staticbp``)."""
+    ``segmented+instr+observe+issue+leanmem+staticbp``."""
     from repro.engine.kernel import variant_name
 
-    name = SEGMENT_PREFIX + variant_name(flags)[4:]
-    return name.replace("+leanmem", "") if tracked else name
+    return SEGMENT_PREFIX + variant_name(flags)[4:]
 
 
 class SegmentPlan:
@@ -297,8 +291,7 @@ def maybe_run_segmented(core, flags: tuple):
     ``flags`` are the hook-shape flags
     :func:`~repro.engine.kernel.kernel_flags` returned for ``core``, so
     the trace is compiled and no sampler, telemetry hub or dynamic
-    branch predictor is attached.  A credit tracker on the hierarchy
-    is replayed (a ``tracked`` kernel).  Further eligibility:
+    branch predictor is attached.  Further eligibility:
     ``REPRO_KERNEL`` not ``scalar``, a cold stock hierarchy
     (:func:`_stock_cold_hierarchy`), and a segment-event coverage
     fraction at most :data:`SEGMENT_MAX_COVERAGE`.
@@ -314,8 +307,7 @@ def maybe_run_segmented(core, flags: tuple):
     if not n or len(trace.segment_events()) / n > SEGMENT_MAX_COVERAGE:
         return None
     instr, oa, ona, of = flags
-    tracked = core.hierarchy.tracker is not None
-    variant = segment_variant(flags, tracked)
+    variant = segment_variant(flags)
     plan = _get_plan(trace, segment_plan_key(core))
     PROCESS.count(f"kernel.selected.{variant}")
     core.kernel_variant = variant
@@ -343,7 +335,7 @@ def maybe_run_segmented(core, flags: tuple):
         else:
             route = hook
 
-    kernel = _segment_kernel(instr, oa, ona, of, tracked, nfeeds)
+    kernel = _segment_kernel(instr, oa, ona, of, nfeeds)
     return kernel(core, plan, feeds, route)
 
 
@@ -351,23 +343,21 @@ _SEG_KERNELS: dict[tuple, object] = {}
 
 
 def _segment_kernel(instr: bool, oa: bool, ona: bool, of: bool,
-                    tracked: bool, nfeeds: int):
+                    nfeeds: int):
     """Compile (and memoize) one segmented replay kernel.
 
     Like ``repro.engine.kernel``, the loop is generated with dead hook
-    branches absent; the kernel is additionally specialized on whether
-    a credit tracker is attached (``tracked``: only then are its
-    callbacks emitted) and on the number of devirtualized instruction
-    feeds (``nfeeds``; -1 calls the composite's forwarder per
-    instruction instead).
+    branches absent; the kernel is additionally specialized on the
+    number of devirtualized instruction feeds (``nfeeds``; -1 calls the
+    composite's forwarder per instruction instead).
     """
-    key = (instr, oa, ona, of, tracked, nfeeds)
+    key = (instr, oa, ona, of, nfeeds)
     fn = _SEG_KERNELS.get(key)
     if fn is None:
         from repro.core.base import AccessEvent
 
         PROCESS.count("kernel.compiled."
-                      + segment_variant((instr, oa, ona, of), tracked))
+                      + segment_variant((instr, oa, ona, of)))
         source = _segment_source(*key)
         namespace = {"_FAR": _FAR, "AccessEvent": AccessEvent}
         exec(compile(source, f"<segmented kernel {key}>", "exec"),
@@ -377,7 +367,7 @@ def _segment_kernel(instr: bool, oa: bool, ona: bool, of: bool,
 
 
 def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
-                    tracked: bool, nfeeds: int) -> str:
+                    nfeeds: int) -> str:
     """Source of a specialized segmented replay loop.
 
     The emitted code retires the whole trace with live hooks: the
@@ -395,10 +385,9 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     load/store arms; ``do_prefetch`` keeps its early-return shape as a
     closure.  Hook call positions and ``AccessEvent`` payloads are
     exactly the scalar kernel's, so the prefetcher cannot distinguish
-    the tiers; with ``tracked``, so are the tracker calls (bar the
-    order of each ``victims`` list).  Stats accumulate in locals and
-    write back once at the end, matching the scalar kernels'
-    deferred-accumulator contract.
+    the tiers, and so are the ``credit_log`` entries.  Stats accumulate
+    in locals and write back once at the end, matching the scalar
+    kernels' deferred-accumulator contract.
     """
     build_event = oa or ona
     lines: list[str] = []
@@ -471,11 +460,11 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
             emit(f"{ind}if {flag}:")
             emit(f"{ind}    on_prefetch_hit(line, {level_expr})")
 
-    def pollution_call(ind: str, level: int, tset: str) -> None:
+    def pollution_entry(ind: str, level: int, tset: str) -> None:
         # Hierarchy._prefetch_victims before the fill: the set's
-        # prefetched entries, in recency rather than fill order.
-        emit(f"{ind}on_pollution({level}, [(v, e[4]) for v, e "
-             f"in {tset}.items() if e[2]])")
+        # prefetched entries, sorted by line.
+        emit(f"{ind}log_append(('on_pollution', {level}, tuple(sorted("
+             f"(v, e[4]) for v, e in {tset}.items() if e[2]))))")
 
     def demand_miss_block(ind: str, is_write: str) -> None:
         # Hierarchy._demand_miss + _access_l2 + _access_l3 with the
@@ -488,8 +477,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{ind}miss_lines_l1[line] += 1")
         emit(f"{ind}if sh1:")
         emit(f"{ind}    pollution_l1 += 1")
-        if tracked:
-            pollution_call(ind + "    ", 1, "tset1")
+        pollution_entry(ind + "    ", 1, "tset1")
         emit(f"{ind}if l1_min_p <= mnow:")
         emit(f"{ind}    l1_pending[:] = [x for x in l1_pending "
              f"if x > mnow]")
@@ -527,8 +515,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{ind}        l2_useful += 1")
         emit(f"{ind}        if ready > t:")
         emit(f"{ind}            l2_late += 1")
-        if tracked:
-            emit(f"{ind}        on_useful(line, entry[4], 2)")
+        emit(f"{ind}        log_append(('on_useful', line, entry[4], 2))")
         emit(f"{ind}    if ready < t:")
         emit(f"{ind}        ready = t")
         emit(f"{ind}    fill_time = ready + l2_lat")
@@ -540,8 +527,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{i2}miss_lines_l2[line] += 1")
         emit(f"{i2}if not sh1 and sh2_hit:")
         emit(f"{i2}    pollution_l2 += 1")
-        if tracked:
-            pollution_call(i2 + "    ", 2, "tset2")
+        pollution_entry(i2 + "    ", 2, "tset2")
         emit(f"{i2}if l2_min_p <= t:")
         emit(f"{i2}    l2_pending[:] = [x for x in l2_pending "
              f"if x > t]")
@@ -639,8 +625,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{ind}    l1_useful += 1")
         emit(f"{ind}    if ready > issue:")
         emit(f"{ind}        l1_late += 1")
-        if tracked:
-            emit(f"{ind}    on_useful(line, cl[4], 1)")
+        emit(f"{ind}    log_append(('on_useful', line, cl[4], 1))")
         emit(f"{ind}elif ready > issue and not cl[2]:")
         emit(f"{ind}    l1_merges += 1")
 
@@ -701,11 +686,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     if of:
         emit("    on_fill = core._on_fill")
     emit("    on_prefetch_hit = core.prefetcher.on_prefetch_hit")
-    if tracked:
-        emit("    tracker = hierarchy.tracker")
-        emit("    on_useful = tracker.on_useful")
-        emit("    on_pollution = tracker.on_pollution")
-        emit("    on_prefetch_issued = tracker.on_prefetch_issued")
+    emit("    log_append = hierarchy.credit_log.append")
     emit("")
     emit("    far = _FAR")
     emit("    l1_sets = [dict() for _ in range(l1.num_sets)]")
@@ -976,8 +957,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("            l2_pending.append(fill_time)")
     emit("            if fill_time < l2_min_p:")
     emit("                l2_min_p = fill_time")
-    if tracked:
-        emit("        on_prefetch_issued(pline, component)")
+    emit("        log_append(('on_prefetch_issued', pline, component))")
     emit("        return True")
     emit("")
 

@@ -33,6 +33,10 @@ class SimulationResult:
     attempted_by_component: dict = field(default_factory=dict)
     pollution_misses_l1: int = 0
     pollution_misses_l2: int = 0
+    credit_log: list = field(default_factory=list)
+    """The run's credit-accounting protocol calls, in call order (see
+    ``Hierarchy.credit_log``); :func:`repro.analysis.credit.replay`
+    feeds them to a tracker."""
     kernel: str = "generic"
     """Replay-kernel variant that produced this result (see
     :mod:`repro.engine.kernel`); lets benchmarks and the fault journal
@@ -86,8 +90,8 @@ def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
         System configuration; defaults to the experiment configuration
         (Table I with caches scaled to the shortened traces).
     tracker:
-        Optional credit tracker (see :mod:`repro.analysis.credit`) attached
-        to the hierarchy for per-prefetch pollution accounting.
+        Optional credit tracker (see :mod:`repro.analysis.credit`), fed
+        the run's ``credit_log`` once the run ends.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` hub.  When given it is
         wired to the hierarchy, the DRAM controller, the core, and (for
@@ -103,8 +107,6 @@ def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
     if prefetcher.wants_memory_image:
         prefetcher.set_memory(trace.memory)
     hierarchy = Hierarchy(config)
-    if tracker is not None:
-        hierarchy.tracker = tracker
     core = OoOCore(trace, hierarchy, prefetcher, config.core)
     if telemetry is not None:
         hierarchy.telemetry = telemetry
@@ -129,8 +131,13 @@ def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
         attempted_by_component=hierarchy.attempted_by_component,
         pollution_misses_l1=hierarchy.pollution_misses_l1,
         pollution_misses_l2=hierarchy.pollution_misses_l2,
+        credit_log=hierarchy.credit_log,
         kernel=core.kernel_variant,
     )
+    if tracker is not None:
+        from repro.analysis.credit import replay
+
+        replay(result.credit_log, tracker)
     result.manifest = build_manifest(result, spec=spec,
                                      config_tag=config_tag,
                                      telemetry=telemetry)

@@ -3,7 +3,8 @@
 
 The offline classifier (Sec. V-C1) labels cache lines; every prefetch is
 labeled with its target's category and earns +-credits via the
-alternative-reality accounting.  Paper observations:
+alternative-reality accounting, replayed from each cell's recorded
+credit log (the same cells Fig. 8 runs).  Paper observations:
 
 * most prefetches land in LHF, where T2's accuracy stands out;
 * monolithic prefetchers have high MHF scope but 32-56% accuracy,
@@ -51,9 +52,10 @@ def run(runner: ExperimentRunner | None = None,
     runner = runner or ExperimentRunner()
     apps = apps or workload_names("spec")
     prefetchers = prefetchers or PREFETCHERS
-    # Tracked runs are never cached (the tracker is a side output), but
-    # the baselines they are scored against are ordinary cells.
-    runner.prefill([(app, "none") for app in apps])
+    # Every tracked cell is an ordinary cached cell (a tracker replays
+    # its credit log), so they fan out with their baselines.
+    runner.prefill([(app, spec) for spec in ["none", *prefetchers]
+                    for app in apps])
 
     rows = []
     for name in prefetchers:

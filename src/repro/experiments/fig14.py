@@ -5,6 +5,10 @@ Paper result: in every case the existing prefetcher's effective accuracy
 in the uncovered region improves when used as a component (e.g. SMS: 27%
 alone -> 43% as component), because division of labor frees its capacity
 from the accesses TPC already handles.
+
+Credits are replayed from cached cells' credit logs: the "alone" runs
+are Fig. 8 cells and the "component" runs Fig. 15's ``tpc+<extra>``
+composites.
 """
 
 from __future__ import annotations
@@ -13,19 +17,11 @@ from dataclasses import dataclass
 
 from repro.analysis.credit import CreditTracker
 from repro.analysis.report import format_table
-from repro.core.composite import make_tpc
-from repro.experiments.runner import (
-    ExperimentRunner,
-    SpecFactory,
-    build_prefetcher,
-)
+from repro.experiments.fig15 import _composite_factory
+from repro.experiments.runner import ExperimentRunner
 from repro.workloads import workload_names
 
 EXTRAS = ["vldp", "spp", "fdp", "sms"]
-
-
-def _build_tpc_plus(extra: str):
-    return make_tpc(extras=[build_prefetcher(extra)])
 
 _OUT = "outside-tpc"
 _IN = "inside-tpc"
@@ -53,11 +49,11 @@ def run(runner: ExperimentRunner | None = None,
     runner = runner or ExperimentRunner()
     apps = apps or workload_names("spec")
     extras = extras or EXTRAS
-    # Tracked runs below are uncached; the TPC-coverage and baseline
-    # cells are, so they fan out.
+    # Every cell below, tracked or not, is cached, so they all fan out.
     runner.prefill(
-        [(app, "tpc") for app in apps]
-        + [(app, "none") for app in apps]
+        [(app, spec) for spec in ["tpc", "none"] for app in apps]
+        + [(app, spec) for extra in extras
+           for spec in (extra, _composite_factory(extra)) for app in apps]
     )
 
     # The region TPC does not cover, per app.
@@ -79,8 +75,7 @@ def run(runner: ExperimentRunner | None = None,
                 if mode == "alone":
                     spec = extra
                 else:
-                    spec = SpecFactory(f"tpc+{extra}", _build_tpc_plus,
-                                       extra=extra)
+                    spec = _composite_factory(extra)
                 component_tag = extra
                 result = runner.run_tracked(app, spec, tracker)
                 bucket = tracker.bucket(component=component_tag,

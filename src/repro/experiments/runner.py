@@ -42,6 +42,7 @@ import hashlib
 import time
 from typing import Callable, Iterable
 
+from repro.analysis.credit import replay
 from repro.core.base import Prefetcher
 from repro.engine.config import SystemConfig, EXPERIMENT_CONFIG
 from repro.engine.system import SimulationResult, simulate
@@ -247,6 +248,12 @@ class ExperimentRunner:
     def run(self, workload: str, prefetcher: PrefetcherSpec = "none",
             tag: str = "") -> SimulationResult:
         """Simulate (cached).  ``tag`` distinguishes config variants."""
+        return self._cell(workload, prefetcher, tag)
+
+    def _cell(self, workload: str, prefetcher: PrefetcherSpec,
+              tag: str) -> SimulationResult:
+        """The memo / disk / simulate lookup behind :meth:`run` and
+        :meth:`run_tracked`."""
         key_spec, built = resolve_spec(prefetcher)
         key = (workload, key_spec, tag)
         cached = self._cache.get(key)
@@ -329,16 +336,14 @@ class ExperimentRunner:
 
     def run_tracked(self, workload: str, prefetcher: PrefetcherSpec,
                     tracker, tag: str = "") -> SimulationResult:
-        """Simulate with a credit tracker attached (never cached: the
-        tracker is a side output).  ``tag`` carries the same config
-        identity as :meth:`run`, so tracked runs are comparable with the
-        cached results they sit next to."""
-        key_spec, built = resolve_spec(prefetcher)
-        if built is None:
-            built = build_prefetcher(prefetcher)
-        trace = get_workload(workload).trace()
-        return simulate(trace, built, self.config, tracker=tracker,
-                        config_tag=tag, spec=key_spec)
+        """The cell :meth:`run` returns, with its recorded credit log
+        replayed into ``tracker`` (:func:`repro.analysis.credit.replay`).
+        The cell is cached like any other; the lookup bypasses
+        :meth:`run`, so a subclass hooking :meth:`run` sees only the
+        cells a figure asks :meth:`run` for."""
+        result = self._cell(workload, prefetcher, tag)
+        replay(result.credit_log, tracker)
+        return result
 
     def run_profiled(self, workload: str, prefetcher: PrefetcherSpec,
                      telemetry, tag: str = "") -> SimulationResult:

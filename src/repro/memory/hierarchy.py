@@ -119,16 +119,17 @@ class Hierarchy:
     ``l3`` and ``dram`` may be shared across cores (multicore mode); when
     omitted, private instances are created from ``config``.
 
-    ``tracker``, when set, receives credit-accounting callbacks:
-    ``on_prefetch_issued(line, component)``,
-    ``on_useful(line, component, level)``, and
-    ``on_pollution(level, victims)`` where ``victims`` is a list of
-    ``(line_addr, component)`` for prefetched lines in the affected set.
-    ``victims`` is unordered: this class lists them in fill order, the
-    segmented replay tier (:mod:`repro.engine.segmented`) in recency order,
-    so a tracker must treat the list as a multiset.  Callbacks must not
-    read the hierarchy's state: the segmented tier replays it on private
-    structures and writes it back only when the run ends.
+    ``credit_log`` records the credit-accounting protocol (paper
+    Sec. V-C1), one tuple per call in call order, named after the
+    tracker method :func:`repro.analysis.credit.replay` calls with it:
+    ``("on_prefetch_issued", line, component)``,
+    ``("on_useful", line, component, level)``, and
+    ``("on_pollution", level, victims)`` where ``victims`` is a tuple of
+    ``(line_addr, component)`` for the prefetched lines in the affected
+    set, sorted by line.  Every replay tier records the same log: the
+    specialized kernels (:mod:`repro.engine.kernel`,
+    :mod:`repro.engine.segmented`) append to this list where this class
+    would.
     """
 
     __slots__ = (
@@ -140,7 +141,7 @@ class Hierarchy:
         "shadow_l1",
         "shadow_l2",
         "prefetch_stats",
-        "tracker",
+        "credit_log",
         "telemetry",
         "miss_lines_l1",
         "miss_lines_l2",
@@ -168,7 +169,7 @@ class Hierarchy:
         self.shadow_l1 = ShadowTagStore(self.l1d.num_sets, self.l1d.ways)
         self.shadow_l2 = ShadowTagStore(self.l2.num_sets, self.l2.ways)
         self.prefetch_stats = PrefetchStats()
-        self.tracker = None
+        self.credit_log: list[tuple] = []
         self.telemetry = None
         """Optional :class:`repro.telemetry.Telemetry` hub.  Every emit
         site below is guarded by ``is not None`` so a run without
@@ -208,8 +209,7 @@ class Hierarchy:
                 stats.useful_prefetches += 1
                 if ready > now:
                     stats.late_prefetch_hits += 1
-                if self.tracker is not None:
-                    self.tracker.on_useful(line, hit.component, 1)
+                self.credit_log.append(("on_useful", line, hit.component, 1))
                 if telemetry is not None:
                     telemetry.emit(ev.FIRST_USE, now, line=line,
                                    component=hit.component, level=1, pc=pc)
@@ -244,10 +244,8 @@ class Hierarchy:
         self.miss_lines_l1[line] += 1
         if shadow_l1_hit:
             self.pollution_misses_l1 += 1
-            if self.tracker is not None:
-                self.tracker.on_pollution(
-                    1, self._prefetch_victims(l1, line)
-                )
+            self.credit_log.append(
+                ("on_pollution", 1, self._prefetch_victims(l1, line)))
             if telemetry is not None:
                 telemetry.emit(ev.POLLUTION_HIT, now, line=line, level=1,
                                pc=pc)
@@ -288,8 +286,7 @@ class Hierarchy:
                 stats.useful_prefetches += 1
                 if ready > now:
                     stats.late_prefetch_hits += 1
-                if self.tracker is not None:
-                    self.tracker.on_useful(line, hit.component, 2)
+                self.credit_log.append(("on_useful", line, hit.component, 2))
                 if telemetry is not None:
                     telemetry.emit(ev.FIRST_USE, now, line=line,
                                    component=hit.component, level=2, pc=pc)
@@ -301,10 +298,8 @@ class Hierarchy:
         self.miss_lines_l2[line] += 1
         if not shadow_l1_hit and shadow_l2_hit:
             self.pollution_misses_l2 += 1
-            if self.tracker is not None:
-                self.tracker.on_pollution(
-                    2, self._prefetch_victims(l2, line)
-                )
+            self.credit_log.append(
+                ("on_pollution", 2, self._prefetch_victims(l2, line)))
             if telemetry is not None:
                 telemetry.emit(ev.POLLUTION_HIT, now, line=line, level=2,
                                pc=pc)
@@ -459,8 +454,7 @@ class Hierarchy:
         stats.issued += 1
         stats.by_component[component or "?"] += 1
         mshrs.register(fill_time)
-        if self.tracker is not None:
-            self.tracker.on_prefetch_issued(line, component)
+        self.credit_log.append(("on_prefetch_issued", line, component))
         if telemetry is not None:
             telemetry.emit(ev.ISSUED, now, line=line, component=component,
                            level=target_level, pc=pc,
@@ -473,12 +467,12 @@ class Hierarchy:
     # Helpers
     # ------------------------------------------------------------------
     def _prefetch_victims(self, cache: Cache, line: int
-                          ) -> list[tuple[int, str | None]]:
+                          ) -> tuple[tuple[int, str | None], ...]:
         set_index = cache.set_index(line)
-        return [
+        return tuple(sorted(
             (l.line_addr, l.component)
             for l in cache.prefetched_lines_in_set(set_index)
-        ]
+        ))
 
     def mshr_occupancy(self, level: int, now: int) -> int:
         """In-flight misses at L1 (``level=1``) or L2 (``level=2``) at

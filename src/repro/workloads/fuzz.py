@@ -8,7 +8,8 @@ generate, replayed under any registered prefetcher, must produce
 bit-identical figures across
 
 * **kernel vs generic** — the automatically selected tier against the
-  ``REPRO_KERNEL=generic`` escape hatch (the un-specialized step loop);
+  ``REPRO_KERNEL=generic`` escape hatch (the un-specialized step loop),
+  recorded credit logs (the Figs. 13-14 input) included;
 * **fused vs singleton** — the cell executed inside a workload-affine
   fused unit (:func:`repro.parallel._simulate_unit`, the exact worker
   entry point, including the slim-payload pack/unpack round trip)
@@ -30,11 +31,8 @@ handling, never throughput.
 
 ``repro fuzz --seeds N`` runs the harness over the stress suite plus N
 fuzzed traces and exits nonzero on any violation; its report counts
-the simulations and violations.  A tracked leg re-runs the
-:data:`TRACKED_PREFETCHERS` cells with a credit tracker attached, as
-Figs. 13-14 do, and compares the tracker's buckets too.
-The sweep ends with a mix leg: the fuzzed seeds, :data:`MIX_WIDTH` at a
-time, run as one shared-L3/DRAM
+the simulations and violations.  The sweep ends with a mix leg: the
+fuzzed seeds, :data:`MIX_WIDTH` at a time, run as one shared-L3/DRAM
 :func:`~repro.engine.multicore.simulate_multicore` mix,
 kernel-vs-generic (:func:`check_mix`).
 """
@@ -81,12 +79,6 @@ MIX_WIDTH = 4
 MIX_DROP_PREFETCHERS = ("tpc", "bop")
 """Prefetchers the mix leg also runs under both DRAM drop policies at
 the drop-policy experiment's queue capacity (Sec. V-C1)."""
-
-TRACKED_PREFETCHERS = ("tpc", "nextline")
-"""Prefetchers the tracked leg runs again with a
-:class:`~repro.analysis.credit.CreditTracker` attached, as Figs. 13-14
-run their cells (Sec. V-C1): ``tpc`` for the paper's composite,
-``nextline`` for the L1 pollution it causes on ``stress.shadow_mix``."""
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +284,7 @@ _IDENTITY_FIELDS = (
     "core", "l1d", "l2", "l3", "dram", "prefetch",
     "miss_lines_l1", "miss_lines_l2", "attempted_prefetch_lines",
     "attempted_by_component", "pollution_misses_l1", "pollution_misses_l2",
+    "credit_log",
 )
 
 
@@ -326,27 +319,13 @@ def _pinned_kernel(tier: str | None):
             os.environ[KERNEL_ENV] = previous
 
 
-def _simulate_tier(trace, prefetcher: str, config, tier: str | None,
-                   tracker=None):
-    """One simulation on kernel tier ``tier`` (see :func:`_pinned_kernel`),
-    with ``tracker`` attached to the hierarchy when given."""
+def _simulate_tier(trace, prefetcher: str, config, tier: str | None):
+    """One simulation on kernel tier ``tier`` (see :func:`_pinned_kernel`)."""
     from repro.engine.system import simulate
     from repro.prefetcher_registry import make_prefetcher
 
     with _pinned_kernel(tier):
-        return simulate(trace, make_prefetcher(prefetcher), config,
-                        tracker=tracker)
-
-
-def _simulate_tracked(trace, prefetcher: str, config, tier: str | None):
-    """:func:`_simulate_tier` with a fresh
-    :class:`~repro.analysis.credit.CreditTracker`; returns the result
-    and the tracker's buckets in insertion order."""
-    from repro.analysis.credit import CreditTracker
-
-    tracker = CreditTracker()
-    result = _simulate_tier(trace, prefetcher, config, tier, tracker)
-    return result, list(tracker.buckets.items())
+        return simulate(trace, make_prefetcher(prefetcher), config)
 
 
 def _simulate_mix(traces, prefetcher: str, config, tier: str | None):
@@ -404,16 +383,10 @@ def check_workload(workload: Workload, prefetchers, config=None, *,
 
     Returns a summary dict: ``violations`` (list of
     :class:`IdentityViolation`), ``simulations``, ``kernels`` (variant
-    histogram), ``events``/``instructions`` for sizing, and
-    ``tracked_seconds``.  ``scalar`` adds a fourth leg
-    (``REPRO_KERNEL=scalar``, the specialized scalar kernels with the
-    segmented tier disabled) so all three tiers are directly compared,
-    not just transitively.  The tracked leg runs each prefetcher that is
-    also in :data:`TRACKED_PREFETCHERS` once more with a credit tracker
-    attached, automatic selection against ``REPRO_KERNEL=generic``; the
-    results and the tracker's ordered buckets must match exactly, or
-    the cell is a ``kernel-vs-generic`` violation on prefetcher
-    ``<name>+tracker``.
+    histogram), and ``events``/``instructions`` for sizing.  ``scalar``
+    adds a fourth leg (``REPRO_KERNEL=scalar``, the specialized scalar
+    kernels with the segmented tier disabled) so all three tiers are
+    directly compared, not just transitively.
     """
     from repro.engine.config import EXPERIMENT_CONFIG
     from repro.engine.kernel import GENERIC, SCALAR
@@ -430,7 +403,6 @@ def check_workload(workload: Workload, prefetchers, config=None, *,
         cold_trace = compile_trace(workload.object_trace())
 
     singles = {}
-    tracked_seconds = 0.0
     for name in prefetchers:
         tiered = _simulate_tier(warm, name, config, None)
         generic = _simulate_tier(warm, name, config, GENERIC)
@@ -458,21 +430,6 @@ def check_workload(workload: Workload, prefetchers, config=None, *,
                     workload.name, name, "warm-vs-cold",
                     tiered.kernel, cold_result.kernel,
                     diff_fields(tiered, cold_result)))
-        if name in TRACKED_PREFETCHERS:
-            started = time.perf_counter()
-            tracked, buckets = _simulate_tracked(warm, name, config, None)
-            reference, reference_buckets = _simulate_tracked(
-                warm, name, config, GENERIC)
-            tracked_seconds += time.perf_counter() - started
-            sims += 2
-            kernels[tracked.kernel] = kernels.get(tracked.kernel, 0) + 1
-            fields = diff_fields(tracked, reference)
-            if buckets != reference_buckets:
-                fields.append("tracker.buckets")
-            if fields:
-                violations.append(IdentityViolation(
-                    workload.name, f"{name}+tracker", "kernel-vs-generic",
-                    tracked.kernel, reference.kernel, fields))
 
     if fused:
         # The exact pool-worker entry point, in-process: one fused unit
@@ -502,7 +459,6 @@ def check_workload(workload: Workload, prefetchers, config=None, *,
         "violations": violations,
         "simulations": sims,
         "kernels": kernels,
-        "tracked_seconds": tracked_seconds,
     }
 
 
@@ -558,9 +514,7 @@ def run_fuzz(seeds: int = DEFAULT_SEEDS, *, stress: bool = True,
     Every workload is checked under every prefetcher in ``prefetchers``
     (default: the whole registry) for the three invariants; stress
     workloads additionally get the explicit ``REPRO_KERNEL=scalar`` leg
-    (``scalar_stress``), and the prefetchers in
-    :data:`TRACKED_PREFETCHERS` a tracked leg (``tracked_seconds``
-    reports its share of ``seconds``).  The mix leg then runs the fuzzed
+    (``scalar_stress``).  The mix leg then runs the fuzzed
     seeds :data:`MIX_WIDTH` at a time (the last mix takes what is left)
     through :func:`check_mix`; ``mixes``, ``mix_kernels`` (per-core
     variants) and ``mix_seconds`` report it, and its violations join the
@@ -583,13 +537,11 @@ def run_fuzz(seeds: int = DEFAULT_SEEDS, *, stress: bool = True,
     kernels: dict[str, int] = {}
     per_workload = []
     sims = 0
-    tracked_seconds = 0.0
     for i, (workload, scalar) in enumerate(workloads):
         summary = check_workload(workload, prefetchers, config,
                                  scalar=scalar)
         violations += summary["violations"]
         sims += summary["simulations"]
-        tracked_seconds += summary["tracked_seconds"]
         for variant, count in summary["kernels"].items():
             kernels[variant] = kernels.get(variant, 0) + count
         per_workload.append({**summary,
@@ -627,7 +579,6 @@ def run_fuzz(seeds: int = DEFAULT_SEEDS, *, stress: bool = True,
         "mixes": len(mixes),
         "mix_kernels": mix_kernels,
         "seconds": round(time.perf_counter() - started, 3),
-        "tracked_seconds": round(tracked_seconds, 3),
         "mix_seconds": round(time.perf_counter() - mix_started, 3),
         "violations": [v.to_dict() for v in violations],
         "per_workload": per_workload,

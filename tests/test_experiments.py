@@ -105,6 +105,42 @@ class TestFig14:
         assert "uncovered" in fig14.render(rows)
 
 
+class TestReportOrder:
+    def test_tracked_figures_replay_cached_cells(self, tmp_path,
+                                                 monkeypatch):
+        """Figs. 8, 13, 14 and 15 in report order simulate no (workload,
+        spec key, tag) cell twice: Figs. 13-14 replay the credit logs
+        of cells Figs. 8 and 14-15 share.  A second runner on the same
+        cache renders Figs. 13-14 byte-identically, simulating
+        nothing."""
+        from repro.experiments import runner as runner_module
+
+        simulated = []
+        real_simulate = runner_module.simulate
+
+        def counting(trace, *args, **kwargs):
+            simulated.append((trace.name, kwargs.get("spec"),
+                              kwargs.get("config_tag")))
+            return real_simulate(trace, *args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "simulate", counting)
+        apps = ["npb.ep"]
+        tracked = (fig13, fig14)
+        cold = ExperimentRunner(cache_dir=str(tmp_path))
+        fig08.run(cold, apps=apps)
+        texts = [m.render(m.run(cold, apps=apps)) for m in tracked]
+        fig15.run(cold, apps=apps)
+        assert simulated
+        assert len(set(simulated)) == len(simulated)
+        assert cold.counters["simulated"] == len(simulated)
+
+        simulated.clear()
+        warm = ExperimentRunner(cache_dir=str(tmp_path))
+        assert [m.render(m.run(warm, apps=apps)) for m in tracked] == texts
+        assert warm.counters["simulated"] == 0
+        assert simulated == []
+
+
 class TestFig15:
     def test_composite_and_shunt_rows(self, runner):
         rows = fig15.run(runner, apps=APPS, extras=["sms"])

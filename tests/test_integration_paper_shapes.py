@@ -115,13 +115,18 @@ class TestExperimentRunner:
         runner.run("spec.libquantum", "tpc")
         assert runner.cache_size() == mid >= before
 
-    def test_tracked_runs_not_cached(self, runner):
+    def test_tracked_runs_replay_the_cached_cell(self, runner):
         from repro.analysis.credit import CreditTracker
         tracker_a = CreditTracker()
         tracker_b = CreditTracker()
-        runner.run_tracked("spec.libquantum", "t2", tracker_a)
-        runner.run_tracked("spec.libquantum", "t2", tracker_b)
-        assert tracker_a.bucket().issued == tracker_b.bucket().issued > 0
+        first = runner.run_tracked("spec.libquantum", "t2", tracker_a)
+        simulated = runner.counters["simulated"]
+        second = runner.run_tracked("spec.libquantum", "t2", tracker_b)
+        assert second is first is runner.run("spec.libquantum", "t2")
+        assert runner.counters["simulated"] == simulated
+        assert (list(tracker_a.buckets.items())
+                == list(tracker_b.buckets.items()))
+        assert tracker_a.bucket().issued > 0
 
     def test_factory_spec_with_cache_key(self, runner):
         from repro.core.composite import make_tpc

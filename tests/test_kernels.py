@@ -12,11 +12,10 @@ hooked cells alike: tier selection, scalar/generic escape hatches,
 degenerate segmentations, hook islands at the trace boundaries,
 back-to-back islands, the all-event degrade to scalar, kernel-compile
 and plan-build counting, and identity under injected cache corruption.
-Credit-tracked cells (Figs. 13-14) replay on the segmented tier too:
-their figures, credit buckets and tracker call sequences are pinned
-registry-wide against both escape hatches, which run them on the
-generic loop.  Telemetry, a sampler, a dynamic branch predictor, and a
-tracker the segmented tier turns down all select the generic loop.
+Every tier records the same credit log (the Figs. 13-14 input): the
+logs, and the credit buckets a tracker replays from them, are pinned
+registry-wide against both escape hatches.  Telemetry, a sampler, and
+a dynamic branch predictor select the generic loop.
 Multicore mixes run their 32-instruction bursts on the resumable form
 of the scalar kernels; their per-core results are pinned against the
 generic ``step()`` loop, including the burst size itself.
@@ -26,12 +25,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from collections import Counter
 
 import pytest
 
 from conftest import build_aop_trace, build_chain_trace, build_strided_trace
-from repro.analysis.credit import CreditTracker
+from repro.analysis.credit import CreditTracker, replay
 from repro.engine import multicore, segmented
 from repro.engine.branch import StaticPredictor
 from repro.engine.config import EXPERIMENT_CONFIG
@@ -542,36 +540,11 @@ def test_segmented_replays_non_power_of_two_dram(spec, strided, chain,
 
 
 # ----------------------------------------------------------------------
-# Segmented replay tier, credit-tracked cells (Figs. 13-14)
+# Credit logs (Figs. 13-14) on every tier
 # ----------------------------------------------------------------------
-TRACKER_CALLBACKS = ("on_useful", "on_pollution", "on_prefetch_issued")
-
-
-class _RecordingTracker(CreditTracker):
-    """A credit tracker that also logs every protocol call in order.
-    ``victims`` is unordered by protocol, so it is logged as a
-    multiset."""
-
-    def __init__(self):
-        super().__init__()
-        self.calls = []
-
-    def on_prefetch_issued(self, line, component):
-        self.calls.append(("issued", line, component))
-        super().on_prefetch_issued(line, component)
-
-    def on_useful(self, line, component, level):
-        self.calls.append(("useful", line, component, level))
-        super().on_useful(line, component, level)
-
-    def on_pollution(self, level, victims):
-        self.calls.append(("pollution", level, Counter(victims)))
-        super().on_pollution(level, victims)
-
-
 def _tracked(trace, spec):
-    """One tracked cell: its result and its recording tracker."""
-    tracker = _RecordingTracker()
+    """One tracked cell: its result and the tracker fed its log."""
+    tracker = CreditTracker()
     return simulate(trace, make_prefetcher(spec), tracker=tracker), tracker
 
 
@@ -585,10 +558,9 @@ def shadow_mix():
 @pytest.mark.parametrize("name", available_prefetchers())
 def test_tracked_cells_match_scalar_and_generic_registry_wide(
         name, strided, chain, shadow_mix, monkeypatch):
-    """A tracked cell replays on the segmented tier and matches both
-    escape hatches (each runs it on the generic loop) in every figure,
-    in the ordered credit buckets, and in the tracker's call
-    sequence."""
+    """The segmented tier records the credit log both escape hatches
+    record, entry for entry (pollution victims sorted by line), and a
+    tracker replays the same ordered buckets from each."""
     for trace in (strided, chain, shadow_mix):
         seg, seg_tracker = _tracked(trace, name)
         monkeypatch.setenv(KERNEL_ENV, SCALAR)
@@ -597,66 +569,53 @@ def test_tracked_cells_match_scalar_and_generic_registry_wide(
         generic, generic_tracker = _tracked(trace, name)
         monkeypatch.delenv(KERNEL_ENV)
         assert seg.kernel.startswith("segmented+"), (name, trace.name)
-        assert "leanmem" not in seg.kernel
-        assert scalar.kernel == generic.kernel == GENERIC
+        assert scalar.kernel.startswith("fast+"), (name, trace.name)
+        assert generic.kernel == GENERIC
         assert _identity(seg) == _identity(scalar), (name, trace.name)
         assert _identity(seg) == _identity(generic), (name, trace.name)
+        assert seg.credit_log == scalar.credit_log, (name, trace.name)
+        assert seg.credit_log == generic.credit_log, (name, trace.name)
         buckets = list(seg_tracker.buckets.items())
         assert buckets == list(scalar_tracker.buckets.items())
         assert buckets == list(generic_tracker.buckets.items())
-        assert seg_tracker.calls == scalar_tracker.calls, (name, trace.name)
-        assert seg_tracker.calls == generic_tracker.calls, (name, trace.name)
-
-
-def test_tracked_cell_selects_segmented_without_leanmem(strided):
-    result, tracker = _tracked(strided, "tpc")
-    assert result.kernel == "segmented+instr+observe+issue+staticbp"
-    assert tracker.calls
 
 
 @pytest.mark.parametrize("setup", ["telemetry", "sampler", "scalar"])
 def test_tracked_cell_off_the_segmented_tier_runs_generic(setup, strided,
                                                           monkeypatch):
-    """Telemetry, a sampler, or ``REPRO_KERNEL=scalar`` keep a tracked
-    cell off the segmented tier; no scalar kernel replays the tracker
-    protocol, so it runs the generic loop, with the same credit."""
+    """Telemetry or a sampler keep a tracked cell on the generic loop,
+    and ``REPRO_KERNEL=scalar`` on its scalar kernel; each records the
+    segmented tier's credit log, so the tracker sees the same credit."""
     from repro.engine.ooo import OoOCore
     from repro.memory.hierarchy import Hierarchy
     from repro.telemetry.sampler import TimeSeriesSampler
 
-    _, reference_tracker = _tracked(strided, "tpc")
-    tracker = _RecordingTracker()
+    reference, reference_tracker = _tracked(strided, "tpc")
+    assert reference.kernel.startswith("segmented+")
+    expected = GENERIC
+    tracker = CreditTracker()
     if setup == "telemetry":
         result = simulate(strided, make_prefetcher("tpc"), tracker=tracker,
                           telemetry=Telemetry())
-        kernel = result.kernel
+        kernel, log = result.kernel, result.credit_log
     elif setup == "sampler":
         # A sampler on the core, no telemetry hub on the hierarchy.
         hierarchy = Hierarchy(EXPERIMENT_CONFIG)
-        hierarchy.tracker = tracker
         core = OoOCore(strided, hierarchy, make_prefetcher("tpc"),
                        EXPERIMENT_CONFIG.core)
         core.attach_telemetry(Telemetry(sampler=TimeSeriesSampler(256)))
         core.run()
-        kernel = core.kernel_variant
+        kernel, log = core.kernel_variant, hierarchy.credit_log
+        replay(log, tracker)
     else:
         monkeypatch.setenv(KERNEL_ENV, SCALAR)
         result, tracker = _tracked(strided, "tpc")
-        kernel = result.kernel
-    assert kernel == GENERIC, setup
-    assert tracker.calls == reference_tracker.calls, setup
+        kernel, log = result.kernel, result.credit_log
+        expected = "fast+instr+observe+issue+leanmem+staticbp"
+    assert kernel == expected, setup
+    assert log == reference.credit_log, setup
     assert (list(tracker.buckets.items())
             == list(reference_tracker.buckets.items())), setup
-
-
-def test_untracked_segment_source_names_no_tracker_callback():
-    for instr, oa, ona, of in ((False,) * 4, (True,) * 4):
-        untracked = segmented._segment_source(instr, oa, ona, of, False, -1)
-        tracked = segmented._segment_source(instr, oa, ona, of, True, -1)
-        assert "tracker" not in untracked
-        for callback in TRACKER_CALLBACKS:
-            assert callback not in untracked
-            assert callback in tracked
 
 
 # ----------------------------------------------------------------------
@@ -714,20 +673,21 @@ def test_burst_kernel_matches_generic_under_drop_policies(policy, mixes,
 
 
 def test_burst_kernel_with_credit_trackers(mixes):
-    """Trackers on the hierarchies send every core's bursts to the
-    step loop (no scalar kernel replays the tracker protocol).  A
-    tracker only observes, so the tracked mix equals the untracked mix,
-    whose cores run the burst kernels."""
+    """Trackers are fed their cores' credit logs after the mix, so a
+    tracked mix runs the burst kernels and equals the untracked mix,
+    logs included; each tracker ends as one fed its core's log."""
     traces = mixes["shared"]
     trackers = [CreditTracker() for _ in traces]
     tracked = _run_mix(traces, "tpc", trackers=trackers)
     untracked = _run_mix(traces, "tpc")
-    assert ([core.kernel for core in tracked.per_core]
-            == [GENERIC] * len(traces))
     assert all(core.kernel.startswith("fast+")
-               for core in untracked.per_core)
+               for core in tracked.per_core)
     assert mix_identity(tracked) == mix_identity(untracked)
     assert any(t.buckets for t in trackers)
+    for tracker, core in zip(trackers, untracked.per_core):
+        fresh = CreditTracker()
+        replay(core.credit_log, fresh)
+        assert list(tracker.buckets.items()) == list(fresh.buckets.items())
 
 
 def _built_list_columns(trace) -> set:

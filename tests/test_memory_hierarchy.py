@@ -178,25 +178,8 @@ class TestPollutionDetection:
 
 
 class TestTrackerHooks:
-    class Recorder:
-        def __init__(self):
-            self.issued = []
-            self.useful = []
-            self.pollution = []
-
-        def on_prefetch_issued(self, line, component):
-            self.issued.append((line, component))
-
-        def on_useful(self, line, component, level):
-            self.useful.append((line, component, level))
-
-        def on_pollution(self, level, victims):
-            self.pollution.append((level, victims))
-
     def test_hooks_fire(self, hierarchy):
-        recorder = self.Recorder()
-        hierarchy.tracker = recorder
         hierarchy.prefetch(10, now=0, target_level=1, component="P1")
         hierarchy.demand_access(10 << 6, now=10_000)
-        assert recorder.issued == [(10, "P1")]
-        assert recorder.useful == [(10, "P1", 1)]
+        assert hierarchy.credit_log == [("on_prefetch_issued", 10, "P1"),
+                                        ("on_useful", 10, "P1", 1)]

@@ -5,9 +5,9 @@ the fuzzer generates seeded adversarial traces through the same
 registry/trace-cache machinery.  The property under test is the same
 bit-identity contract ``tests/test_kernels.py`` pins on fixtures,
 promoted to generated inputs: every stressor and every fuzzed seed must
-produce identical figures across kernel tiers (kernel-vs-generic),
-execution modes (fused-vs-singleton), and trace temperatures
-(warm-vs-cold), with and without a credit tracker attached.
+produce identical figures, recorded credit logs included, across kernel
+tiers (kernel-vs-generic), execution modes (fused-vs-singleton), and
+trace temperatures (warm-vs-cold).
 Degenerate shapes (empty program, single memory op, ALU-only) get
 explicit coverage, as do the fuzzer's determinism contract, the
 pollution misses ``stress.shadow_mix`` must produce, and the chaos
@@ -48,10 +48,8 @@ STRESS_NAMES = (
 
 # One hooked and one hook-free prefetcher cover both ends of the
 # segmented tier's hook specialization; "spp" adds a second hook
-# shape, and "tpc" is also in fuzz.TRACKED_PREFETCHERS, so every check
-# runs a credit-tracked cell too.  The CI fuzz-identity job sweeps the
-# whole registry — tests keep the matrix small enough for the tier-1
-# suite.
+# shape.  The CI fuzz-identity job sweeps the whole registry — tests
+# keep the matrix small enough for the tier-1 suite.
 TEST_PREFETCHERS = ("none", "tpc", "spp")
 
 
@@ -184,12 +182,6 @@ def test_run_fuzz_report_shape():
     assert sum(report["mix_kernels"].values()) == 2 * 4
     assert all(k.startswith("fast+") for k in report["mix_kernels"])
     assert 0 <= report["mix_seconds"] <= report["seconds"]
-    # The tracked leg: tpc once more per seed, with a credit tracker,
-    # on the segmented tier's non-leanmem kernel.
-    assert 0 < report["tracked_seconds"] <= report["seconds"]
-    tracked = [k for k in report["kernels"] if "leanmem" not in k]
-    assert tracked == ["segmented+instr+observe+issue+staticbp"]
-    assert report["kernels"][tracked[0]] == 2
 
 
 def test_fuzz_mix_leg_runs_drop_policies():
@@ -227,16 +219,16 @@ def test_fuzz_mix_leg_reports_divergence(monkeypatch):
     assert any(name.startswith("core") for name in violation.fields)
 
 
-def test_fuzz_tracked_leg_reports_divergence(monkeypatch):
-    """A generic tracked run whose tracker saw one extra use is reported
-    as a kernel-vs-generic violation on ``tpc+tracker``, naming the
-    buckets alone, since every figure still matches."""
+def test_fuzz_reports_credit_log_divergence(monkeypatch):
+    """A generic run whose credit log holds one extra use is reported as
+    a kernel-vs-generic violation on ``tpc``, naming the log alone,
+    since every figure still matches."""
     simulate_tier = fuzz._simulate_tier
 
-    def skewed(trace, prefetcher, config, tier, tracker=None):
-        result = simulate_tier(trace, prefetcher, config, tier, tracker)
-        if tier == GENERIC and tracker is not None:
-            tracker.on_useful(0, "skew", 1)
+    def skewed(trace, prefetcher, config, tier):
+        result = simulate_tier(trace, prefetcher, config, tier)
+        if tier == GENERIC and prefetcher == "tpc":
+            result.credit_log.append(("on_useful", 0, "skew", 1))
         return result
 
     monkeypatch.setattr(fuzz, "_simulate_tier", skewed)
@@ -244,10 +236,10 @@ def test_fuzz_tracked_leg_reports_divergence(monkeypatch):
                              fused=False, cold=False)
     (violation,) = summary["violations"]
     assert violation.workload == fuzz_name(1)
-    assert violation.prefetcher == "tpc+tracker"
+    assert violation.prefetcher == "tpc"
     assert violation.invariant == "kernel-vs-generic"
     assert violation.reference_kernel == GENERIC
-    assert violation.fields == ["tracker.buckets"]
+    assert violation.fields == ["credit_log"]
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ The two contract tests the PR hangs on:
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -162,6 +163,42 @@ class TestReconciliation:
         # One per claimed PC, tagged with the request-level component tag.
         assert len({e.pc for e in trained}) == len(trained)
         assert all(e.component in ("T2", "P1", "C1") for e in trained)
+
+    @pytest.mark.parametrize("name", ["tpc", "nextline"])
+    def test_credit_log_matches_lifecycle_events(self, name, shadow_mix):
+        """The segmented cell's credit log is the protocol points a
+        telemetry run on the generic loop records independently: every
+        ISSUED, every L1/L2 FIRST_USE and every POLLUTION_HIT, in the
+        same order, so counted by kind too."""
+        result = simulate(shadow_mix, make_prefetcher(name))
+        telemetry = Telemetry()
+        observed = simulate(shadow_mix, make_prefetcher(name),
+                            telemetry=telemetry)
+        assert result.kernel.startswith("segmented+")
+        assert observed.kernel == GENERIC
+        logged = []
+        for entry in result.credit_log:
+            if entry[0] == "on_prefetch_issued":
+                logged.append((ev.ISSUED, 0) + entry[1:])
+            elif entry[0] == "on_useful":
+                _, line, component, level = entry
+                logged.append((ev.FIRST_USE, level, line, component))
+            else:
+                logged.append((ev.POLLUTION_HIT, entry[1]))
+        events = []
+        for e in telemetry.events:
+            if e.kind == ev.ISSUED:
+                events.append((e.kind, 0, e.line, e.component))
+            elif e.kind == ev.FIRST_USE and e.level in (1, 2):
+                events.append((e.kind, e.level, e.line, e.component))
+            elif e.kind == ev.POLLUTION_HIT:
+                events.append((e.kind, e.level))
+        counts = Counter(entry[:2] for entry in logged)
+        assert counts == Counter(event[:2] for event in events)
+        assert counts[(ev.ISSUED, 0)] == telemetry.count(ev.ISSUED) > 0
+        assert counts[(ev.POLLUTION_HIT, 1)] + counts[(ev.POLLUTION_HIT, 2)] \
+            == telemetry.count(ev.POLLUTION_HIT) > 0
+        assert logged == events
 
 
 class TestSampler:
