@@ -371,7 +371,7 @@ def _cmd_fuzz(args) -> None:
     import json
 
     from repro.log import get_logger
-    from repro.workloads.fuzz import run_fuzz
+    from repro.identity import run_fuzz
 
     log = get_logger("fuzz")
     report = run_fuzz(

@@ -18,12 +18,11 @@ _ZONE_LINES = 64  # 4 KB zone of 64 B lines
 
 
 class _Zone:
-    __slots__ = ("accessed", "prefetched", "lru")
+    __slots__ = ("accessed", "prefetched")
 
-    def __init__(self, lru: int) -> None:
+    def __init__(self) -> None:
         self.accessed = 0
         self.prefetched = 0
-        self.lru = lru
 
 
 class AmpmPrefetcher(Prefetcher):
@@ -35,68 +34,62 @@ class AmpmPrefetcher(Prefetcher):
         self.max_stride = max_stride
         self.degree = degree
         self.target_level = target_level
+        # Zone maps in recency order: the first is the LRU victim.
         self._zones: dict[int, _Zone] = {}
-        self._clock = 0
 
     def reset(self) -> None:
         self._zones.clear()
-        self._clock = 0
 
     # ------------------------------------------------------------------
     def _zone(self, zone_id: int) -> _Zone:
-        zone = self._zones.get(zone_id)
+        zones = self._zones
+        zone = zones.pop(zone_id, None)
         if zone is None:
-            if len(self._zones) >= self.maps:
-                victim = min(self._zones, key=lambda z: self._zones[z].lru)
-                del self._zones[victim]
-            zone = _Zone(self._clock)
-            self._zones[zone_id] = zone
-        zone.lru = self._clock
+            if len(zones) >= self.maps:
+                del zones[next(iter(zones))]
+            zone = _Zone()
+        zones[zone_id] = zone
         return zone
 
-    def _is_accessed(self, zone_id: int, offset: int) -> bool:
-        """Check the access bit, crossing into the neighbor zone if needed."""
-        if offset < 0:
-            neighbor = self._zones.get(zone_id - 1)
-            return bool(
-                neighbor and neighbor.accessed & (1 << (offset + _ZONE_LINES))
-            )
-        if offset >= _ZONE_LINES:
-            neighbor = self._zones.get(zone_id + 1)
-            return bool(
-                neighbor and neighbor.accessed & (1 << (offset - _ZONE_LINES))
-            )
-        zone = self._zones.get(zone_id)
-        return bool(zone and zone.accessed & (1 << offset))
-
     def on_access(self, event: AccessEvent):
-        self._clock += 1
         zone_id = event.line // _ZONE_LINES
         offset = event.line % _ZONE_LINES
         zone = self._zone(zone_id)
-        zone.accessed |= 1 << offset
+        accessed = zone.accessed | 1 << offset
+        zone.accessed = accessed
+
+        # The previous, this and the next zone's access maps side by
+        # side, so line ``offset + j`` (crossing into a neighbor when it
+        # leaves this zone) is bit ``here + j``.  Strides up to half a
+        # zone stay inside the window.
+        zones = self._zones
+        window = accessed << _ZONE_LINES
+        below = zones.get(zone_id - 1)
+        if below is not None:
+            window |= below.accessed
+        above = zones.get(zone_id + 1)
+        if above is not None:
+            window |= above.accessed << (2 * _ZONE_LINES)
+        here = offset + _ZONE_LINES
 
         requests: list[PrefetchRequest] = []
         zone_base = zone_id * _ZONE_LINES
+        degree = self.degree
         for stride in range(1, self.max_stride + 1):
-            if len(requests) >= self.degree:
+            if len(requests) >= degree:
                 break
-            for direction in (1, -1):
-                k = stride * direction
-                if (
-                    self._is_accessed(zone_id, offset - k)
-                    and self._is_accessed(zone_id, offset - 2 * k)
-                ):
+            for k in (stride, -stride):
+                if window >> (here - k) & 1 and window >> (here - 2 * k) & 1:
                     target_offset = offset + k
                     if 0 <= target_offset < _ZONE_LINES:
                         bit = 1 << target_offset
-                        if not zone.accessed & bit and not zone.prefetched & bit:
+                        if not accessed & bit and not zone.prefetched & bit:
                             zone.prefetched |= bit
                             requests.append(
                                 PrefetchRequest(zone_base + target_offset,
                                                 self.target_level, self.name)
                             )
-                            if len(requests) >= self.degree:
+                            if len(requests) >= degree:
                                 break
         return requests or None
 

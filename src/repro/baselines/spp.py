@@ -37,24 +37,27 @@ class _PatternEntry:
 
     def update(self, delta: int) -> None:
         self.total += 1
-        if delta in self.deltas:
-            i = self.deltas.index(delta)
-            self.counts[i] += 1
+        deltas = self.deltas
+        counts = self.counts
+        if delta in deltas:
+            counts[deltas.index(delta)] += 1
             return
-        if len(self.deltas) < 4:
-            self.deltas.append(delta)
-            self.counts.append(1)
+        if len(deltas) < 4:
+            deltas.append(delta)
+            counts.append(1)
             return
-        # Replace the weakest candidate.
-        weakest = min(range(4), key=lambda i: self.counts[i])
-        self.deltas[weakest] = delta
-        self.counts[weakest] = 1
+        # Replace the weakest candidate (the first, on a tie).
+        weakest = counts.index(min(counts))
+        deltas[weakest] = delta
+        counts[weakest] = 1
 
     def best(self) -> tuple[int, float] | None:
         if not self.deltas or self.total == 0:
             return None
-        i = max(range(len(self.deltas)), key=lambda i: self.counts[i])
-        return self.deltas[i], self.counts[i] / self.total
+        # The strongest candidate (the first, on a tie).
+        counts = self.counts
+        count = max(counts)
+        return self.deltas[counts.index(count)], count / self.total
 
 
 class SppPrefetcher(Prefetcher):

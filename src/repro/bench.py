@@ -130,10 +130,10 @@ def _warm_traces(matrix) -> dict:
     started = time.perf_counter()
     for workload in {w for w, _ in matrix}:
         trace = get_workload(workload).trace()
-        # Materialize the per-record views here too: instruction-feed
-        # prefetchers (tpc) need them, they are built once per process,
-        # and paying that inside the first timed pass would make
-        # fastest-of-N effectively fastest-of-(N-1).
+        # Materialize the per-record views here too: the generic pass
+        # reads them (the kernels build views only for the rows they
+        # feed), and paying that inside its single timed pass would
+        # flatter the specialized-vs-generic speedup.
         trace.records
     gc.collect()
     gc.freeze()
@@ -200,23 +200,16 @@ def bench_generic(matrix, config) -> dict:
     run.  A single pass (no fastest-of-N): the comparison only has to be
     conservative, the identity check is exact either way.
     """
-    from repro.engine.kernel import GENERIC, KERNEL_ENV
+    from repro.engine.kernel import GENERIC, pinned_kernel
     from repro.experiments.runner import simulate_spec
 
-    previous = os.environ.get(KERNEL_ENV)
-    os.environ[KERNEL_ENV] = GENERIC
-    try:
+    with pinned_kernel(GENERIC):
         started = time.perf_counter()
         figures = [
             _cell_figures(simulate_spec(workload, spec, "", config))
             for workload, spec in matrix
         ]
         elapsed = time.perf_counter() - started
-    finally:
-        if previous is None:
-            os.environ.pop(KERNEL_ENV, None)
-        else:
-            os.environ[KERNEL_ENV] = previous
     return {"seconds": round(elapsed, 3), "cell_figures": figures}
 
 
@@ -226,15 +219,17 @@ def bench_segmented(matrix, config, variants: dict) -> dict:
     Re-times the cells whose serial pass selected the segmented tier
     (the leanmem cells — ``none`` and the paper's ``bop``/``tpc``
     prefetchers) against the ``REPRO_KERNEL=scalar`` comparator and
-    proves in-run bit-identity.  Each cell is timed individually
-    (settle pass, then fastest-of-3) so the section carries per-cell
-    seconds and speedups alongside the aggregate; the per-cell
-    ``coverage`` figure is the trace's segment-event fraction — the
-    share of instructions that run as scalar islands rather than
-    hook-free stretches — which bounds how much the tier can win.
+    proves in-run bit-identity.  After a settle pass of every cell on
+    both tiers, each cell is timed individually, fastest-of-3 per tier,
+    the two tiers alternating run by run so that host drift lands on
+    both sides alike; the section carries per-cell seconds and speedups
+    alongside the aggregate.  The per-cell ``coverage`` figure is the
+    trace's segment-event fraction — the share of instructions that run
+    as scalar islands rather than hook-free stretches — which bounds
+    how much the tier can win.
     """
     from repro.engine.segmented import SEGMENT_PREFIX
-    from repro.engine.kernel import KERNEL_ENV, SCALAR
+    from repro.engine.kernel import SCALAR, pinned_kernel
     from repro.experiments.runner import simulate_spec
     from repro.workloads import get_workload
 
@@ -253,33 +248,26 @@ def bench_segmented(matrix, config, variants: dict) -> dict:
         })
         return section
 
-    def timed_cells() -> tuple[dict, dict]:
-        for workload, spec in cells:
-            simulate_spec(workload, spec, "", config)
-        seconds: dict = {}
-        figures: dict = {}
-        for workload, spec in cells:
-            best = None
-            for _ in range(3):
-                started = time.perf_counter()
-                result = simulate_spec(workload, spec, "", config)
-                elapsed = time.perf_counter() - started
+    tiers = (None, SCALAR)  # the automatic selection, then scalar
+    for tier in tiers:
+        with pinned_kernel(tier):
+            for workload, spec in cells:
+                simulate_spec(workload, spec, "", config)
+    seconds: dict = {tier: {} for tier in tiers}
+    figures: dict = {tier: {} for tier in tiers}
+    for cell in cells:
+        for _ in range(3):
+            for tier in tiers:
+                with pinned_kernel(tier):
+                    started = time.perf_counter()
+                    result = simulate_spec(*cell, "", config)
+                    elapsed = time.perf_counter() - started
+                best = seconds[tier].get(cell)
                 if best is None or elapsed < best:
-                    best = elapsed
-            seconds[(workload, spec)] = best
-            figures[(workload, spec)] = _cell_figures(result)
-        return seconds, figures
-
-    seg_seconds, seg_figures = timed_cells()
-    previous = os.environ.get(KERNEL_ENV)
-    os.environ[KERNEL_ENV] = SCALAR
-    try:
-        sca_seconds, sca_figures = timed_cells()
-    finally:
-        if previous is None:
-            os.environ.pop(KERNEL_ENV, None)
-        else:
-            os.environ[KERNEL_ENV] = previous
+                    seconds[tier][cell] = elapsed
+                figures[tier][cell] = _cell_figures(result)
+    seg_seconds, sca_seconds = seconds[None], seconds[SCALAR]
+    seg_figures, sca_figures = figures[None], figures[SCALAR]
 
     per_cell: dict = {}
     for workload, spec in cells:

@@ -10,7 +10,10 @@ uniformly:
     ``needs_instruction_stream`` is true.  This is how T2's loop hardware
     sees branches and how P1's taint unit sees register dataflow.  The
     monolithic baselines leave it off — they only watch the memory access
-    stream, as their hardware does.
+    stream, as their hardware does.  A component may declare where the
+    hook can act (``feed_rows``, ``feed_gate``); the replay kernels then
+    call it only there, while the generic loop still calls it on every
+    instruction.
 
 ``on_access(event)``
     Called for every demand L1D access with its outcome; returns the
@@ -115,6 +118,17 @@ class Prefetcher:
     instruction.  T2 and P1 share stride knowledge this way (the paper's
     "expanded SIT"): P1 must see the strided trigger's values although T2
     owns its stride prefetching."""
+    feed_rows: str | None = None
+    """The retired instructions :meth:`observe_instruction` can act on,
+    as a row set the trace fixes: ``None`` for every one, or
+    :data:`repro.isa.trace.BACKWARD_TAKEN`, the taken backward branches
+    (T2's declaration, the exact test its hook makes)."""
+    feed_gate = None
+    """``None``, or an object whose ``armed`` attribute is false whenever
+    :meth:`observe_instruction` would do nothing.  The component may
+    flip it only inside its own hooks; a kernel tests it, without a
+    call, before each instruction it would feed.  P1's gate is its
+    taint unit (armed while a taint walk is)."""
 
     def set_memory(self, memory: dict[int, int]) -> None:
         """Give the prefetcher read access to the data image.

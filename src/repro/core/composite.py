@@ -11,6 +11,14 @@ T2 (strided streams, -> L1), P1 (pointer patterns, -> L1), and C1 (dense
 regions, -> L2), with T2's prefetch distance doubled for P1's confirmed
 strided-pointer triggers.  Extra monolithic components can be appended
 with ``extras=[...]`` (Sec. IV-E / Fig. 14 / Fig. 15).
+
+Both wrappers forward ``observe_instruction`` to their components on
+every instruction, which is what the generic loop calls.  The replay
+kernels call the components directly instead: :func:`instruction_feeds`
+lists the leaf feeds behind a core's hook, in call order, each with its
+component's declared rows and gate, so a TPC or shunt cell calls T2
+only on taken backward branches and P1 only while its taint walk is
+armed.
 """
 
 from __future__ import annotations
@@ -181,6 +189,50 @@ class ShuntPrefetcher(Prefetcher):
     @property
     def storage_bits(self) -> int:
         return sum(p.storage_bits for p in self.prefetchers)
+
+
+def instruction_feeds(hook) -> list[tuple]:
+    """The leaf instruction feeds behind ``hook``, in call order.
+
+    ``hook`` is what a core calls per instruction (its bound
+    ``observe_instruction``).  A composite's or shunt's forwarder
+    expands into its components' feeds, recursively; components whose
+    hook is the base no-op drop out.  Any other hook is one leaf, called
+    exactly as the generic loop calls it.  Each feed is ``(observe,
+    rows, gate)``: the bound hook and its owner's ``feed_rows`` and
+    ``feed_gate`` (:class:`~repro.core.base.Prefetcher`), so an owner
+    that declares nothing is fed every instruction.
+    """
+    func = getattr(hook, "__func__", None)
+    owner = getattr(hook, "__self__", None)
+    if func is CompositePrefetcher.observe_instruction:
+        hooks = owner._instruction_feeds
+    elif func is ShuntPrefetcher.observe_instruction:
+        hooks = [p.observe_instruction for p in owner.prefetchers
+                 if p.needs_instruction_stream]
+    elif func is Prefetcher.observe_instruction:
+        return []
+    else:
+        return [(hook, _declared(owner, "feed_rows"),
+                 _declared(owner, "feed_gate"))]
+    return [feed for leaf in hooks for feed in instruction_feeds(leaf)]
+
+
+def _declared(owner, attr: str):
+    """``owner``'s feed declaration ``attr``, or ``None`` when the class
+    whose ``observe_instruction`` it runs did not make (or inherit) it:
+    a subclass that overrides the hook but not the declaration is fed
+    every instruction, always."""
+    if attr in getattr(owner, "__dict__", ()):
+        return getattr(owner, attr)
+    mro = type(owner).__mro__
+    hook_cls = next((c for c in mro if "observe_instruction" in c.__dict__),
+                    None)
+    decl_cls = next((c for c in mro if attr in c.__dict__), None)
+    if hook_cls is None or decl_cls is None \
+            or not issubclass(decl_cls, hook_cls):
+        return None
+    return getattr(owner, attr)
 
 
 def make_tpc(extras: list[Prefetcher] | None = None,

@@ -152,8 +152,14 @@ class P1Prefetcher(Prefetcher):
     # ------------------------------------------------------------------
     # Detection: taint walks over the instruction stream
     # ------------------------------------------------------------------
+    @property
+    def feed_gate(self) -> TaintUnit:
+        """The instruction feed acts only while a taint walk is armed
+        (the unit arms in :meth:`on_access`, disarms in either hook)."""
+        return self.taint
+
     def observe_instruction(self, record, cycle: int) -> None:
-        if self.taint.trigger_pc is None:
+        if not self.taint.armed:
             return
         completed = self.taint.observe(record)
         if not completed:
@@ -175,7 +181,7 @@ class P1Prefetcher(Prefetcher):
             self._resolved.add(trigger)
         self._aop_verify.pop(trigger, None)
         self._chain_verify.pop(trigger, None)
-        self.taint.trigger_pc = None
+        self.taint.disarm()
         self._walks = 0
         self._select_trigger()
 
@@ -267,7 +273,7 @@ class P1Prefetcher(Prefetcher):
 
     def _disarm(self, pc: int) -> None:
         self._aop_verify.pop(pc, None)
-        self.taint.trigger_pc = None
+        self.taint.disarm()
         self._walks = 0
         self._select_trigger()
 

@@ -30,6 +30,7 @@ from repro.core.sit import (
     StrideIdentifierTable,
 )
 from repro.isa.instructions import OpClass
+from repro.isa.trace import BACKWARD_TAKEN
 
 _BRANCH = int(OpClass.BRANCH)
 
@@ -38,6 +39,7 @@ class T2Prefetcher(Prefetcher):
     name = "t2"
     component_tag = "T2"
     needs_instruction_stream = True
+    feed_rows = BACKWARD_TAKEN
     always_observe = True
 
     def __init__(self, sit_entries: int = 32, margin: int = 32,

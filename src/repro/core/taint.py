@@ -29,6 +29,9 @@ class TaintUnit:
 
     def __init__(self) -> None:
         self.trigger_pc: int | None = None
+        self.armed = False
+        """True exactly while ``trigger_pc`` is set: P1's instruction-feed
+        gate (:attr:`repro.core.base.Prefetcher.feed_gate`)."""
         self._vector = 0
         self._active = False
         self.tainted_loads: list[int] = []   # PCs of tainted loads this walk
@@ -37,6 +40,7 @@ class TaintUnit:
 
     def reset(self) -> None:
         self.trigger_pc = None
+        self.armed = False
         self._vector = 0
         self._active = False
         self.tainted_loads = []
@@ -47,11 +51,17 @@ class TaintUnit:
     def arm(self, trigger_pc: int) -> None:
         """Start (or restart) watching dependents of ``trigger_pc``."""
         self.trigger_pc = trigger_pc
+        self.armed = True
         self._vector = 0
         self._active = False
         self.tainted_loads = []
         self.completed_loads = []
         self.trigger_self_dependent = False
+
+    def disarm(self) -> None:
+        """Stop watching: no trigger until the next :meth:`arm`."""
+        self.trigger_pc = None
+        self.armed = False
 
     def is_tainted(self, register: int) -> bool:
         return register >= 0 and bool(self._vector & (1 << register))
@@ -63,7 +73,7 @@ class TaintUnit:
         at which point ``tainted_loads`` and ``trigger_self_dependent``
         describe what was found.
         """
-        if self.trigger_pc is None:
+        if not self.armed:
             return False
 
         if record.pc == self.trigger_pc:

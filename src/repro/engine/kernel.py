@@ -17,6 +17,17 @@ trace-invariant facts come precomputed from the compiled trace's
 derived columns (:mod:`repro.isa.trace`), built once per workload and
 persisted by the trace cache.
 
+The instruction-stream hook is not called per instruction either.
+:func:`core_feeds` lists the leaf feeds behind a core's hook
+(:func:`repro.core.composite.instruction_feeds`: a composite's or
+shunt's forwarder expands into its components), and each kernel calls a
+feed only on the rows it declares (``feed_rows``: T2's taken backward
+branches) and only while its gate is armed (``feed_gate``: P1's taint
+walk), with a :class:`~repro.isa.trace.TraceRecord` view built only for
+the rows it feeds (:func:`feed_lines`).  A feed that declares nothing
+gets every instruction.  The kernel cache keys on the feed shape too;
+variant names stay the four-flag names.
+
 Every kernel also inlines the L1 *hit* leg of
 ``Hierarchy.demand_access``: the set-dict probe, LRU touch, shadow-tag
 update, hit accounting, and the ``on_useful`` entry of the hierarchy's
@@ -32,7 +43,9 @@ Bit-identity is the contract: a specialized kernel must retire every
 instruction with exactly the timing of the generic loop — only wall
 clock may change, never a number.  The kernels read the trace's list
 columns and the generic loop its record views, so the check also pins
-the two representations against each other.  ``tests/test_kernels.py``
+the two representations against each other; and the generic loop
+feeds every hook every instruction, so it also proves each feed
+declaration.  ``tests/test_kernels.py``
 pins it registry-wide, and ``repro bench`` re-checks it in-run against
 the ``REPRO_KERNEL=generic`` escape hatch (which disables
 specialization entirely, e.g. to bisect a suspected kernel bug).
@@ -52,6 +65,8 @@ journal can attribute timings to a kernel.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
+from contextlib import contextmanager
 
 from repro.core.base import AccessEvent
 from repro.engine.branch import StaticPredictor
@@ -72,6 +87,24 @@ _KERNELS: dict[tuple, object] = {}
 ``kernel.compiled.<variant>`` in the process metrics registry
 (:mod:`repro.obs.metrics`); the segmented tier counts its own kernels
 there too, plus ``kernel.plan_builds`` and ``kernel.plan_cache_hits``."""
+
+
+@contextmanager
+def pinned_kernel(tier: str | None):
+    """``REPRO_KERNEL`` pinned to ``tier`` (unset, i.e. the automatic
+    selection, when ``None``), environment restored after."""
+    previous = os.environ.get(KERNEL_ENV)
+    if tier is None:
+        os.environ.pop(KERNEL_ENV, None)
+    else:
+        os.environ[KERNEL_ENV] = tier
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(KERNEL_ENV, None)
+        else:
+            os.environ[KERNEL_ENV] = previous
 
 
 def kernel_flags(core) -> tuple | None:
@@ -116,18 +149,34 @@ def variant_name(flags: tuple) -> str:
     return "+".join(parts)
 
 
-def get_kernel(flags: tuple, resumable: bool = False):
-    """The compiled ``run_fast`` for ``flags`` (generated on first use),
-    or with ``resumable`` its ``run_bursts`` generator form."""
+def core_feeds(core) -> list[tuple]:
+    """The leaf instruction feeds of ``core``'s prefetcher, in call
+    order (:func:`repro.core.composite.instruction_feeds`); empty when
+    it has no instruction-stream hook."""
+    from repro.core.composite import instruction_feeds
+
+    hook = core._observe_instruction
+    return instruction_feeds(hook) if hook is not None else []
+
+
+def feed_shape(feeds: list[tuple]) -> tuple:
+    """The kernel-key part of ``feeds``: ``(rows, gated)`` per feed."""
+    return tuple((rows, gate is not None) for _, rows, gate in feeds)
+
+
+def get_kernel(flags: tuple, shape: tuple = (), resumable: bool = False):
+    """The compiled ``run_fast(core, feeds)`` for ``flags`` and the feed
+    ``shape`` (generated on first use), or with ``resumable`` its
+    ``run_bursts(core, burst, feeds)`` generator form."""
     variant = variant_name(flags)
     PROCESS.count(f"kernel.selected.{variant}")
-    key = (flags, resumable)
+    key = (flags, shape, resumable)
     kernel = _KERNELS.get(key)
     if kernel is None:
         PROCESS.count(f"kernel.compiled.{variant}")
-        source = kernel_source(flags, resumable)
+        source = kernel_source(flags, resumable, shape)
         name = "run_bursts" if resumable else "run_fast"
-        namespace = {"AccessEvent": AccessEvent}
+        namespace = {"AccessEvent": AccessEvent, "bisect_left": bisect_left}
         exec(compile(source, f"<kernel {variant} {name}>", "exec"),
              namespace)
         kernel = namespace[name]
@@ -142,6 +191,60 @@ def get_kernel(flags: tuple, resumable: bool = False):
 # the demand_access hit leg); the specialization only *removes*
 # branches whose condition is decided by the flags, it never reorders
 # effects.
+
+def feed_lines(shape: tuple, pad: str, at_row: str, take_row: list[str],
+               index: str) -> list[str]:
+    """The instruction-feed calls for one retired instruction, in feed
+    order, shared by both kernel tiers.
+
+    A feed declaring the row set is called only where ``at_row`` holds,
+    with the view ``take_row`` leaves in ``rec`` (the lines run at every
+    row of the set, so the caller's row cursor stays in step).  A gated
+    feed is called only while ``gate_<k>.armed``.  Other rows get a view
+    built at the call (``record``), or read from ``records`` when some
+    feed wants every instruction anyway.
+    """
+    has_rows = any(rows for rows, _ in shape)
+    every = any(rows is None and not gated for rows, gated in shape)
+    view = f"records[{index}]" if every else f"record({index})"
+
+    def calls(ind: str, rec: str, fed_row: bool) -> list[str]:
+        out = []
+        for k, (rows, gated) in enumerate(shape):
+            if rows and not fed_row:
+                continue
+            call = f"feed_{k}({rec}, dispatch)"
+            if gated:
+                out += [f"{ind}if gate_{k}.armed:", f"{ind}    {call}"]
+            else:
+                out.append(ind + call)
+        return out
+
+    if not has_rows:
+        return calls(pad, view, False)
+    inner = pad + "    "
+    lines = [f"{pad}if {at_row}:", *(inner + line for line in take_row),
+             *calls(inner, "rec", True)]
+    rest = calls(inner, view, False)
+    if rest:
+        lines += [f"{pad}else:", *rest]
+    return lines
+
+
+def feed_head(shape: tuple, pad: str) -> list[str]:
+    """Bindings :func:`feed_lines` reads: ``feed_<k>``, ``gate_<k>``,
+    and ``records`` or ``record`` (``trace`` and ``feeds`` in scope)."""
+    lines = []
+    for k, (_, gated) in enumerate(shape):
+        lines.append(f"{pad}feed_{k} = feeds[{k}][0]")
+        if gated:
+            lines.append(f"{pad}gate_{k} = feeds[{k}][2]")
+    if any(rows is None and not gated for rows, gated in shape):
+        lines.append(f"{pad}records = trace.records")
+    elif any(rows is None for rows, _ in shape):
+        lines.append(f"{pad}record = trace.record")
+    return lines
+
 
 def _hook_lines(flags: tuple, is_load: bool, indent: int, *, hit: bool,
                 served: str, component: str, level: str, latency: str,
@@ -312,20 +415,23 @@ def _memory_lines(flags: tuple, is_load: bool) -> list[str]:
     return lines
 
 
-def kernel_source(flags: tuple, resumable: bool = False) -> str:
-    """Generate the ``run_fast(core)`` source for one flag tuple.
+def kernel_source(flags: tuple, resumable: bool = False,
+                  shape: tuple = ()) -> str:
+    """Generate the ``run_fast(core, feeds)`` source for one flag tuple
+    and instruction-feed shape (:func:`feed_shape`).
 
     ``resumable`` generates the same body as the generator
-    ``run_bursts(core, burst)`` instead: its locals survive across
-    bursts, and after every ``burst`` retired instructions it writes
-    ``core._fetch_cycle`` back (the multicore scheduler orders cores by
-    it) and yields ``True``.  Deferred counters are still flushed once,
-    when the trace runs out.
+    ``run_bursts(core, burst, feeds)`` instead: its locals survive
+    across bursts, and after every ``burst`` retired instructions it
+    writes ``core._fetch_cycle`` back (the multicore scheduler orders
+    cores by it) and yields ``True``.  Deferred counters are still
+    flushed once, when the trace runs out.  A feed on the row set walks
+    a cursor over the set's positions from the core's start index.
     """
-    instr, oa, ona, of = flags
+    _, oa, ona, of = flags
     head = [
-        ("def run_bursts(core, burst):" if resumable
-         else "def run_fast(core):"),
+        ("def run_bursts(core, burst, feeds):" if resumable
+         else "def run_fast(core, feeds):"),
         "    trace = core.trace",
         "    stats = core.stats",
         "    index = core._index",
@@ -380,10 +486,15 @@ def kernel_source(flags: tuple, resumable: bool = False) -> str:
         "    l1_late = 0",
         "    l1_merges = 0",
     ]
-    if instr:
+    head += feed_head(shape, "    ")
+    rows = next((rows for rows, _ in shape if rows), None)
+    if rows:
         head += [
-            "    observe_instruction = core._observe_instruction",
-            "    records = trace.records",
+            f"    fed_rows, fed_views = trace.feed_records({rows!r})",
+            "    fed_from = bisect_left(fed_rows, index)",
+            "    view_next = iter(fed_views[fed_from:]).__next__",
+            "    row_next = iter(fed_rows[fed_from:] + [-1]).__next__",
+            "    next_row = row_next()",
         ]
     if oa or ona:
         head += [
@@ -415,9 +526,9 @@ def kernel_source(flags: tuple, resumable: bool = False) -> str:
         "        else:",
         "            dispatch = fetch_cycle",
     ]
-    if instr:
-        body.append(
-            "        observe_instruction(records[index], dispatch)")
+    body += feed_lines(shape, "        ", "index == next_row",
+                       ["rec = view_next()", "next_row = row_next()"],
+                       "index")
     body += [
         "        disp = d_disp[index]",
         "        if disp == 2:  # ALU",

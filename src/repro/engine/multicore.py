@@ -25,7 +25,8 @@ from heapq import heapify, heappop, heappush
 
 from repro.core.base import NullPrefetcher, Prefetcher
 from repro.engine.config import SystemConfig, EXPERIMENT_CONFIG
-from repro.engine.kernel import get_kernel, kernel_flags, variant_name
+from repro.engine.kernel import (core_feeds, feed_shape, get_kernel,
+                                 kernel_flags, variant_name)
 from repro.engine.ooo import OoOCore
 from repro.engine.system import SimulationResult
 from repro.isa.trace import Trace
@@ -58,7 +59,9 @@ def _bursts(core: OoOCore):
     if flags is None:
         return _step_bursts(core, BURST)
     core.kernel_variant = variant_name(flags)
-    return get_kernel(flags, resumable=True)(core, BURST)
+    feeds = core_feeds(core)
+    return get_kernel(flags, feed_shape(feeds), resumable=True)(
+        core, BURST, feeds)
 
 
 @dataclass

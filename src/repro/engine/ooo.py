@@ -405,17 +405,18 @@ class OoOCore:
         core's kernel itself and drives its resumable burst form
         (:mod:`repro.engine.multicore`).
         """
-        from repro.engine.kernel import get_kernel, kernel_flags, \
-            variant_name
+        from repro.engine.kernel import core_feeds, feed_shape, \
+            get_kernel, kernel_flags, variant_name
         from repro.engine.segmented import maybe_run_segmented
 
         flags = kernel_flags(self)
         if flags is not None:
-            result = maybe_run_segmented(self, flags)
+            feeds = core_feeds(self)
+            result = maybe_run_segmented(self, flags, feeds)
             if result is not None:
                 return result
             self.kernel_variant = variant_name(flags)
-            return get_kernel(flags)(self)
+            return get_kernel(flags, feed_shape(feeds))(self, feeds)
         step = self.step
         while step():
             pass

@@ -13,7 +13,8 @@ paper splits prefetching:
 
 * **Plan (pay once per trace x L1 geometry)** — :func:`_build_segment_plan`
   precomputes only what stays a pure function of the trace: the fused
-  per-instruction dispatch classes and effective operands (the
+  per-instruction dispatch classes (the feed row set among them) and
+  effective operands (the
   vectorized hook-free stretches between the trace's persisted segment
   events), the flat per-event columns (pc/mPC/addr/line/value), and the
   shadow-L1 outcome per demand access (shadow tags see only demand
@@ -30,7 +31,11 @@ paper splits prefetching:
   ``_MshrFile``/``Dram`` algebra inline — with zero per-access object
   allocation, dead hook branches absent from the emitted source (a
   hook-free cell's kernel has none at all), and composite hook
-  forwarders devirtualized to their component methods.
+  forwarders devirtualized to their component methods: a composite's
+  ``on_access`` to its coordinator's ``route``, and every instruction
+  feed (:func:`~repro.engine.kernel.core_feeds`) called only on its
+  declared rows — the plan marks T2's taken backward branches as the
+  ``_SEG_FED`` class — and only while its gate is armed.
   Hooks (``observe_instruction``, ``observe_access``, ``on_access``,
   ``on_fill``, ``on_prefetch_hit``) are called at exactly the positions
   and with exactly the :class:`~repro.core.base.AccessEvent` payloads
@@ -75,6 +80,7 @@ from __future__ import annotations
 import os
 
 from repro.isa.trace import (
+    BACKWARD_TAKEN,
     DISP_ALU,
     DISP_BR_COND,
     DISP_BR_UNCOND,
@@ -166,11 +172,15 @@ and the plain scalar kernel is the better (and simpler) choice — the
 all-instructions-are-events edge case degrades there by construction."""
 
 # Per-instruction dispatch classes.  Hit/miss is decided live
-# (prefetches change it), so loads and stores are single classes.
+# (prefetches change it), so loads and stores are single classes.  A
+# taken backward branch (the feed row set T2 declares) is register-only
+# under static BTFNT; its own class lets a kernel feed exactly those
+# rows, and every other kernel retires it as _SEG_SIMPLE.
 _SEG_SIMPLE = 0
 _SEG_LOAD = 1
 _SEG_STORE = 2
 _SEG_BP_MISS = 3
+_SEG_FED = 4
 
 
 def segment_variant(flags: tuple) -> str:
@@ -241,6 +251,10 @@ def _build_segment_plan(trace: CompiledTrace, key: tuple) -> SegmentPlan:
     cls[(disp_a == DISP_BR_COND) & (bp_a != 0)] = _SEG_BP_MISS
     cls[disp_a == DISP_LOAD] = _SEG_LOAD
     cls[disp_a == DISP_STORE] = _SEG_STORE
+    fed = trace.feed_records(BACKWARD_TAKEN)[0]
+    if fed:
+        assert not cls[fed].any(), "a taken backward branch is an event"
+        cls[fed] = _SEG_FED
 
     events = trace.segment_events()
     mem_pos = events[disp_a[events] <= DISP_STORE]
@@ -284,14 +298,16 @@ def _build_segment_plan(trace: CompiledTrace, key: tuple) -> SegmentPlan:
     return plan
 
 
-def maybe_run_segmented(core, flags: tuple):
+def maybe_run_segmented(core, flags: tuple, feeds: list[tuple]):
     """Run ``core`` through the segmented tier, or return ``None`` to
     let the caller run the scalar kernel or the generic loop.
 
     ``flags`` are the hook-shape flags
     :func:`~repro.engine.kernel.kernel_flags` returned for ``core``, so
     the trace is compiled and no sampler, telemetry hub or dynamic
-    branch predictor is attached.  Further eligibility:
+    branch predictor is attached; ``feeds`` are its leaf instruction
+    feeds (:func:`~repro.engine.kernel.core_feeds`).  Further
+    eligibility:
     ``REPRO_KERNEL`` not ``scalar``, a cold stock hierarchy
     (:func:`_stock_cold_hierarchy`), and a segment-event coverage
     fraction at most :data:`SEGMENT_MAX_COVERAGE`.
@@ -312,21 +328,10 @@ def maybe_run_segmented(core, flags: tuple):
     PROCESS.count(f"kernel.selected.{variant}")
     core.kernel_variant = variant
 
-    # Resolve the devirtualized composite hooks of the kernel key.
+    # Resolve the devirtualized composite access hook of the kernel key.
     from repro.core.composite import CompositePrefetcher
+    from repro.engine.kernel import feed_shape
 
-    feeds = None
-    nfeeds = 0
-    if instr:
-        hook = core._observe_instruction
-        if (getattr(hook, "__func__", None)
-                is CompositePrefetcher.observe_instruction):
-            feeds = hook.__self__._instruction_feeds
-            nfeeds = len(feeds)
-            if nfeeds > 4:  # keep the kernel-cache fanout bounded
-                feeds, nfeeds = None, -1
-        else:
-            nfeeds = -1
     route = None
     if ona:
         hook = core._on_access
@@ -335,7 +340,7 @@ def maybe_run_segmented(core, flags: tuple):
         else:
             route = hook
 
-    kernel = _segment_kernel(instr, oa, ona, of, nfeeds)
+    kernel = _segment_kernel(instr, oa, ona, of, feed_shape(feeds))
     return kernel(core, plan, feeds, route)
 
 
@@ -343,15 +348,14 @@ _SEG_KERNELS: dict[tuple, object] = {}
 
 
 def _segment_kernel(instr: bool, oa: bool, ona: bool, of: bool,
-                    nfeeds: int):
+                    shape: tuple):
     """Compile (and memoize) one segmented replay kernel.
 
     Like ``repro.engine.kernel``, the loop is generated with dead hook
     branches absent; the kernel is additionally specialized on the
-    number of devirtualized instruction feeds (``nfeeds``; -1 calls the
-    composite's forwarder per instruction instead).
+    instruction-feed ``shape`` (:func:`~repro.engine.kernel.feed_shape`).
     """
-    key = (instr, oa, ona, of, nfeeds)
+    key = (instr, oa, ona, of, shape)
     fn = _SEG_KERNELS.get(key)
     if fn is None:
         from repro.core.base import AccessEvent
@@ -367,7 +371,7 @@ def _segment_kernel(instr: bool, oa: bool, ona: bool, of: bool,
 
 
 def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
-                    nfeeds: int) -> str:
+                    shape: tuple) -> str:
     """Source of a specialized segmented replay loop.
 
     The emitted code retires the whole trace with live hooks: the
@@ -387,8 +391,13 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     exactly the scalar kernel's, so the prefetcher cannot distinguish
     the tiers, and so are the ``credit_log`` entries.  Stats accumulate
     in locals and write back once at the end, matching the scalar
-    kernels' deferred-accumulator contract.
+    kernels' deferred-accumulator contract.  Instruction feeds are
+    called as in the scalar kernels
+    (:func:`~repro.engine.kernel.feed_lines`), a row-set feed at the
+    plan's ``_SEG_FED`` rows.
     """
+    from repro.engine.kernel import feed_head, feed_lines
+
     build_event = oa or ona
     lines: list[str] = []
     emit = lines.append
@@ -672,13 +681,13 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("    by_component = hierarchy.prefetch_stats.by_component")
     emit("    miss_pcs = stats.miss_pcs")
     emit("    miss_latency_by_pc = stats.miss_latency_by_pc")
-    if instr:
-        if nfeeds >= 0:
-            for k in range(nfeeds):
-                emit(f"    feed_{k} = feeds[{k}]")
-        else:
-            emit("    observe_instruction = core._observe_instruction")
-        emit("    records = core.trace.records")
+    emit("    trace = core.trace")
+    for line in feed_head(shape, "    "):
+        emit(line)
+    rows = next((rows for rows, _ in shape if rows), None)
+    if rows:
+        emit(f"    fed_next = iter(trace.feed_records({rows!r})[1])"
+             ".__next__")
     if oa:
         emit("    observe_access = core._observe_access")
     if ona:
@@ -978,9 +987,8 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("    commits_at_time = 0")
     emit("    load_latency_total = 0")
     emit("    rob_slot = rob_size - 1")
-    if instr:
-        emit("    for (cls, s1, s2, dst, lat), rec in zip(rows, "
-             "records):")
+    if any(rows is None for rows, _ in shape):
+        emit("    for i, (cls, s1, s2, dst, lat) in enumerate(rows):")
     else:
         emit("    for cls, s1, s2, dst, lat in rows:")
     emit("        if fetch_slot >= width:")
@@ -997,26 +1005,27 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("            fetch_slot = 1")
     emit("        else:")
     emit("            dispatch = fetch_cycle")
-    if instr:
-        if nfeeds >= 0:
-            for k in range(nfeeds):
-                emit(f"        feed_{k}(rec, dispatch)")
-        else:
-            emit("        observe_instruction(rec, dispatch)")
+    for line in feed_lines(shape, "        ", "cls == 4",
+                           ["rec = fed_next()"], "i"):
+        emit(line)
+
+    def register_only() -> None:
+        emit("            issue = dispatch")
+        emit("            if s1 >= 0:")
+        emit("                ready = reg_ready[s1]")
+        emit("                if ready > issue:")
+        emit("                    issue = ready")
+        emit("            if s2 >= 0:")
+        emit("                ready = reg_ready[s2]")
+        emit("                if ready > issue:")
+        emit("                    issue = ready")
+        emit("            complete = issue + lat")
+        emit("            if dst >= 0:")
+        emit("                reg_ready[dst] = complete")
+
     emit("        if cls == 0:  # register-only: ALU / predicted "
          "branch / other")
-    emit("            issue = dispatch")
-    emit("            if s1 >= 0:")
-    emit("                ready = reg_ready[s1]")
-    emit("                if ready > issue:")
-    emit("                    issue = ready")
-    emit("            if s2 >= 0:")
-    emit("                ready = reg_ready[s2]")
-    emit("                if ready > issue:")
-    emit("                    issue = ready")
-    emit("            complete = issue + lat")
-    emit("            if dst >= 0:")
-    emit("                reg_ready[dst] = complete")
+    register_only()
     emit("        elif cls == 1:  # load")
     emit("            issue = dispatch")
     emit("            if s1 >= 0:")
@@ -1087,7 +1096,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     if of:
         emit("                on_fill(line, 1)")
     emit("            complete = issue + 1")
-    emit("        else:  # cls == 3: statically mispredicted branch")
+    emit("        elif cls == 3:  # statically mispredicted branch")
     emit("            issue = dispatch")
     emit("            if s1 >= 0:")
     emit("                ready = reg_ready[s1]")
@@ -1100,6 +1109,8 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("            complete = issue + 1")
     emit("            fetch_cycle = complete + branch_penalty")
     emit("            fetch_slot = 0")
+    emit("        else:  # cls == 4: taken backward branch, register-only")
+    register_only()
     emit("        if complete > last_commit:")
     emit("            last_commit = complete")
     emit("            commits_at_time = 1")

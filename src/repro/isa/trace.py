@@ -244,6 +244,12 @@ DERIVED_FIELD_TYPECODES = ("q", "q", "b", "b")
 
 _FIELD_INDEX = {name: i for i, name in enumerate(TRACE_FIELDS)}
 
+BACKWARD_TAKEN = "backward_taken"
+"""The taken backward branches: the one row set a prefetcher can declare
+as its instruction feed (:attr:`repro.core.base.Prefetcher.feed_rows`).
+T2's loop hardware acts on nothing else.  Static BTFNT predicts every
+such branch correctly, so none is a segment event."""
+
 SEGMENT_DTYPE = "q"
 """Typecode/dtype of the serialized segment-event column (signed 64-bit
 positions into the trace)."""
@@ -269,8 +275,11 @@ class CompiledTrace:
     timing model's hot loop reads ``col[i]`` at slot-attribute speed
     without materializing a record object per instruction.
     ``records`` lazily materializes classic :class:`TraceRecord` views
-    for the prefetcher-observation API and for analyses that want
-    per-record objects; the views are built once and cached.
+    for the generic loop and for analyses that want per-record objects;
+    the views are built once and cached.  The replay kernels read them
+    only for a feed that declares no row set or gate: they feed the
+    cached views of a declared row set (:meth:`feed_records`) and build
+    any other row's view at the call (:meth:`record`).
 
     ``memory`` is the same post-execution data image a :class:`Trace`
     carries (P1's chain FSM dereferences it).
@@ -280,7 +289,8 @@ class CompiledTrace:
                  "addr", "value", "dst", "src1", "src2", "taken",
                  "target_pc", "ras_top",
                  "_stats", "_records", "_derived", "_arrays",
-                 "_derived_arrays", "_segments", "_plans", "_pcs")
+                 "_derived_arrays", "_segments", "_plans", "_pcs",
+                 "_feeds")
 
     def __init__(self, name: str, columns: tuple | None,
                  memory: dict[int, int]):
@@ -295,6 +305,7 @@ class CompiledTrace:
         self._records: list[TraceRecord] | None = None
         self._derived: tuple | None = None
         self._pcs: dict[int, int] = {}
+        self._feeds: dict[str, tuple] = {}
         if columns is not None:
             (self.pc, self.opc, self.addr, self.value, self.dst,
              self.src1, self.src2, self.taken, self.target_pc,
@@ -536,8 +547,44 @@ class CompiledTrace:
                 append_bp(0)
         return (line, mpc, disp, bp_miss)
 
+    def feed_records(self, rows: str) -> tuple[list, list]:
+        """``(positions, views)`` of the row set ``rows`` (cached).
+
+        ``positions`` is the sorted row indices of the set (only
+        :data:`BACKWARD_TAKEN` exists) and ``views`` their
+        :class:`TraceRecord`
+        views, so a kernel feeding those rows builds a view for nothing
+        else.  The views are ``records``' own when those exist.
+        """
+        feed = self._feeds.get(rows)
+        if feed is None:
+            if rows != BACKWARD_TAKEN:
+                raise ValueError(f"unknown feed row set {rows!r}")
+            np = _np()
+            columns = self.array_columns()
+            pc, opc, taken, target_pc = (columns[_FIELD_INDEX[name]]
+                                         for name in ("pc", "opc", "taken",
+                                                      "target_pc"))
+            where = np.flatnonzero((opc == int(OpClass.BRANCH)) & taken
+                                   & (target_pc < pc))
+            positions = where.tolist()
+            if self._records is not None:
+                views = [self._records[i] for i in positions]
+            else:
+                views = [TraceRecord(*row) for row in zip(
+                    *(column[where].tolist() for column in columns))]
+            feed = self._feeds[rows] = (positions, views)
+        return feed
+
     def record(self, index: int) -> TraceRecord:
-        """One :class:`TraceRecord` view of row ``index``."""
+        """One :class:`TraceRecord` view of row ``index``: the cached
+        view when ``records`` was built, else a new one read from the
+        arrays of an array-backed trace (no list column materializes)."""
+        if self._records is not None:
+            return self._records[index]
+        if self._arrays is not None:
+            return TraceRecord(*[column.item(index)
+                                 for column in self._arrays])
         return TraceRecord(
             self.pc[index], self.opc[index], addr=self.addr[index],
             value=self.value[index], dst=self.dst[index],

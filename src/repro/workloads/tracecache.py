@@ -79,23 +79,24 @@ def trace_counters() -> dict:
     return {key: counters[f"trace_cache.{key}"] for key in TRACE_COUNTERS}
 
 
-def trace_code_version() -> str:
-    """Digest of every source file that can change a generated trace.
+def trace_code_paths() -> list[Path]:
+    """Every source file that can change a generated trace: the
+    functional substrate (``repro.isa``: machine, ISA, assembler) and
+    the workload definitions (``repro.workloads``: builders, suites,
+    registry, the fuzz generator, this module)."""
+    here = Path(__file__).resolve().parent
+    return [*here.glob("*.py"), *(here.parent / "isa").glob("*.py")]
 
-    Covers the functional substrate (``repro.isa``: machine, ISA,
-    assembler) and the workload definitions (``repro.workloads``:
-    builders, suites, registry, this module).  Editing any of them —
-    committed or not — orphans every cached trace.
-    """
+
+def trace_code_version() -> str:
+    """Digest of :func:`trace_code_paths`.  Editing any of them —
+    committed or not — orphans every cached trace."""
     global _trace_code_version_cache
     if _trace_code_version_cache is None:
         from repro.resultcache import digest_sources
 
-        here = Path(__file__).resolve().parent
-        paths = list(here.glob("*.py"))
-        paths.extend((here.parent / "isa").glob("*.py"))
         _trace_code_version_cache = digest_sources(
-            paths, f"trace-cache-v{TRACE_CACHE_VERSION}"
+            trace_code_paths(), f"trace-cache-v{TRACE_CACHE_VERSION}"
         )
     return _trace_code_version_cache
 

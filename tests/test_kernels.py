@@ -30,6 +30,9 @@ import pytest
 
 from conftest import build_aop_trace, build_chain_trace, build_strided_trace
 from repro.analysis.credit import CreditTracker, replay
+from repro.core.base import Prefetcher
+from repro.core.composite import instruction_feeds, make_shunt, make_tpc
+from repro.core.t2 import T2Prefetcher
 from repro.engine import multicore, segmented
 from repro.engine.branch import StaticPredictor
 from repro.engine.config import EXPERIMENT_CONFIG
@@ -38,10 +41,11 @@ from repro.engine.kernel import (GENERIC, KERNEL_ENV, SCALAR, kernel_flags,
 from repro.engine.multicore import simulate_multicore
 from repro.engine.segmented import SEGMENT_MAX_COVERAGE
 from repro.engine.system import simulate
-from repro.experiments import drop_policy
+from repro.experiments import ablations, drop_policy
 from repro.faults.faultlog import faults_since
 from repro.isa import Assembler, Machine
 from repro.isa.trace import (
+    BACKWARD_TAKEN,
     DERIVED_FIELDS,
     LINE_SHIFT,
     TRACE_FIELDS,
@@ -54,7 +58,7 @@ from repro.obs import metrics
 from repro.parallel import _fusion_units, run_jobs, shutdown_pool
 from repro.prefetcher_registry import available_prefetchers, make_prefetcher
 from repro.telemetry import Telemetry
-from repro.workloads.fuzz import mix_identity
+from repro.identity import mix_identity
 
 
 @pytest.fixture(scope="module")
@@ -768,6 +772,152 @@ def test_array_backed_pc_and_mpc_share_int_objects(chain):
         for value in pc + mpc:
             assert objects.setdefault(value, value) is value
         assert len(objects) < len(trace) // 10
+
+
+# ----------------------------------------------------------------------
+# Instruction feeds: wrapper shapes, declarations, record views
+# ----------------------------------------------------------------------
+WRAPPER_SHAPES = {
+    "shunt:tpc+spp": lambda: make_shunt([make_prefetcher("spp")]),
+    "tpc+spp": lambda: make_tpc(extras=[make_prefetcher("spp")]),
+    "t": lambda: make_tpc(components="t"),
+    "tp": lambda: make_tpc(components="tp"),
+    "order-cpt": lambda: ablations._build_variant("order-cpt"),
+}
+"""The report's wrapper shapes whose instruction feeds the kernels
+devirtualize: a shunt, a composite with extras, the Fig. 12 prefixes
+and the ablations' reversed ``[C1, P1, T2]`` composite."""
+
+
+def _with_log(result) -> tuple:
+    return _identity(result) + (result.credit_log,)
+
+
+@pytest.mark.parametrize("shape", sorted(WRAPPER_SHAPES))
+def test_wrapper_shapes_match_generic(shape, strided, chain, monkeypatch):
+    build = WRAPPER_SHAPES[shape]
+    for trace in (strided, chain):
+        seg = simulate(trace, build())
+        monkeypatch.setenv(KERNEL_ENV, SCALAR)
+        scalar = simulate(trace, build())
+        monkeypatch.setenv(KERNEL_ENV, GENERIC)
+        generic = simulate(trace, build())
+        monkeypatch.delenv(KERNEL_ENV)
+        assert seg.kernel.startswith("segmented+instr+"), trace.name
+        assert scalar.kernel.startswith("fast+instr+"), trace.name
+        assert generic.kernel == GENERIC
+        assert _with_log(seg) == _with_log(generic), (shape, trace.name)
+        assert _with_log(scalar) == _with_log(generic), (shape, trace.name)
+
+
+@pytest.mark.parametrize("shape", sorted(WRAPPER_SHAPES))
+def test_wrapper_shapes_in_a_mix_match_generic(shape, mixes, monkeypatch):
+    traces = mixes["shared"]
+    build = WRAPPER_SHAPES[shape]
+    fast = simulate_multicore(traces, [build() for _ in traces])
+    monkeypatch.setenv(KERNEL_ENV, GENERIC)
+    slow = simulate_multicore(traces, [build() for _ in traces])
+    monkeypatch.delenv(KERNEL_ENV)
+    assert all(core.kernel.startswith("fast+instr+")
+               for core in fast.per_core), shape
+    assert [core.kernel for core in slow.per_core] == [GENERIC] * 4
+    assert mix_identity(fast) == mix_identity(slow), shape
+
+
+def test_instruction_feeds_list_leaves_in_call_order():
+    """Forwarders expand to their components' hooks in the order they
+    call them; T2 declares its row set, P1 its taint-unit gate."""
+    def leaves(prefetcher):
+        return [(type(hook.__self__).__name__, rows, gate)
+                for hook, rows, gate in
+                instruction_feeds(prefetcher.observe_instruction)]
+
+    tpc = make_tpc()
+    p1 = tpc.components[1]
+    assert leaves(tpc) == [("T2Prefetcher", BACKWARD_TAKEN, None),
+                           ("P1Prefetcher", None, p1.taint)]
+    shunt = make_shunt([make_prefetcher("spp")])
+    assert [leaf[:2] for leaf in leaves(shunt)] == [
+        ("T2Prefetcher", BACKWARD_TAKEN), ("P1Prefetcher", None)]
+    assert [leaf[0] for leaf in leaves(
+        ablations._build_variant("order-cpt"))] == [
+        "P1Prefetcher", "T2Prefetcher"]
+    assert leaves(make_tpc(components="t")) == [
+        ("T2Prefetcher", BACKWARD_TAKEN, None)]
+
+
+class _CountingFeed(Prefetcher):
+    """Declares nothing: every tier must feed it every instruction."""
+
+    name = "counting"
+    needs_instruction_stream = True
+
+    def __init__(self) -> None:
+        self.seen: list[int] = []
+
+    def observe_instruction(self, record, cycle: int) -> None:
+        self.seen.append(record.pc)
+
+
+class _LoopsOnly(T2Prefetcher):
+    """Overrides T2's hook without restating T2's declaration."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seen: list[int] = []
+
+    def observe_instruction(self, record, cycle: int) -> None:
+        self.seen.append(record.pc)
+        super().observe_instruction(record, cycle)
+
+
+@pytest.mark.parametrize("cls", [_CountingFeed, _LoopsOnly])
+def test_undeclared_feed_sees_every_instruction_on_every_tier(
+        cls, chain, monkeypatch):
+    def fed() -> tuple:
+        prefetcher = cls()
+        result = simulate(chain, prefetcher)
+        return result.kernel, prefetcher.seen
+
+    seg_kernel, seg = fed()
+    monkeypatch.setenv(KERNEL_ENV, SCALAR)
+    scalar_kernel, scalar = fed()
+    monkeypatch.setenv(KERNEL_ENV, GENERIC)
+    generic_kernel, generic = fed()
+    monkeypatch.delenv(KERNEL_ENV)
+    assert seg_kernel.startswith("segmented+instr")
+    assert scalar_kernel.startswith("fast+instr")
+    assert generic_kernel == GENERIC
+    assert seg == scalar == generic == chain.pc
+    mix = simulate_multicore([chain, chain], [cls(), cls()])
+    assert all(core.kernel.startswith("fast+instr")
+               for core in mix.per_core)
+
+
+@pytest.mark.parametrize("tier", ["segmented", "scalar", "mix", "generic"])
+def test_kernels_feed_without_building_record_views(tier, monkeypatch):
+    """A ``tpc`` cell builds a view only for the rows it feeds, so no
+    kernel tier builds ``CompiledTrace.records``; the generic loop
+    still does."""
+    base = compile_trace(build_chain_trace(nodes=600, name="k-views"))
+    trace = CompiledTrace.from_column_bytes(
+        base.name, base.column_bytes(), base.memory,
+        derived=base.derived_bytes())
+    if tier == "mix":
+        result = simulate_multicore(
+            [trace] * 4, [make_prefetcher("tpc") for _ in range(4)])
+        kernel = result.per_core[0].kernel
+    else:
+        if tier != "segmented":
+            monkeypatch.setenv(KERNEL_ENV, SCALAR if tier == "scalar"
+                               else GENERIC)
+        kernel = simulate(trace, make_prefetcher("tpc")).kernel
+    assert kernel.split("+")[0] == {"segmented": "segmented",
+                                    "generic": GENERIC}.get(tier, "fast")
+    assert (trace._records is None) == (tier != "generic")
+    positions, views = trace.feed_records(BACKWARD_TAKEN)
+    assert 0 < len(views) < len(trace) // 4
+    assert [view.pc for view in views] == [base.pc[i] for i in positions]
 
 
 # ----------------------------------------------------------------------

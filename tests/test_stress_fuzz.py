@@ -26,18 +26,15 @@ from repro.faults.faultlog import faults_since
 from repro.isa.trace import compile_trace
 from repro.obs import metrics
 from repro.prefetcher_registry import make_prefetcher
+from repro import identity
+from repro.identity import check_mix, check_workload, identity_tuple, run_fuzz
 from repro.workloads import get_suite, get_workload
-from repro.workloads import fuzz
 from repro.workloads.fuzz import (
     DEGENERATE_EVERY,
     build_fuzz_program,
-    check_mix,
-    check_workload,
     fuzz_name,
     fuzz_simpoint,
     fuzz_workload,
-    identity_tuple,
-    run_fuzz,
 )
 
 STRESS_NAMES = (
@@ -198,7 +195,7 @@ def test_fuzz_mix_leg_reports_divergence(monkeypatch):
     burst) is reported as a kernel-vs-generic violation on the mix."""
     from repro.engine import multicore
 
-    simulate_mix = fuzz._simulate_mix
+    simulate_mix = identity._simulate_mix
 
     def skewed(traces, prefetcher, config, tier):
         if tier == GENERIC:
@@ -208,7 +205,7 @@ def test_fuzz_mix_leg_reports_divergence(monkeypatch):
         finally:
             monkeypatch.setattr(multicore, "BURST", 32)
 
-    monkeypatch.setattr(fuzz, "_simulate_mix", skewed)
+    monkeypatch.setattr(identity, "_simulate_mix", skewed)
     summary = check_mix([fuzz_workload(s) for s in range(4)], ("none",))
     (violation,) = summary["violations"]
     assert violation.workload == "mix:" + "+".join(
@@ -223,7 +220,7 @@ def test_fuzz_reports_credit_log_divergence(monkeypatch):
     """A generic run whose credit log holds one extra use is reported as
     a kernel-vs-generic violation on ``tpc``, naming the log alone,
     since every figure still matches."""
-    simulate_tier = fuzz._simulate_tier
+    simulate_tier = identity._simulate_tier
 
     def skewed(trace, prefetcher, config, tier):
         result = simulate_tier(trace, prefetcher, config, tier)
@@ -231,7 +228,7 @@ def test_fuzz_reports_credit_log_divergence(monkeypatch):
             result.credit_log.append(("on_useful", 0, "skew", 1))
         return result
 
-    monkeypatch.setattr(fuzz, "_simulate_tier", skewed)
+    monkeypatch.setattr(identity, "_simulate_tier", skewed)
     summary = check_workload(fuzz_workload(1), ("none", "tpc"),
                              fused=False, cold=False)
     (violation,) = summary["violations"]

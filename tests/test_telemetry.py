@@ -39,7 +39,7 @@ from repro.telemetry import (
 )
 from repro.telemetry import events as ev
 from repro.workloads import get_workload
-from repro.workloads.fuzz import diff_fields, identity_tuple
+from repro.identity import diff_fields, identity_tuple
 from tests.conftest import build_aop_trace, build_strided_trace
 
 

@@ -309,3 +309,18 @@ def test_tiny_workload_roundtrips_through_pickle_cache(tmp_path,
     assert sorted(payload) == ["columns", "derived", "format",
                                "memory_addr", "memory_val", "name",
                                "segments", "simpoint"]
+
+
+def test_identity_harness_is_not_a_trace_code_input():
+    """Editing the identity harness never orphans a cached trace: its
+    module is outside the trace-code digest, while the fuzz program
+    generator, which builds traces, stays inside."""
+    from pathlib import Path
+
+    import repro.identity
+    import repro.workloads.fuzz
+
+    inputs = {path.resolve() for path in tracecache.trace_code_paths()}
+    assert Path(repro.identity.__file__).resolve() not in inputs
+    assert Path(repro.workloads.fuzz.__file__).resolve() in inputs
+    assert not hasattr(repro.workloads.fuzz, "check_workload")
