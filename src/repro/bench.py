@@ -9,14 +9,11 @@ writes a machine-readable ``BENCH_simulator.json``:
 * **kernels** — the same matrix re-run under ``REPRO_KERNEL=generic``,
   reporting the specialized-vs-generic speedup, per-cell kernel
   variants, and whether the figures were bit-identical (they must be;
-  ``--check`` and ``--require-specialized`` gate on this section).
-  Its ``segmented`` subsection re-times the cells that selected the
-  segmented replay tier (:mod:`repro.engine.segmented` — the hook-free
-  ``none`` cells and the paper's ``bop``/``tpc`` prefetchers) against
-  the ``REPRO_KERNEL=scalar`` comparator, per cell — coverage
-  fraction, seconds, speedup, identity — plus the aggregate
-  ``speedup_vs_scalar`` that ``--require-segmented`` gates on
-  (>= 1.5x, bit-identical everywhere);
+  ``--check`` and ``--require-specialized`` gate on this section).  A
+  single-core cell runs either the segmented tier
+  (:mod:`repro.engine.segmented`) or the generic loop, so
+  ``--require-specialized``'s no-generic-cell gate also proves every
+  matrix cell ran the segmented tier;
 * **parallel** — the same matrix through :func:`repro.parallel.run_jobs`
   at ``--jobs N``, reported as speedup over the serial pass; on hosts
   where the pool would lose (``<= 2`` CPUs, tiny matrix) the pass
@@ -211,92 +208,6 @@ def bench_generic(matrix, config) -> dict:
         ]
         elapsed = time.perf_counter() - started
     return {"seconds": round(elapsed, 3), "cell_figures": figures}
-
-
-def bench_segmented(matrix, config, variants: dict) -> dict:
-    """The kernels section's ``segmented`` subsection.
-
-    Re-times the cells whose serial pass selected the segmented tier
-    (the leanmem cells — ``none`` and the paper's ``bop``/``tpc``
-    prefetchers) against the ``REPRO_KERNEL=scalar`` comparator and
-    proves in-run bit-identity.  After a settle pass of every cell on
-    both tiers, each cell is timed individually, fastest-of-3 per tier,
-    the two tiers alternating run by run so that host drift lands on
-    both sides alike; the section carries per-cell seconds and speedups
-    alongside the aggregate.  The per-cell ``coverage`` figure is the
-    trace's segment-event fraction — the share of instructions that run
-    as scalar islands rather than hook-free stretches — which bounds
-    how much the tier can win.
-    """
-    from repro.engine.segmented import SEGMENT_PREFIX
-    from repro.engine.kernel import SCALAR, pinned_kernel
-    from repro.experiments.runner import simulate_spec
-    from repro.workloads import get_workload
-
-    cells = [(w, s) for w, s in matrix
-             if (variants.get(f"{w}/{s}") or "").startswith(SEGMENT_PREFIX)]
-    section: dict = {
-        "cells": [f"{w}/{s}" for w, s in cells],
-    }
-    if not cells:
-        section.update({
-            "segmented_seconds": 0.0,
-            "scalar_seconds": 0.0,
-            "speedup_vs_scalar": 0.0,
-            "identical": True,
-            "per_cell": {},
-        })
-        return section
-
-    tiers = (None, SCALAR)  # the automatic selection, then scalar
-    for tier in tiers:
-        with pinned_kernel(tier):
-            for workload, spec in cells:
-                simulate_spec(workload, spec, "", config)
-    seconds: dict = {tier: {} for tier in tiers}
-    figures: dict = {tier: {} for tier in tiers}
-    for cell in cells:
-        for _ in range(3):
-            for tier in tiers:
-                with pinned_kernel(tier):
-                    started = time.perf_counter()
-                    result = simulate_spec(*cell, "", config)
-                    elapsed = time.perf_counter() - started
-                best = seconds[tier].get(cell)
-                if best is None or elapsed < best:
-                    seconds[tier][cell] = elapsed
-                figures[tier][cell] = _cell_figures(result)
-    seg_seconds, sca_seconds = seconds[None], seconds[SCALAR]
-    seg_figures, sca_figures = figures[None], figures[SCALAR]
-
-    per_cell: dict = {}
-    for workload, spec in cells:
-        trace = get_workload(workload).trace()
-        n = len(trace)
-        seg = seg_seconds[(workload, spec)]
-        sca = sca_seconds[(workload, spec)]
-        per_cell[f"{workload}/{spec}"] = {
-            "kernel": variants[f"{workload}/{spec}"],
-            "coverage": round(len(trace.segment_events()) / n, 4) if n
-            else 1.0,
-            "segmented_seconds": round(seg, 3),
-            "scalar_seconds": round(sca, 3),
-            "speedup_vs_scalar": round(sca / seg, 2) if seg else 0.0,
-            "identical": seg_figures[(workload, spec)]
-            == sca_figures[(workload, spec)],
-        }
-    seg_total = sum(seg_seconds.values())
-    sca_total = sum(sca_seconds.values())
-    section.update({
-        "segmented_seconds": round(seg_total, 3),
-        "scalar_seconds": round(sca_total, 3),
-        "speedup_vs_scalar": (
-            round(sca_total / seg_total, 2) if seg_total else 0.0
-        ),
-        "identical": all(c["identical"] for c in per_cell.values()),
-        "per_cell": per_cell,
-    })
-    return section
 
 
 def bench_parallel(matrix, config, jobs: int, serial_seconds: float) -> dict:
@@ -538,11 +449,6 @@ def run_bench(quick: bool = False, jobs: int = 0,
     }
     say(f"kernels: {kernels['speedup_vs_generic']}x vs generic, "
         f"identical={kernels['identical']}")
-    say("segmented-tier parity pass (REPRO_KERNEL=scalar comparator)")
-    kernels["segmented"] = bench_segmented(matrix, config, variants)
-    say(f"segmented: {kernels['segmented']['speedup_vs_scalar']}x vs "
-        f"scalar over {len(kernels['segmented']['cells'])} cells, "
-        f"identical={kernels['segmented']['identical']}")
     say(f"parallel pass at {jobs} jobs")
     parallel = bench_parallel(matrix, config, jobs, serial["seconds"])
     say("cache cold/warm passes")
@@ -655,34 +561,6 @@ def _no_generic_cells(report: dict, args) -> str | None:
     return None
 
 
-def _segmented_cells_present(report: dict, args) -> str | None:
-    if not report["kernels"]["segmented"]["cells"]:
-        return ("no matrix cell selected the segmented tier — leanmem "
-                "none/bop/tpc cells missing or fell back to scalar")
-    return None
-
-
-def _segmented_identical(report: dict, args) -> str | None:
-    per_cell = report["kernels"]["segmented"]["per_cell"]
-    broken = sorted(cell for cell, fig in per_cell.items()
-                    if not fig["identical"])
-    if broken:
-        return ("segmented tier is not bit-identical to the scalar "
-                "kernels (REPRO_KERNEL=scalar) on: " + ", ".join(broken))
-    return None
-
-
-def _segmented_beats_scalar(target: float):
-    def check(report: dict, args) -> str | None:
-        segmented = report["kernels"]["segmented"]
-        speedup = segmented["speedup_vs_scalar"]
-        if segmented["cells"] and speedup < target:
-            return (f"segmented tier below the {target}x aggregate "
-                    f"target: {speedup}x vs scalar")
-        return None
-    return check
-
-
 GATES = (
     (("check",),
      lambda report, args: check_regression(report, args.check,
@@ -690,10 +568,6 @@ GATES = (
     (("check", "require_specialized"), _kernels_identical),
     (("check",), _kernels_beat_generic),
     (("require_specialized",), _no_generic_cells),
-    (("require_segmented",), _segmented_cells_present),
-    (("check", "require_segmented"), _segmented_identical),
-    (("check",), _segmented_beats_scalar(1.0)),
-    (("require_segmented",), _segmented_beats_scalar(1.5)),
 )
 """Every gate of a timing run, in the order :func:`main` walks them: the
 options that turn a row on, and its check, which returns an error
@@ -724,12 +598,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--require-specialized", action="store_true",
                         help="fail if any matrix cell fell back to the "
                              "generic replay kernel (CI kernel-parity "
-                             "gate)")
-    parser.add_argument("--require-segmented", action="store_true",
-                        help="fail unless the leanmem none/bop/tpc "
-                             "cells ran the segmented tier bit-"
-                             "identically at >= 1.5x aggregate over "
-                             "REPRO_KERNEL=scalar (CI kernel-parity "
                              "gate)")
     args = parser.parse_args(argv)
     log = get_logger("bench")

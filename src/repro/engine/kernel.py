@@ -7,15 +7,18 @@ notification — and re-derives per-record facts (line index, ``mPC``,
 dispatch class, the static predictor's outcome) on every retired
 instruction of every matrix cell.
 
-This module partial-evaluates that loop for the cells the paper
-pipeline runs.  A core's hook shape is summarized as a tuple of four
-flags (:func:`kernel_flags`); for each distinct tuple we generate the
-*source* of a ``run_fast(core)`` function with the dead hook branches
-simply absent, ``exec``-compile it once per process, and cache it (the
-same technique :mod:`dataclasses` uses for ``__init__``).  The
-trace-invariant facts come precomputed from the compiled trace's
-derived columns (:mod:`repro.isa.trace`), built once per workload and
-persisted by the trace cache.
+This module partial-evaluates that loop for the cores of a multicore
+mix.  A core's hook shape is summarized as a tuple of four flags
+(:func:`kernel_flags`); for each distinct tuple we generate the
+*source* of a ``run_bursts(core, burst, feeds)`` generator with the
+dead hook branches simply absent, ``exec``-compile it once per
+process, and cache it (the same technique :mod:`dataclasses` uses for
+``__init__``).  The trace-invariant facts come precomputed from the
+compiled trace's derived columns (:mod:`repro.isa.trace`), built once
+per workload and persisted by the trace cache.  A single-core cell
+does not run these kernels: the same flags select the segmented tier
+(:mod:`repro.engine.segmented`), whose kernels reuse this module's
+instruction-feed lines (:func:`feed_lines`, :func:`feed_head`).
 
 The instruction-stream hook is not called per instruction either.
 :func:`core_feeds` lists the leaf feeds behind a core's hook
@@ -45,21 +48,15 @@ clock may change, never a number.  The kernels read the trace's list
 columns and the generic loop its record views, so the check also pins
 the two representations against each other; and the generic loop
 feeds every hook every instruction, so it also proves each feed
-declaration.  ``tests/test_kernels.py``
-pins it registry-wide, and ``repro bench`` re-checks it in-run against
-the ``REPRO_KERNEL=generic`` escape hatch (which disables
+declaration.  ``tests/test_kernels.py`` and ``repro fuzz`` pin it
+against the ``REPRO_KERNEL=generic`` escape hatch (which disables
 specialization entirely, e.g. to bisect a suspected kernel bug).
 
-Kernel selection is automatic: any eligible core replaying a
-:class:`~repro.isa.trace.CompiledTrace` gets a specialized kernel, in
-``OoOCore.run`` for a whole-trace run and in
-:func:`~repro.engine.multicore.simulate_multicore` for the cores of a
-mix.  A mix runs the resumable form (``run_bursts``), a generator
-generated from the same body lines that yields after every burst of
-retired instructions, so the scheduler can interleave the cores exactly
-as it interleaves ``step()`` bursts.  The chosen variant name is
-carried on ``SimulationResult.kernel`` so benchmarks and the fault
-journal can attribute timings to a kernel.
+The generator yields after every burst of retired instructions, so
+:func:`~repro.engine.multicore.simulate_multicore` can interleave the
+cores exactly as it interleaves ``step()`` bursts.  The chosen variant
+name is carried on ``SimulationResult.kernel`` so benchmarks and the
+fault journal can attribute timings to a kernel.
 """
 
 from __future__ import annotations
@@ -75,14 +72,9 @@ from repro.obs.metrics import PROCESS
 
 KERNEL_ENV = "REPRO_KERNEL"
 GENERIC = "generic"
-SCALAR = "scalar"
-"""``REPRO_KERNEL=scalar`` disables only the segmented replay tier
-(:mod:`repro.engine.segmented`), keeping the scalar specialized kernels —
-the comparator ``repro bench`` measures ``segmented.speedup_vs_scalar``
-against.  ``REPRO_KERNEL=generic`` disables all specialization."""
 
 _KERNELS: dict[tuple, object] = {}
-"""Compiled kernels by ``(flags, resumable)``.  Every selection counts
+"""Compiled kernels by ``(flags, feed shape)``.  Every selection counts
 ``kernel.selected.<variant>`` and every exec-compile
 ``kernel.compiled.<variant>`` in the process metrics registry
 (:mod:`repro.obs.metrics`); the segmented tier counts its own kernels
@@ -164,22 +156,20 @@ def feed_shape(feeds: list[tuple]) -> tuple:
     return tuple((rows, gate is not None) for _, rows, gate in feeds)
 
 
-def get_kernel(flags: tuple, shape: tuple = (), resumable: bool = False):
-    """The compiled ``run_fast(core, feeds)`` for ``flags`` and the feed
-    ``shape`` (generated on first use), or with ``resumable`` its
-    ``run_bursts(core, burst, feeds)`` generator form."""
+def get_kernel(flags: tuple, shape: tuple = ()):
+    """The compiled ``run_bursts(core, burst, feeds)`` for ``flags`` and
+    the feed ``shape`` (generated on first use)."""
     variant = variant_name(flags)
     PROCESS.count(f"kernel.selected.{variant}")
-    key = (flags, shape, resumable)
+    key = (flags, shape)
     kernel = _KERNELS.get(key)
     if kernel is None:
         PROCESS.count(f"kernel.compiled.{variant}")
-        source = kernel_source(flags, resumable, shape)
-        name = "run_bursts" if resumable else "run_fast"
+        source = kernel_source(flags, shape)
         namespace = {"AccessEvent": AccessEvent, "bisect_left": bisect_left}
-        exec(compile(source, f"<kernel {variant} {name}>", "exec"),
+        exec(compile(source, f"<kernel {variant} run_bursts>", "exec"),
              namespace)
-        kernel = namespace[name]
+        kernel = namespace["run_bursts"]
         kernel.__kernel_source__ = source
         _KERNELS[key] = kernel
     return kernel
@@ -415,23 +405,20 @@ def _memory_lines(flags: tuple, is_load: bool) -> list[str]:
     return lines
 
 
-def kernel_source(flags: tuple, resumable: bool = False,
-                  shape: tuple = ()) -> str:
-    """Generate the ``run_fast(core, feeds)`` source for one flag tuple
-    and instruction-feed shape (:func:`feed_shape`).
+def kernel_source(flags: tuple, shape: tuple = ()) -> str:
+    """Generate the ``run_bursts(core, burst, feeds)`` source for one
+    flag tuple and instruction-feed shape (:func:`feed_shape`).
 
-    ``resumable`` generates the same body as the generator
-    ``run_bursts(core, burst, feeds)`` instead: its locals survive
-    across bursts, and after every ``burst`` retired instructions it
-    writes ``core._fetch_cycle`` back (the multicore scheduler orders
-    cores by it) and yields ``True``.  Deferred counters are still
-    flushed once, when the trace runs out.  A feed on the row set walks
-    a cursor over the set's positions from the core's start index.
+    The generator's locals survive across bursts; after every ``burst``
+    retired instructions it writes ``core._fetch_cycle`` back (the
+    multicore scheduler orders cores by it) and yields ``True``.
+    Deferred counters are flushed once, when the trace runs out.  A
+    feed on the row set walks a cursor over the set's positions from
+    the core's start index.
     """
     _, oa, ona, of = flags
     head = [
-        ("def run_bursts(core, burst, feeds):" if resumable
-         else "def run_fast(core, feeds):"),
+        "def run_bursts(core, burst, feeds):",
         "    trace = core.trace",
         "    stats = core.stats",
         "    index = core._index",
@@ -464,10 +451,7 @@ def kernel_source(flags: tuple, resumable: bool = False,
         "    mispredicts = 0",
         "    load_latency_total = 0",
         "    start_index = index",
-    ]
-    if resumable:
-        head.append("    stop = index + burst")
-    head += [
+        "    stop = index + burst",
         "    hierarchy = core.hierarchy",
         "    l1d = hierarchy.l1d",
         "    l1_stats = l1d.stats",
@@ -591,14 +575,11 @@ def kernel_source(flags: tuple, resumable: bool = False,
         "                commits_at_time = 1",
         "        commit_ring[rob_slot] = last_commit",
         "        index += 1",
+        "        if index == stop:",
+        "            core._fetch_cycle = fetch_cycle",
+        "            yield True",
+        "            stop = index + burst",
     ]
-    if resumable:
-        body += [
-            "        if index == stop:",
-            "            core._fetch_cycle = fetch_cycle",
-            "            yield True",
-            "            stop = index + burst",
-        ]
 
     tail = [
         "    core._index = index",

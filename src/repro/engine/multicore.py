@@ -8,13 +8,13 @@ interleaves their demand and prefetch streams at the shared L3 and
 memory controller — the contention that the drop-policy experiment
 (Sec. V-C1) depends on.
 
-Each core replaying a compiled trace runs its bursts on the resumable
-form of its specialized scalar kernel (:mod:`repro.engine.kernel`), a
-generator that keeps its locals between bursts.  Cores no kernel takes
-— object traces and ``REPRO_KERNEL=generic`` — run them as
-``OoOCore.step()`` calls.  Both retire the same instructions per
-burst, so the interleaving, and every number, is the same on either
-path.  Each per-core result carries its own hierarchy's
+Each core replaying a compiled trace runs its bursts on its burst
+kernel (:mod:`repro.engine.kernel`), a generator that keeps its locals
+between bursts.  Cores no kernel takes — object traces, a sampler, a
+telemetry hub, a dynamic branch predictor, and ``REPRO_KERNEL=generic``
+— run them as ``OoOCore.step()`` calls.  Both retire the same
+instructions per burst, so the interleaving, and every number, is the
+same on either path.  Each per-core result carries its own hierarchy's
 ``credit_log``.
 """
 
@@ -60,8 +60,7 @@ def _bursts(core: OoOCore):
         return _step_bursts(core, BURST)
     core.kernel_variant = variant_name(flags)
     feeds = core_feeds(core)
-    return get_kernel(flags, feed_shape(feeds), resumable=True)(
-        core, BURST, feeds)
+    return get_kernel(flags, feed_shape(feeds))(core, BURST, feeds)
 
 
 @dataclass

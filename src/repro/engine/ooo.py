@@ -389,34 +389,30 @@ class OoOCore:
 
     # ------------------------------------------------------------------
     def run(self) -> CoreStats:
-        """Run the whole trace.
+        """Run the whole trace, on one of two paths.
 
-        An eligible core (:func:`~repro.engine.kernel.kernel_flags`)
-        first tries the segmented tier (:mod:`repro.engine.segmented`:
-        vectorized stretches between segment events, scalar islands at
-        them).  When that tier turns the cell down, the core runs its
-        scalar specialized kernel (:mod:`repro.engine.kernel`), the
-        step loop partial-evaluated for its hook shape,
-        bit-identically.  Everything else runs the generic loop: object
-        traces, a sampler, telemetry, a dynamic branch predictor, and
-        ``REPRO_KERNEL=generic``.  Selected here rather than in
-        ``__init__`` because telemetry attaches after construction.
-        The multicore harness does not call ``run``: it selects each
-        core's kernel itself and drives its resumable burst form
+        A core :func:`~repro.engine.kernel.kernel_flags` accepts, on the
+        stock cold hierarchy
+        (:func:`~repro.engine.segmented._stock_cold_hierarchy`), runs the
+        segmented tier (:mod:`repro.engine.segmented`: vectorized
+        stretches between segment events, scalar islands at them),
+        bit-identically.  Every other core runs the generic loop:
+        object traces, a sampler, telemetry, a dynamic branch predictor,
+        ``REPRO_KERNEL=generic``, warm core state, a subclassed memory
+        model, DRAM telemetry and a drop policy other than RANDOM.
+        Selected here rather than in ``__init__`` because telemetry
+        attaches after construction.  The multicore harness does not
+        call ``run``: it selects each core's burst kernel itself
         (:mod:`repro.engine.multicore`).
         """
-        from repro.engine.kernel import core_feeds, feed_shape, \
-            get_kernel, kernel_flags, variant_name
+        from repro.engine.kernel import kernel_flags
         from repro.engine.segmented import maybe_run_segmented
 
         flags = kernel_flags(self)
         if flags is not None:
-            feeds = core_feeds(self)
-            result = maybe_run_segmented(self, flags, feeds)
+            result = maybe_run_segmented(self, flags)
             if result is not None:
                 return result
-            self.kernel_variant = variant_name(flags)
-            return get_kernel(flags, feed_shape(feeds))(self, feeds)
         step = self.step
         while step():
             pass

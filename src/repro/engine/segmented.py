@@ -1,15 +1,15 @@
 """Segmented replay tier: plan once per trace, replay every cell.
 
-The third kernel tier (generic loop -> specialized scalar kernels ->
-this module), applied to every cell the scalar kernels could take
-(:func:`~repro.engine.kernel.kernel_flags`: a compiled trace, static
-branch prediction, no sampler, no telemetry hub): the hook-free
-``none`` cells and the paper's hooked ``bop``/``tpc`` prefetchers
-alike.  Prefetches perturb the cache and DRAM state — which accesses
-hit, which victims leave, and which DRAM rows open all depend on what
-the prefetcher did — so the tier plans only what the trace alone
-decides and replays the rest live, splitting the work the way the
-paper splits prefetching:
+The replay path of every single-core cell that
+:func:`~repro.engine.kernel.kernel_flags` accepts (a compiled trace,
+static branch prediction, no sampler, no telemetry hub) on a stock
+cold hierarchy: the hook-free ``none`` cells and the paper's hooked
+``bop``/``tpc`` prefetchers alike.  Every other single-core cell runs
+the generic loop (``OoOCore.run``).  Prefetches perturb the cache and
+DRAM state — which accesses hit, which victims leave, and which DRAM
+rows open all depend on what the prefetcher did — so the tier plans
+only what the trace alone decides and replays the rest live,
+splitting the work the way the paper splits prefetching:
 
 * **Plan (pay once per trace x L1 geometry)** — :func:`_build_segment_plan`
   precomputes only what stays a pure function of the trace: the fused
@@ -39,45 +39,40 @@ paper splits prefetching:
   Hooks (``observe_instruction``, ``observe_access``, ``on_access``,
   ``on_fill``, ``on_prefetch_hit``) are called at exactly the positions
   and with exactly the :class:`~repro.core.base.AccessEvent` payloads
-  of the scalar kernels, so prefetcher state is handed off bit-exactly
+  of the generic loop, so prefetcher state is handed off bit-exactly
   at every stretch/island boundary.  Every kernel likewise appends the
   credit-accounting entries (``on_useful``, ``on_pollution``,
   ``on_prefetch_issued``) to ``Hierarchy.credit_log`` where
   ``Hierarchy`` does, with each ``on_pollution``'s victims sorted by
   line, so the log equals the other tiers'.
 
-Bit-identity is the contract, exactly as for the scalar kernels: the
-replay reproduces every structural decision and every timing of
-:class:`~repro.memory.cache.Cache`,
+Bit-identity is the contract, exactly as for the burst kernels of
+:mod:`repro.engine.kernel`: the replay reproduces every structural
+decision and every timing of :class:`~repro.memory.cache.Cache`,
 :class:`~repro.memory.shadow.ShadowTagStore`, the MSHR files, and
 :class:`~repro.memory.dram.Dram`.  ``tests/test_kernels.py``, the fuzz
-identity harness, and the bench's in-run ``segmented`` parity section
-pin it.  ``REPRO_KERNEL=scalar`` disables only this tier (keeping the
-scalar specialized kernels) — the comparator the bench's
-``segmented.speedup_vs_scalar`` measures against — while
-``REPRO_KERNEL=generic`` still disables all specialization.
+identity harness, and the bench's in-run kernels section pin it
+against ``REPRO_KERNEL=generic``, which disables all specialization.
 
 The replayed DRAM is the paper's single-core controller: the RANDOM
 drop policy (a full queue sheds every incoming prefetch) and the
 ``Dram._map`` address split, ``%`` and ``//`` for any geometry.
 Eligibility is deliberately conservative: warm core or hierarchy
 state, subclassed hierarchy/cache/shadow/MSHR/DRAM components, DRAM
-telemetry, a drop policy other than RANDOM (the §V-C1 policy belongs
-to the 4-core mixes), or a segment-event coverage fraction above
-:data:`SEGMENT_MAX_COVERAGE` (an all-event trace) all turn the cell
-down silently.  The cell then runs its scalar kernel, which calls the
-real ``Dram`` (the variant name on ``SimulationResult.kernel`` records
-which tier actually ran).  A plan is memoized on the
-``CompiledTrace._plans`` of the trace it was built from, and nowhere
-else; the process metrics registry counts
+telemetry, or a drop policy other than RANDOM (the §V-C1 policy belongs
+to the 4-core mixes) all turn the cell down silently.  The cell then
+runs the generic loop, which calls the real ``Hierarchy`` and ``Dram``
+(the variant name on ``SimulationResult.kernel`` records which path
+actually ran).  Segment-event density never turns a cell down: an
+all-event trace is all islands and still replays here.  A plan is
+memoized on the ``CompiledTrace._plans`` of the trace it was built
+from, and nowhere else; the process metrics registry counts
 ``kernel.plan_builds``/``kernel.plan_cache_hits`` and kernel
 exec-compiles (``kernel.compiled.<variant>``), and a sweep's
 ``repro metrics`` shows what its cells added.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.isa.trace import (
     BACKWARD_TAKEN,
@@ -164,13 +159,6 @@ def _stock_cold_hierarchy(core):
 
 SEGMENT_PREFIX = "segmented"
 
-SEGMENT_MAX_COVERAGE = 0.95
-"""Ceiling on the segment-event coverage fraction
-(``len(segment_events()) / len(trace)``).  Above it nearly every
-instruction is a scalar island, the vectorized stretches degenerate,
-and the plain scalar kernel is the better (and simpler) choice — the
-all-instructions-are-events edge case degrades there by construction."""
-
 # Per-instruction dispatch classes.  Hit/miss is decided live
 # (prefetches change it), so loads and stores are single classes.  A
 # taken backward branch (the feed row set T2 declares) is register-only
@@ -184,8 +172,8 @@ _SEG_FED = 4
 
 
 def segment_variant(flags: tuple) -> str:
-    """Kernel attribution name for the segmented tier: the scalar
-    variant's hook spelling with the ``fast`` prefix swapped, e.g.
+    """Kernel attribution name for the segmented tier: the burst
+    kernel variant's hook spelling with the ``fast`` prefix swapped, e.g.
     ``segmented+instr+observe+issue+leanmem+staticbp``."""
     from repro.engine.kernel import variant_name
 
@@ -211,7 +199,6 @@ class SegmentPlan:
     __slots__ = (
         "rows", "ev_rows",
         "n_mem", "loads", "stores", "branches", "mispredicts",
-        "coverage",
     )
 
 
@@ -234,7 +221,7 @@ def _build_segment_plan(trace: CompiledTrace, key: tuple) -> SegmentPlan:
     line_a, mpc_a, disp_a, bp_a = trace.derived_arrays()
     n = len(disp_a)
 
-    # Effective operands per dispatch arm, exactly as the scalar kernel
+    # Effective operands per dispatch arm, exactly as the burst kernel
     # reads them: ALU/store/cond-branch check src1+src2, loads only
     # src1, unconditional branches only src2, OTHER nothing; only ALU
     # (guarded) and loads write a destination.
@@ -261,7 +248,7 @@ def _build_segment_plan(trace: CompiledTrace, key: tuple) -> SegmentPlan:
     ev_lines = line_a[mem_pos].tolist()
 
     # Shadow-L1 walk (exact ShadowTagStore.access over every demand
-    # access, hit or miss — the scalar kernel updates the shadow on
+    # access, hit or miss — the burst kernel updates the shadow on
     # both legs and only *reads* the outcome on a miss).
     sh_mask = l1_num_sets - 1
     sh_sets: list[dict] = [dict() for _ in range(l1_num_sets)]
@@ -294,43 +281,30 @@ def _build_segment_plan(trace: CompiledTrace, key: tuple) -> SegmentPlan:
         (disp_a == DISP_BR_COND) | (disp_a == DISP_BR_UNCOND)))
     plan.mispredicts = int(np.count_nonzero(
         (disp_a == DISP_BR_COND) & (bp_a != 0)))
-    plan.coverage = len(events) / n if n else 1.0
     return plan
 
 
-def maybe_run_segmented(core, flags: tuple, feeds: list[tuple]):
+def maybe_run_segmented(core, flags: tuple):
     """Run ``core`` through the segmented tier, or return ``None`` to
-    let the caller run the scalar kernel or the generic loop.
+    let the caller run the generic loop.
 
     ``flags`` are the hook-shape flags
     :func:`~repro.engine.kernel.kernel_flags` returned for ``core``, so
     the trace is compiled and no sampler, telemetry hub or dynamic
-    branch predictor is attached; ``feeds`` are its leaf instruction
-    feeds (:func:`~repro.engine.kernel.core_feeds`).  Further
-    eligibility:
-    ``REPRO_KERNEL`` not ``scalar``, a cold stock hierarchy
-    (:func:`_stock_cold_hierarchy`), and a segment-event coverage
-    fraction at most :data:`SEGMENT_MAX_COVERAGE`.
+    branch predictor is attached.  The one further condition is a
+    cold stock hierarchy (:func:`_stock_cold_hierarchy`).
     """
-    from repro.engine.kernel import KERNEL_ENV, SCALAR
-
-    if os.environ.get(KERNEL_ENV) == SCALAR:
-        return None
     if _stock_cold_hierarchy(core) is None:
-        return None
-    trace = core.trace
-    n = len(trace)
-    if not n or len(trace.segment_events()) / n > SEGMENT_MAX_COVERAGE:
         return None
     instr, oa, ona, of = flags
     variant = segment_variant(flags)
-    plan = _get_plan(trace, segment_plan_key(core))
+    plan = _get_plan(core.trace, segment_plan_key(core))
     PROCESS.count(f"kernel.selected.{variant}")
     core.kernel_variant = variant
 
     # Resolve the devirtualized composite access hook of the kernel key.
     from repro.core.composite import CompositePrefetcher
-    from repro.engine.kernel import feed_shape
+    from repro.engine.kernel import core_feeds, feed_shape
 
     route = None
     if ona:
@@ -340,6 +314,7 @@ def maybe_run_segmented(core, flags: tuple, feeds: list[tuple]):
         else:
             route = hook
 
+    feeds = core_feeds(core)
     kernel = _segment_kernel(instr, oa, ona, of, feed_shape(feeds))
     return kernel(core, plan, feeds, route)
 
@@ -375,7 +350,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     """Source of a specialized segmented replay loop.
 
     The emitted code retires the whole trace with live hooks: the
-    stretch loop mirrors the generated scalar kernel's issue/commit
+    stretch loop mirrors the burst kernel's issue/commit
     arithmetic (a rolling ROB slot replaces its ``index % rob_size``);
     each scalar island mirrors, effect for effect, ``Cache.lookup``/
     ``fill``, ``_MshrFile``, ``ShadowTagStore.access`` (precomputed),
@@ -383,16 +358,16 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     ``prefetch``, and ``Dram.read``/``write`` — against a virtualized
     hierarchy of flat ``[fill_time, dirty, prefetched, used,
     component]`` entries in recency-ordered per-set dicts (dict order
-    is LRU order because the scalar tier's use counter is strictly
+    is LRU order because ``Cache``'s use counter is strictly
     increasing, so victim selection is ``next(iter(set))``).  Demand
     misses and the demand DRAM read are inlined straight into the
     load/store arms; ``do_prefetch`` keeps its early-return shape as a
     closure.  Hook call positions and ``AccessEvent`` payloads are
-    exactly the scalar kernel's, so the prefetcher cannot distinguish
-    the tiers, and so are the ``credit_log`` entries.  Stats accumulate
-    in locals and write back once at the end, matching the scalar
+    exactly the generic loop's, so the prefetcher cannot distinguish
+    the paths, and so are the ``credit_log`` entries.  Stats accumulate
+    in locals and write back once at the end, matching the burst
     kernels' deferred-accumulator contract.  Instruction feeds are
-    called as in the scalar kernels
+    called as in the burst kernels
     (:func:`~repro.engine.kernel.feed_lines`), a row-set feed at the
     plan's ``_SEG_FED`` rows.
     """
@@ -442,7 +417,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
 
     def hook_block(ind: str, ev_args: str, flag: str,
                    level_expr: str) -> None:
-        # The scalar kernel's hook sequence at one access: event (when
+        # The burst kernel's hook sequence at one access: event (when
         # any event hook is live), on_prefetch_hit, observers, issue
         # requests, per-request on_fill.
         if build_event:
@@ -623,7 +598,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{ind}    l1_min_p = fill_time")
 
     def hit_stats_block(ind: str) -> None:
-        # The scalar leanmem kernel's L1-hit stat legs, after the
+        # The burst leanmem kernel's L1-hit stat legs, after the
         # recency bump.
         emit(f"{ind}first_use = cl[2] and not cl[3]")
         emit(f"{ind}if first_use:")
@@ -1036,7 +1011,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("            tset1 = l1_sets[line & l1_mask]")
     emit("            cl = tset1.get(line)")
     emit("            if cl is not None:")
-    emit("                # Inlined L1 hit leg (the scalar leanmem")
+    emit("                # Inlined L1 hit leg (the burst leanmem")
     emit("                # kernel's); del+insert is the LRU touch.")
     emit("                del tset1[line]")
     emit("                tset1[line] = cl")

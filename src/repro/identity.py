@@ -1,14 +1,15 @@
 """Cross-tier identity property harness (``repro fuzz``).
 
-The engine has three replay tiers (generic step loop, specialized
-scalar kernels, segmented plan/replay).  This module checks, over the
-stress suite and the seeded traces of :mod:`repro.workloads.fuzz`, that
-every cell replayed under any registered prefetcher produces
-bit-identical figures across
+The engine replays a single-core cell on the segmented kernels
+(:mod:`repro.engine.segmented`) and a multicore mix on the burst
+kernels (:mod:`repro.engine.kernel`); the generic step loop is the
+reference for both.  This module checks, over the stress suite and the
+seeded traces of :mod:`repro.workloads.fuzz`, that every cell replayed
+under any registered prefetcher produces bit-identical figures across
 
-* **kernel vs generic** — the automatically selected tier against the
-  ``REPRO_KERNEL=generic`` escape hatch (the un-specialized step loop),
-  recorded credit logs (the Figs. 13-14 input) included;
+* **kernel vs generic** — the automatically selected kernel against
+  the ``REPRO_KERNEL=generic`` escape hatch (the un-specialized step
+  loop), recorded credit logs (the Figs. 13-14 input) included;
 * **fused vs singleton** — the cell executed inside a workload-affine
   fused unit (:func:`repro.parallel._simulate_unit`, the exact worker
   entry point, including the slim-payload pack/unpack round trip)
@@ -146,19 +147,15 @@ def _warm_trace(workload: Workload):
 
 
 def check_workload(workload: Workload, prefetchers, config=None, *,
-                   fused: bool = True, cold: bool = True,
-                   scalar: bool = False) -> dict:
+                   fused: bool = True, cold: bool = True) -> dict:
     """Run the three invariants for one workload over ``prefetchers``.
 
     Returns a summary dict: ``violations`` (list of
     :class:`IdentityViolation`), ``simulations``, ``kernels`` (variant
-    histogram), and ``events``/``instructions`` for sizing.  ``scalar``
-    adds a fourth leg (``REPRO_KERNEL=scalar``, the specialized scalar
-    kernels with the segmented tier disabled) so all three tiers are
-    directly compared, not just transitively.
+    histogram), and ``events``/``instructions`` for sizing.
     """
     from repro.engine.config import EXPERIMENT_CONFIG
-    from repro.engine.kernel import GENERIC, SCALAR
+    from repro.engine.kernel import GENERIC
     from repro.parallel import _simulate_unit, _unpack_result
 
     config = config or EXPERIMENT_CONFIG
@@ -183,14 +180,6 @@ def check_workload(workload: Workload, prefetchers, config=None, *,
                 workload.name, name, "kernel-vs-generic",
                 tiered.kernel, generic.kernel,
                 diff_fields(tiered, generic)))
-        if scalar:
-            scalar_result = _simulate_tier(warm, name, config, SCALAR)
-            sims += 1
-            if identity_tuple(tiered) != identity_tuple(scalar_result):
-                violations.append(IdentityViolation(
-                    workload.name, name, "kernel-vs-generic",
-                    tiered.kernel, scalar_result.kernel,
-                    diff_fields(tiered, scalar_result)))
         if cold_trace is not None:
             cold_result = _simulate_tier(cold_trace, name, config, None)
             sims += 1
@@ -276,18 +265,15 @@ def check_mix(workloads, prefetchers, config=None) -> dict:
 
 
 def run_fuzz(seeds: int = DEFAULT_SEEDS, *, stress: bool = True,
-             prefetchers=None, config=None, scalar_stress: bool = True,
-             progress=None) -> dict:
+             prefetchers=None, config=None, progress=None) -> dict:
     """The full property sweep: stress suite + ``seeds`` fuzzed traces.
 
     Every workload is checked under every prefetcher in ``prefetchers``
-    (default: the whole registry) for the three invariants; stress
-    workloads additionally get the explicit ``REPRO_KERNEL=scalar`` leg
-    (``scalar_stress``).  The mix leg then runs the fuzzed
-    seeds :data:`MIX_WIDTH` at a time (the last mix takes what is left)
-    through :func:`check_mix`; ``mixes``, ``mix_kernels`` (per-core
-    variants) and ``mix_seconds`` report it, and its violations join the
-    rest.
+    (default: the whole registry) for the three invariants.  The mix
+    leg then runs the fuzzed seeds :data:`MIX_WIDTH` at a time (the
+    last mix takes what is left) through :func:`check_mix`; ``mixes``,
+    ``mix_kernels`` (per-core variants) and ``mix_seconds`` report it,
+    and its violations join the rest.
     Returns a JSON-ready report whose ``violations`` list is empty
     exactly when the property held.
     """
@@ -296,19 +282,16 @@ def run_fuzz(seeds: int = DEFAULT_SEEDS, *, stress: bool = True,
 
     prefetchers = list(prefetchers) if prefetchers else (
         available_prefetchers())
-    workloads: list[tuple[Workload, bool]] = []
-    if stress:
-        workloads += [(w, scalar_stress) for w in get_suite("stress")]
-    workloads += [(fuzz_workload(s), False) for s in range(seeds)]
+    workloads: list[Workload] = get_suite("stress") if stress else []
+    workloads += [fuzz_workload(s) for s in range(seeds)]
 
     started = time.perf_counter()
     violations: list[IdentityViolation] = []
     kernels: dict[str, int] = {}
     per_workload = []
     sims = 0
-    for i, (workload, scalar) in enumerate(workloads):
-        summary = check_workload(workload, prefetchers, config,
-                                 scalar=scalar)
+    for i, workload in enumerate(workloads):
+        summary = check_workload(workload, prefetchers, config)
         violations += summary["violations"]
         sims += summary["simulations"]
         for variant, count in summary["kernels"].items():

@@ -8,9 +8,13 @@ extends the PR-1 manifest content-hash idea into a read-through store:
 * **Key** — ``(workload, spec key, config digest, config tag, code
   version)``.  The config digest hashes the frozen ``SystemConfig``
   (``repr`` of nested frozen dataclasses is stable); the code version
-  hashes every simulator source file that can affect a result (ISA,
-  engine, memory system, prefetchers, workload generators).  Anything
-  that could change a number changes the key.
+  hashes the source of every package that builds or simulates a cell
+  (ISA, engine, memory system, prefetchers, workload generators, and
+  the experiments, whose ``SpecFactory`` builders assemble the
+  prefetchers of their cells).  It does not hash the interpreter, numpy,
+  or the packages that only move results around (``parallel``,
+  ``faults``, ``telemetry``, ``obs``, ``analysis``); an edit there that
+  changes a number needs ``repro cache clear``.
 * **Layout** — ``<root>/<code_version>/<workload>__<spec>__<digest>.pkl``
   (default root ``runs/cache``).  Grouping by code version makes the
   invalidation story inspectable: entries written by older simulator
@@ -46,6 +50,7 @@ _SIM_SOURCE_PACKAGES = (
     "core",
     "baselines",
     "workloads",
+    "experiments",
 )
 _SIM_SOURCE_MODULES = ("prefetcher_registry.py",)
 

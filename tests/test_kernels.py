@@ -6,19 +6,24 @@ clock but never a number.  These tests pin that registry-wide against
 the ``REPRO_KERNEL=generic`` escape hatch, pin workload-affine cell
 fusion at ``--jobs 4`` against serial ``run_jobs``, check the derived
 trace columns against fresh derivation, and follow the kernel-variant
-attribution through results, manifests, and the fault journal.  The
-segmented tier gets its own sections, for hook-free (``none``) and
-hooked cells alike: tier selection, scalar/generic escape hatches,
-degenerate segmentations, hook islands at the trace boundaries,
-back-to-back islands, the all-event degrade to scalar, kernel-compile
-and plan-build counting, and identity under injected cache corruption.
-Every tier records the same credit log (the Figs. 13-14 input): the
-logs, and the credit buckets a tracker replays from them, are pinned
-registry-wide against both escape hatches.  Telemetry, a sampler, and
-a dynamic branch predictor select the generic loop.
-Multicore mixes run their 32-instruction bursts on the resumable form
-of the scalar kernels; their per-core results are pinned against the
-generic ``step()`` loop, including the burst size itself.
+attribution through results, manifests, and the fault journal.
+
+A single-core cell runs the segmented tier or the generic loop,
+nothing else.  The segmented tier gets its own sections, for hook-free
+(``none``) and hooked cells alike: tier selection, every case that
+sends a cell to the generic loop, degenerate segmentations, hook
+islands at the trace boundaries, back-to-back islands, the all-event
+trace, kernel-compile and plan-build counting, and identity under
+injected cache corruption.  Every path records the same credit log
+(the Figs. 13-14 input): the logs, and the credit buckets a tracker
+replays from them, are pinned registry-wide.
+
+Multicore mixes run their 32-instruction bursts on the scalar burst
+kernels; their per-core results are pinned against the generic
+``step()`` loop, including the burst size itself.  A one-core mix
+(:func:`_scalar`) runs a single trace on the burst kernel with a
+single core's hierarchy, which pins the burst kernel against the
+segmented tier on the same cell.
 """
 
 from __future__ import annotations
@@ -36,10 +41,9 @@ from repro.core.t2 import T2Prefetcher
 from repro.engine import multicore, segmented
 from repro.engine.branch import StaticPredictor
 from repro.engine.config import EXPERIMENT_CONFIG
-from repro.engine.kernel import (GENERIC, KERNEL_ENV, SCALAR, kernel_flags,
-                                 variant_name)
+from repro.engine.kernel import GENERIC, KERNEL_ENV, kernel_flags, variant_name
 from repro.engine.multicore import simulate_multicore
-from repro.engine.segmented import SEGMENT_MAX_COVERAGE
+from repro.engine.ooo import OoOCore
 from repro.engine.system import simulate
 from repro.experiments import ablations, drop_policy
 from repro.faults.faultlog import faults_since
@@ -54,6 +58,7 @@ from repro.isa.trace import (
     compile_trace,
 )
 from repro.memory.dram import DropPolicy
+from repro.memory.hierarchy import Hierarchy
 from repro.obs import metrics
 from repro.parallel import _fusion_units, run_jobs, shutdown_pool
 from repro.prefetcher_registry import available_prefetchers, make_prefetcher
@@ -87,6 +92,13 @@ def _identity(result) -> tuple:
         result.pollution_misses_l1,
         result.pollution_misses_l2,
     )
+
+
+def _scalar(trace, prefetcher, config=None):
+    """``trace`` on the scalar burst kernel: a one-core mix, whose
+    hierarchy (one core's L3 share, its own DRAM) is a single core's."""
+    (result,) = simulate_multicore([trace], [prefetcher], config).per_core
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -252,12 +264,11 @@ HOOK_FREE_VARIANT = "segmented+leanmem+staticbp"
 
 def test_batch_matches_scalar_and_generic(strided, chain, monkeypatch):
     """Hook-free cells climb to the segmented tier with every hook
-    branch absent; ``REPRO_KERNEL=scalar`` pins the exec-specialized
-    kernel; all three tiers are bit-identical."""
+    branch absent; a one-core mix runs the exec-specialized burst
+    kernel; all three are bit-identical."""
     for trace in (strided, chain):
         seg = simulate(trace, make_prefetcher("none"))
-        monkeypatch.setenv(KERNEL_ENV, SCALAR)
-        scalar = simulate(trace, make_prefetcher("none"))
+        scalar = _scalar(trace, make_prefetcher("none"))
         monkeypatch.setenv(KERNEL_ENV, GENERIC)
         generic = simulate(trace, make_prefetcher("none"))
         monkeypatch.delenv(KERNEL_ENV)
@@ -279,7 +290,7 @@ def test_batch_steps_aside_for_sampler_with_identical_windows(strided,
     fast_sampler = TimeSeriesSampler(interval=256)
     fast = simulate(strided, make_prefetcher("none"),
                     telemetry=Telemetry(sampler=fast_sampler))
-    monkeypatch.setenv(KERNEL_ENV, SCALAR)
+    monkeypatch.setenv(KERNEL_ENV, GENERIC)
     slow_sampler = TimeSeriesSampler(interval=256)
     slow = simulate(strided, make_prefetcher("none"),
                     telemetry=Telemetry(sampler=slow_sampler))
@@ -316,17 +327,19 @@ def _tiny(asm):
     asm.load("r2", "r1", 0)
 
 
-@pytest.mark.parametrize("case,build", [
-    ("alu-only", _all_alu),        # no events at all: one long stretch
-    ("mem-only", _all_memory),     # every instruction an event
-    ("tiny", _tiny),               # trace shorter than any stretch
-])
+EDGE_CASES = {
+    "alu-only": _all_alu,          # no events at all: one long stretch
+    "mem-only": _all_memory,       # every instruction an event
+    "tiny": _tiny,                 # trace shorter than any stretch
+}
+
+
+@pytest.mark.parametrize("case,build", list(EDGE_CASES.items()))
 def test_batch_segment_edge_cases(case, build, monkeypatch):
     """Degenerate segmentations of a hook-free cell — an event-free
     trace (empty event column), back-to-back events (empty stretches),
-    and a trace shorter than one stretch — replay bit-identically on
-    every tier.  The all-event trace is past the coverage ceiling and
-    degrades to the scalar kernel."""
+    and a trace shorter than one stretch — replay on the segmented tier
+    bit-identically to the scalar burst kernel and the generic loop."""
     trace = _compile_program(f"k-seg-{case}", build)
     events = trace.segment_events()
     if case == "alu-only":
@@ -334,16 +347,11 @@ def test_batch_segment_edge_cases(case, build, monkeypatch):
     elif case == "mem-only":
         assert len(events) == 64  # one per load, none for movi/halt
     auto = simulate(trace, make_prefetcher("none"))
-    monkeypatch.setenv(KERNEL_ENV, SCALAR)
-    scalar = simulate(trace, make_prefetcher("none"))
+    scalar = _scalar(trace, make_prefetcher("none"))
     monkeypatch.setenv(KERNEL_ENV, GENERIC)
     generic = simulate(trace, make_prefetcher("none"))
     monkeypatch.delenv(KERNEL_ENV)
-    if case == "mem-only":
-        assert len(events) / len(trace) > SEGMENT_MAX_COVERAGE
-        assert auto.kernel == "fast+leanmem+staticbp", case
-    else:
-        assert auto.kernel == HOOK_FREE_VARIANT, case
+    assert auto.kernel == HOOK_FREE_VARIANT, case
     assert _identity(auto) == _identity(scalar) == _identity(generic), case
 
 
@@ -401,15 +409,19 @@ def _event_last(asm):
     asm.load("r2", "r1", 0)          # hook event on the final load
 
 
+HOOK_EDGE_CASES = {
+    "event-first": _event_first,     # island before any stretch
+    "event-burst": _event_burst,     # empty stretches between islands
+    "event-last": _event_last,       # island closes the trace
+}
+
+
 @pytest.mark.parametrize("spec", ["bop", "tpc"])
-@pytest.mark.parametrize("case,build", [
-    ("event-first", _event_first),   # island before any stretch
-    ("event-burst", _event_burst),   # empty stretches between islands
-    ("event-last", _event_last),     # island closes the trace
-])
+@pytest.mark.parametrize("case,build", list(HOOK_EDGE_CASES.items()))
 def test_segmented_hook_position_edge_cases(case, build, spec, monkeypatch):
     """Hook islands at the trace boundaries and back-to-back replay
-    bit-identically against both escape hatches, with live hooks."""
+    bit-identically to the scalar burst kernel and the generic loop,
+    with live hooks."""
     trace = _compile_program(f"k-seghook-{case}", build)
     events = trace.segment_events().tolist()
     if case == "event-first":
@@ -419,8 +431,7 @@ def test_segmented_hook_position_edge_cases(case, build, spec, monkeypatch):
     else:
         assert events[-1] == len(trace) - 1
     seg = simulate(trace, make_prefetcher(spec))
-    monkeypatch.setenv(KERNEL_ENV, SCALAR)
-    scalar = simulate(trace, make_prefetcher(spec))
+    scalar = _scalar(trace, make_prefetcher(spec))
     monkeypatch.setenv(KERNEL_ENV, GENERIC)
     generic = simulate(trace, make_prefetcher(spec))
     monkeypatch.delenv(KERNEL_ENV)
@@ -431,17 +442,17 @@ def test_segmented_hook_position_edge_cases(case, build, spec, monkeypatch):
 
 
 def test_segmented_all_event_trace_degrades_to_scalar(monkeypatch):
-    """A trace whose every instruction is a hook event exceeds the
-    coverage ceiling: the cell must degrade to the scalar specialized
-    kernel (no segmented attempt), bit-identically."""
+    """A trace whose every instruction is a hook event has no stretch
+    left to vectorize, and nothing to degrade to: it replays on the
+    segmented tier as islands only, bit-identically to the generic
+    loop."""
     trace = _compile_program("k-seg-dense", _all_memory)
-    assert (len(trace.segment_events()) / len(trace)
-            > SEGMENT_MAX_COVERAGE)
+    assert len(trace.segment_events()) / len(trace) > 0.95
     fast = simulate(trace, make_prefetcher("bop"))
     monkeypatch.setenv(KERNEL_ENV, GENERIC)
     generic = simulate(trace, make_prefetcher("bop"))
     monkeypatch.delenv(KERNEL_ENV)
-    assert fast.kernel.startswith("fast+")
+    assert fast.kernel.startswith("segmented+")
     assert _identity(fast) == _identity(generic)
 
 
@@ -518,15 +529,90 @@ def test_same_name_and_length_traces_replay_their_own_plans(monkeypatch):
             assert _identity(fast) == _identity(slow), spec
 
 
-def test_priority_drop_policy_runs_the_scalar_kernel(strided, monkeypatch):
-    """The segmented tier replays only the RANDOM drop policy; a
-    single-core cell under LOW_PRIORITY_FIRST runs its scalar kernel,
-    which calls the real ``Dram``."""
-    config = drop_policy._config_with(DropPolicy.LOW_PRIORITY_FIRST)
-    fast, slow = _against_generic(strided, "tpc", monkeypatch, config)
-    assert fast.kernel.startswith("fast+")
-    assert fast.dram.dropped_prefetches > 0
-    assert _identity(fast) == _identity(slow)
+class _SlowerHierarchy(Hierarchy):
+    """A memory model whose every demand access is 2 cycles slower."""
+
+    def demand_access(self, addr, now, is_write=False, pc=-1):
+        result = super().demand_access(addr, now, is_write, pc)
+        return dataclasses.replace(result, ready_time=result.ready_time + 2)
+
+
+def _run_core(trace, spec, config=EXPERIMENT_CONFIG, *, memory=Hierarchy,
+              warm=0, telemetry=False, dram_telemetry=False, sampler=False):
+    """One single-core run assembled by hand, for the cases ``simulate``
+    cannot set up: the kernel that ran, and every figure."""
+    from repro.telemetry.sampler import TimeSeriesSampler
+
+    hierarchy = memory(config)
+    core = OoOCore(trace, hierarchy, make_prefetcher(spec), config.core)
+    if telemetry:
+        hierarchy.telemetry = Telemetry()
+    if dram_telemetry:
+        hierarchy.dram.telemetry = Telemetry()
+    if sampler:
+        core.attach_telemetry(Telemetry(sampler=TimeSeriesSampler(256)))
+    for _ in range(warm):
+        core.step()
+    stats = core.run()
+    return core.kernel_variant, {
+        "core": stats, "l1d": hierarchy.l1d.stats, "l2": hierarchy.l2.stats,
+        "l3": hierarchy.l3.stats, "dram": hierarchy.dram.stats,
+        "prefetch": hierarchy.prefetch_stats,
+        "credit_log": hierarchy.credit_log,
+    }
+
+
+DECLINES = {
+    "warm-core": {"warm": 100},
+    "drop-policy": {
+        "config": drop_policy._config_with(DropPolicy.LOW_PRIORITY_FIRST)},
+    "dram-telemetry": {"dram_telemetry": True},
+    "sampler": {"sampler": True},
+    "telemetry": {"telemetry": True},
+    "gshare": {"config": dataclasses.replace(
+        EXPERIMENT_CONFIG, core=dataclasses.replace(
+            EXPERIMENT_CONFIG.core, branch_predictor="gshare"))},
+    "object-trace": {},
+    "env-generic": {},
+}
+"""Every case that keeps a single-core cell off the segmented tier, as
+:func:`_run_core` keyword arguments."""
+
+
+@pytest.mark.parametrize("case", list(DECLINES))
+def test_segmented_decline_runs_generic(case, strided, monkeypatch):
+    """Each declined cell runs the generic loop, and its figures equal
+    an uninterrupted ``REPRO_KERNEL=generic`` run of the same cell (a
+    predictor or drop policy of its own makes a cell of its own)."""
+    options = dict(DECLINES[case])
+    config = options.pop("config", EXPERIMENT_CONFIG)
+    trace = strided
+    if case == "object-trace":
+        trace = build_strided_trace(elements=1500, name="k-strided")
+    elif case == "env-generic":
+        monkeypatch.setenv(KERNEL_ENV, GENERIC)
+    kernel, figures = _run_core(trace, "tpc", config, **options)
+    monkeypatch.setenv(KERNEL_ENV, GENERIC)
+    _, reference = _run_core(strided, "tpc", config)
+    assert kernel == GENERIC, case
+    assert figures == reference, case
+    if case == "drop-policy":
+        assert figures["dram"].dropped_prefetches > 0
+
+
+def test_subclassed_hierarchy_runs_generic(monkeypatch):
+    """A subclassed memory model runs the generic loop, which calls its
+    override on every demand access; the kernels inline the stock
+    hierarchy and would skip it."""
+    from repro.workloads import get_workload
+
+    trace = get_workload("spec.libquantum").trace()
+    kernel, figures = _run_core(trace, "none", memory=_SlowerHierarchy)
+    monkeypatch.setenv(KERNEL_ENV, GENERIC)
+    _, reference = _run_core(trace, "none", memory=_SlowerHierarchy)
+    assert kernel == GENERIC
+    assert figures == reference
+    assert figures["core"].cycles == 74_237
 
 
 @pytest.mark.parametrize("spec", ["none", "bop", "tpc"])
@@ -546,10 +632,12 @@ def test_segmented_replays_non_power_of_two_dram(spec, strided, chain,
 # ----------------------------------------------------------------------
 # Credit logs (Figs. 13-14) on every tier
 # ----------------------------------------------------------------------
-def _tracked(trace, spec):
+def _tracked(trace, spec, run=simulate):
     """One tracked cell: its result and the tracker fed its log."""
+    result = run(trace, make_prefetcher(spec))
     tracker = CreditTracker()
-    return simulate(trace, make_prefetcher(spec), tracker=tracker), tracker
+    replay(result.credit_log, tracker)
+    return result, tracker
 
 
 @pytest.fixture(scope="module")
@@ -562,13 +650,13 @@ def shadow_mix():
 @pytest.mark.parametrize("name", available_prefetchers())
 def test_tracked_cells_match_scalar_and_generic_registry_wide(
         name, strided, chain, shadow_mix, monkeypatch):
-    """The segmented tier records the credit log both escape hatches
-    record, entry for entry (pollution victims sorted by line), and a
-    tracker replays the same ordered buckets from each."""
+    """The segmented tier records the credit log the scalar burst kernel
+    and the generic loop record, entry for entry (pollution victims
+    sorted by line), and a tracker replays the same ordered buckets
+    from each."""
     for trace in (strided, chain, shadow_mix):
         seg, seg_tracker = _tracked(trace, name)
-        monkeypatch.setenv(KERNEL_ENV, SCALAR)
-        scalar, scalar_tracker = _tracked(trace, name)
+        scalar, scalar_tracker = _tracked(trace, name, _scalar)
         monkeypatch.setenv(KERNEL_ENV, GENERIC)
         generic, generic_tracker = _tracked(trace, name)
         monkeypatch.delenv(KERNEL_ENV)
@@ -588,7 +676,7 @@ def test_tracked_cells_match_scalar_and_generic_registry_wide(
 def test_tracked_cell_off_the_segmented_tier_runs_generic(setup, strided,
                                                           monkeypatch):
     """Telemetry or a sampler keep a tracked cell on the generic loop,
-    and ``REPRO_KERNEL=scalar`` on its scalar kernel; each records the
+    and a one-core mix on its scalar burst kernel; each records the
     segmented tier's credit log, so the tracker sees the same credit."""
     from repro.engine.ooo import OoOCore
     from repro.memory.hierarchy import Hierarchy
@@ -612,8 +700,7 @@ def test_tracked_cell_off_the_segmented_tier_runs_generic(setup, strided,
         kernel, log = core.kernel_variant, hierarchy.credit_log
         replay(log, tracker)
     else:
-        monkeypatch.setenv(KERNEL_ENV, SCALAR)
-        result, tracker = _tracked(strided, "tpc")
+        result, tracker = _tracked(strided, "tpc", _scalar)
         kernel, log = result.kernel, result.credit_log
         expected = "fast+instr+observe+issue+leanmem+staticbp"
     assert kernel == expected, setup
@@ -692,6 +779,20 @@ def test_burst_kernel_with_credit_trackers(mixes):
         fresh = CreditTracker()
         replay(core.credit_log, fresh)
         assert list(tracker.buckets.items()) == list(fresh.buckets.items())
+
+
+@pytest.mark.parametrize("spec", ["none", "bop", "tpc"])
+def test_burst_kernel_edge_case_traces_match_generic(spec, monkeypatch):
+    """The degenerate traces of the segmented sections, four to a mix:
+    the burst kernel retires each exactly as the generic loop does."""
+    builds = {**EDGE_CASES, **HOOK_EDGE_CASES}
+    traces = [_compile_program(f"k-mix-{case}", build)
+              for case, build in builds.items()]
+    for mix in (traces[:4], traces[2:]):
+        fast, slow = _mix_against_generic(monkeypatch, mix, spec)
+        assert all(core.kernel.startswith("fast+")
+                   for core in fast.per_core), spec
+        assert mix_identity(fast) == mix_identity(slow), spec
 
 
 def _built_list_columns(trace) -> set:
@@ -798,8 +899,7 @@ def test_wrapper_shapes_match_generic(shape, strided, chain, monkeypatch):
     build = WRAPPER_SHAPES[shape]
     for trace in (strided, chain):
         seg = simulate(trace, build())
-        monkeypatch.setenv(KERNEL_ENV, SCALAR)
-        scalar = simulate(trace, build())
+        scalar = _scalar(trace, build())
         monkeypatch.setenv(KERNEL_ENV, GENERIC)
         generic = simulate(trace, build())
         monkeypatch.delenv(KERNEL_ENV)
@@ -874,14 +974,13 @@ class _LoopsOnly(T2Prefetcher):
 @pytest.mark.parametrize("cls", [_CountingFeed, _LoopsOnly])
 def test_undeclared_feed_sees_every_instruction_on_every_tier(
         cls, chain, monkeypatch):
-    def fed() -> tuple:
+    def fed(run=simulate) -> tuple:
         prefetcher = cls()
-        result = simulate(chain, prefetcher)
+        result = run(chain, prefetcher)
         return result.kernel, prefetcher.seen
 
     seg_kernel, seg = fed()
-    monkeypatch.setenv(KERNEL_ENV, SCALAR)
-    scalar_kernel, scalar = fed()
+    scalar_kernel, scalar = fed(_scalar)
     monkeypatch.setenv(KERNEL_ENV, GENERIC)
     generic_kernel, generic = fed()
     monkeypatch.delenv(KERNEL_ENV)
@@ -889,12 +988,9 @@ def test_undeclared_feed_sees_every_instruction_on_every_tier(
     assert scalar_kernel.startswith("fast+instr")
     assert generic_kernel == GENERIC
     assert seg == scalar == generic == chain.pc
-    mix = simulate_multicore([chain, chain], [cls(), cls()])
-    assert all(core.kernel.startswith("fast+instr")
-               for core in mix.per_core)
 
 
-@pytest.mark.parametrize("tier", ["segmented", "scalar", "mix", "generic"])
+@pytest.mark.parametrize("tier", ["segmented", "mix", "generic"])
 def test_kernels_feed_without_building_record_views(tier, monkeypatch):
     """A ``tpc`` cell builds a view only for the rows it feeds, so no
     kernel tier builds ``CompiledTrace.records``; the generic loop
@@ -908,9 +1004,8 @@ def test_kernels_feed_without_building_record_views(tier, monkeypatch):
             [trace] * 4, [make_prefetcher("tpc") for _ in range(4)])
         kernel = result.per_core[0].kernel
     else:
-        if tier != "segmented":
-            monkeypatch.setenv(KERNEL_ENV, SCALAR if tier == "scalar"
-                               else GENERIC)
+        if tier == "generic":
+            monkeypatch.setenv(KERNEL_ENV, GENERIC)
         kernel = simulate(trace, make_prefetcher("tpc")).kernel
     assert kernel.split("+")[0] == {"segmented": "segmented",
                                     "generic": GENERIC}.get(tier, "fast")

@@ -211,6 +211,33 @@ def test_cache_key_separates_configs_and_code_versions(tmp_path):
     assert result.core.instructions > 0
 
 
+def test_code_version_covers_every_spec_builder():
+    """Editing a ``SpecFactory`` builder changes what its cells compute,
+    so every builder an experiment wraps in one lives in a file the
+    result cache's code version digests."""
+    import ast
+    import importlib
+    import inspect
+    import pkgutil
+    from pathlib import Path
+
+    import repro.experiments
+    from repro.resultcache import sim_source_paths
+
+    covered = {path.resolve() for path in sim_source_paths()}
+    builders = []
+    for info in pkgutil.iter_modules(repro.experiments.__path__):
+        module = importlib.import_module(f"repro.experiments.{info.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "SpecFactory"):
+                builders.append(getattr(module, node.args[1].id))
+    assert len(builders) >= 9
+    for builder in builders:
+        path = Path(inspect.getsourcefile(builder)).resolve()
+        assert path in covered, builder.__qualname__
+
+
 def test_cache_stats_and_clear(tmp_path):
     runner = ExperimentRunner(cache_dir=str(tmp_path))
     runner.run(APPS[0], "none")

@@ -289,7 +289,6 @@ def test_check_regression_skips_gate_on_null_speedup(tmp_path, monkeypatch):
 
 
 def _passing_report() -> dict:
-    cell = "spec.mcf/tpc"
     return {
         "quick": True,
         "serial": {"instr_per_sec": 1000},
@@ -298,12 +297,6 @@ def _passing_report() -> dict:
             "identical": True,
             "speedup_vs_generic": 2.0,
             "generic_cells": [],
-            "segmented": {
-                "cells": [cell],
-                "speedup_vs_scalar": 1.6,
-                "identical": True,
-                "per_cell": {cell: {"identical": True}},
-            },
         },
     }
 
@@ -318,17 +311,11 @@ def _set(path: str, value):
     return mutate
 
 
-def _break_cell(report):
-    report["kernels"]["segmented"]["per_cell"]["spec.mcf/tpc"][
-        "identical"] = False
-
-
 CHECK = ["--check", "baseline.json"]
 
 
 @pytest.mark.parametrize("options, mutate, message", [
-    (CHECK + ["--require-specialized", "--require-segmented"],
-     lambda report: None, None),
+    (CHECK + ["--require-specialized"], lambda report: None, None),
     (CHECK, _set("serial.instr_per_sec", 600),
      "serial throughput regressed: 600 instr/sec < 700"),
     (CHECK, _set("parallel.speedup_vs_serial", 0.8),
@@ -341,20 +328,6 @@ CHECK = ["--check", "baseline.json"]
      "specialized kernels slower than the generic loop: 0.9x < 1.0"),
     (["--require-specialized"], _set("kernels.generic_cells", ["a/b"]),
      "generic fallback selected for standard cells: a/b"),
-    (["--require-segmented"], _set("kernels.segmented.cells", []),
-     "no matrix cell selected the segmented tier"),
-    (CHECK, _break_cell,
-     "segmented tier is not bit-identical to the scalar kernels "
-     "(REPRO_KERNEL=scalar) on: spec.mcf/tpc"),
-    (["--require-segmented"], _break_cell,
-     "segmented tier is not bit-identical to the scalar kernels "
-     "(REPRO_KERNEL=scalar) on: spec.mcf/tpc"),
-    (CHECK, _set("kernels.segmented.speedup_vs_scalar", 0.9),
-     "segmented tier below the 1.0x aggregate target: 0.9x vs scalar"),
-    (["--require-segmented"],
-     _set("kernels.segmented.speedup_vs_scalar", 1.4),
-     "segmented tier below the 1.5x aggregate target: 1.4x vs scalar"),
-    (CHECK, _set("kernels.segmented.speedup_vs_scalar", 1.4), None),
 ])
 def test_bench_gate_table(options, mutate, message, tmp_path, monkeypatch,
                           capsys):

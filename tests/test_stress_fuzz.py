@@ -19,13 +19,13 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.config import EXPERIMENT_CONFIG
-from repro.engine.kernel import GENERIC, KERNEL_ENV, SCALAR
-from repro.engine.segmented import SEGMENT_MAX_COVERAGE
+from repro.engine.kernel import GENERIC, KERNEL_ENV
+from repro.engine.multicore import simulate_multicore
 from repro.engine.system import simulate
 from repro.faults.faultlog import faults_since
 from repro.isa.trace import compile_trace
 from repro.obs import metrics
-from repro.prefetcher_registry import make_prefetcher
+from repro.prefetcher_registry import available_prefetchers, make_prefetcher
 from repro import identity
 from repro.identity import check_mix, check_workload, identity_tuple, run_fuzz
 from repro.workloads import get_suite, get_workload
@@ -97,11 +97,15 @@ def test_stress_shadow_mix_pollutes_through_prefetch_fills():
 
 
 def test_stress_hook_storm_is_island_dense():
-    """hook_storm must stay *under* the segmented-coverage ceiling (it
-    pins the island-dense segmented path, not the scalar degrade)."""
+    """Most of hook_storm's instructions are segment events, and every
+    hooked prefetcher replays it on the island-dense segmented tier."""
     trace = get_workload("stress.hook_storm").trace()
     coverage = len(trace.segment_events()) / len(trace)
-    assert 0.5 < coverage <= SEGMENT_MAX_COVERAGE
+    assert coverage > 0.5
+    for name in available_prefetchers():
+        if name != "none":
+            kernel = simulate(trace, make_prefetcher(name)).kernel
+            assert kernel.startswith("segmented+"), (name, kernel)
 
 
 # ----------------------------------------------------------------------
@@ -109,8 +113,7 @@ def test_stress_hook_storm_is_island_dense():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", STRESS_NAMES)
 def test_stress_identity_invariants(name):
-    summary = check_workload(get_workload(name), TEST_PREFETCHERS,
-                             scalar=True)
+    summary = check_workload(get_workload(name), TEST_PREFETCHERS)
     assert summary["violations"] == [], summary["violations"]
     assert summary["round_tripped"]  # warm leg really used the disk cache
 
@@ -265,10 +268,12 @@ def _degenerate_traces():
 @pytest.mark.parametrize("prefetcher", ["none", "tpc"])
 def test_degenerate_traces_identical_on_every_tier(prefetcher,
                                                    monkeypatch):
+    """The segmented tier, the scalar burst kernel (a one-core mix) and
+    the generic loop agree on every degenerate shape."""
     for shape, trace in _degenerate_traces().items():
         auto = simulate(trace, make_prefetcher(prefetcher))
-        monkeypatch.setenv(KERNEL_ENV, SCALAR)
-        scalar = simulate(trace, make_prefetcher(prefetcher))
+        (scalar,) = simulate_multicore(
+            [trace], [make_prefetcher(prefetcher)]).per_core
         monkeypatch.setenv(KERNEL_ENV, GENERIC)
         generic = simulate(trace, make_prefetcher(prefetcher))
         monkeypatch.delenv(KERNEL_ENV)
