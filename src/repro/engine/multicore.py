@@ -8,14 +8,20 @@ interleaves their demand and prefetch streams at the shared L3 and
 memory controller — the contention that the drop-policy experiment
 (Sec. V-C1) depends on.
 
-Each core replaying a compiled trace runs its bursts on its burst
-kernel (:mod:`repro.engine.kernel`), a generator that keeps its locals
-between bursts.  Cores no kernel takes — object traces, a sampler, a
-telemetry hub, a dynamic branch predictor, and ``REPRO_KERNEL=generic``
-— run them as ``OoOCore.step()`` calls.  Both retire the same
-instructions per burst, so the interleaving, and every number, is the
-same on either path.  Each per-core result carries its own hierarchy's
-``credit_log``.
+A mix replays on one of two paths, decided for all its cores at once
+because they share one L3/DRAM representation.  When the segmented
+tier takes every core (:func:`~repro.engine.kernel.kernel_flags` and a
+stock cold hierarchy), each core runs its bursts on a segmented
+generator (:func:`~repro.engine.segmented.segmented_bursts`) that keeps
+its locals between bursts, and all of them replay against one shared
+virtual L3/DRAM (:class:`~repro.engine.segmented.SharedLevels`).  When
+the tier declines any core — an object trace, a sampler, a telemetry
+hub, a dynamic branch predictor, a subclassed or warm memory model, or
+``REPRO_KERNEL=generic`` — every core runs its bursts as
+``OoOCore.step()`` calls against the real shared ``Cache`` and
+``Dram``.  Both retire the same instructions per burst, so the
+interleaving, and every number, is the same on either path.  Each
+per-core result carries its own hierarchy's ``credit_log``.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ from heapq import heapify, heappop, heappush
 
 from repro.core.base import NullPrefetcher, Prefetcher
 from repro.engine.config import SystemConfig, EXPERIMENT_CONFIG
-from repro.engine.kernel import (core_feeds, feed_shape, get_kernel,
-                                 kernel_flags, variant_name)
+from repro.engine.kernel import kernel_flags
 from repro.engine.ooo import OoOCore
+from repro.engine.segmented import (SharedLevels, _stock_cold_hierarchy,
+                                    segmented_bursts)
 from repro.engine.system import SimulationResult
 from repro.isa.trace import Trace
 from repro.memory.cache import Cache
@@ -52,15 +59,17 @@ def _step_bursts(core: OoOCore, burst: int):
         yield True
 
 
-def _bursts(core: OoOCore):
-    """``core``'s burst generator, on the kernel :func:`kernel_flags`
-    picks (the step loop when it picks none)."""
-    flags = kernel_flags(core)
-    if flags is None:
-        return _step_bursts(core, BURST)
-    core.kernel_variant = variant_name(flags)
-    feeds = core_feeds(core)
-    return get_kernel(flags, feed_shape(feeds))(core, BURST, feeds)
+def _bursts(cores: list[OoOCore], l3: Cache, dram: Dram) -> list:
+    """Every core's burst generator: all on the segmented tier over one
+    virtual copy of the shared ``l3`` and ``dram``, or all on the step
+    loop when the tier declines any core.  Decided before any core
+    runs, while every hierarchy is still cold."""
+    flags = [kernel_flags(core) for core in cores]
+    if None in flags or not all(map(_stock_cold_hierarchy, cores)):
+        return [_step_bursts(core, BURST) for core in cores]
+    shared = SharedLevels(l3, dram)
+    return [segmented_bursts(core, core_flags, shared, BURST)
+            for core, core_flags in zip(cores, flags)]
 
 
 @dataclass
@@ -128,7 +137,7 @@ def simulate_multicore(traces: list[Trace],
     # furthest behind so shared-resource accesses interleave realistically.
     # ``next(bursts[i], False)`` runs one burst of core ``i`` and is
     # False once its trace is done.
-    bursts = [_bursts(core) for core in cores]
+    bursts = _bursts(cores, shared_l3, shared_dram)
     heap = [(core.now, i) for i, core in enumerate(cores)]
     heapify(heap)
     while heap:

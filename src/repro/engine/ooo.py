@@ -63,11 +63,10 @@ _BRANCH = int(OpClass.BRANCH)
 class OoOCore:
     """Incremental core model; ``step()`` retires one instruction.
 
-    ``step()`` is the generic loop: the reference every specialized
-    kernel (:mod:`repro.engine.kernel`, :mod:`repro.engine.segmented`)
-    is checked against, and the replay path for every cell no kernel
-    takes (see :meth:`run`), in whole runs and in the multicore
-    harness's bursts alike.
+    ``step()`` is the generic loop: the reference the segmented tier
+    (:mod:`repro.engine.segmented`) is checked against, and the replay
+    path for every cell the tier declines (see :meth:`run`), in whole
+    runs and in the multicore harness's bursts alike.
     """
 
     __slots__ = (
@@ -399,11 +398,11 @@ class OoOCore:
         bit-identically.  Every other core runs the generic loop:
         object traces, a sampler, telemetry, a dynamic branch predictor,
         ``REPRO_KERNEL=generic``, warm core state, a subclassed memory
-        model, DRAM telemetry and a drop policy other than RANDOM.
-        Selected here rather than in ``__init__`` because telemetry
-        attaches after construction.  The multicore harness does not
-        call ``run``: it selects each core's burst kernel itself
-        (:mod:`repro.engine.multicore`).
+        model and DRAM telemetry.  Selected here rather than in
+        ``__init__`` because telemetry attaches after construction.
+        The multicore harness does not call ``run``: it makes the same
+        decision for all of a mix's cores at once and resumes each
+        core's bursts itself (:mod:`repro.engine.multicore`).
         """
         from repro.engine.kernel import kernel_flags
         from repro.engine.segmented import maybe_run_segmented

@@ -1,27 +1,27 @@
-"""Segmented replay tier: plan once per trace, replay every cell.
+"""Segmented replay tier: plan once per trace, replay every core.
 
-The replay path of every single-core cell that
+The one specialized replay kernel.  It runs every single-core cell and
+every core of a multicore mix that
 :func:`~repro.engine.kernel.kernel_flags` accepts (a compiled trace,
 static branch prediction, no sampler, no telemetry hub) on a stock
 cold hierarchy: the hook-free ``none`` cells and the paper's hooked
-``bop``/``tpc`` prefetchers alike.  Every other single-core cell runs
-the generic loop (``OoOCore.run``).  Prefetches perturb the cache and
-DRAM state — which accesses hit, which victims leave, and which DRAM
-rows open all depend on what the prefetcher did — so the tier plans
-only what the trace alone decides and replays the rest live,
+``bop``/``tpc`` prefetchers alike.  Every other cell runs the generic
+loop, and a mix with any such core runs all its cores on the generic
+loop (:mod:`repro.engine.multicore`).  Prefetches perturb the cache
+and DRAM state — which accesses hit, which victims leave, and which
+DRAM rows open all depend on what the prefetcher did — so the tier
+plans only what the trace alone decides and replays the rest live,
 splitting the work the way the paper splits prefetching:
 
 * **Plan (pay once per trace x L1 geometry)** — :func:`_build_segment_plan`
   precomputes only what stays a pure function of the trace: the fused
   per-instruction dispatch classes (the feed row set among them) and
-  effective operands (the
-  vectorized hook-free stretches between the trace's persisted segment
-  events), the flat per-event columns (pc/mPC/addr/line/value), and the
-  shadow-L1 outcome per demand access (shadow tags see only demand
-  traffic, so their whole story is trace-determined even under
-  prefetching).
-* **Replay (every cell)** — a generated kernel (:func:`_segment_source`,
-  compiled and memoized per hook shape like ``repro.engine.kernel``)
+  effective operands, one shared tuple per distinct row, the flat
+  per-event columns (pc/mPC/addr/line/value), and the shadow-L1
+  outcome per demand access (shadow tags see only demand traffic, so
+  their whole story is trace-determined even under prefetching).
+* **Replay (every cell, every mix core)** — a generated kernel
+  (:func:`_segment_source`, compiled and memoized per hook shape)
   retires the hook-free stretches through a
   tight class-dispatch loop and executes a *scalar island* at each
   segment event: the L1 hit leg, the full demand-miss leg, and the
@@ -44,29 +44,39 @@ splitting the work the way the paper splits prefetching:
   credit-accounting entries (``on_useful``, ``on_pollution``,
   ``on_prefetch_issued``) to ``Hierarchy.credit_log`` where
   ``Hierarchy`` does, with each ``on_pollution``'s victims sorted by
-  line, so the log equals the other tiers'.
+  line, so the log equals the generic loop's.
 
-Bit-identity is the contract, exactly as for the burst kernels of
-:mod:`repro.engine.kernel`: the replay reproduces every structural
+The kernel is a generator (:func:`segmented_bursts`): each resume
+retires a burst of rows and writes ``core._fetch_cycle`` back for the
+multicore scheduler.  A single-core cell drives it to the end in one
+burst (:func:`maybe_run_segmented`); a mix resumes each core
+``multicore.BURST`` rows at a time.  The private L1/L2, shadow tags
+and MSHRs live in the kernel's locals; the virtual L3 sets and the
+DRAM bank, bus and queue lists live in a :class:`SharedLevels` that
+a single-core cell builds for itself and a mix builds once for all
+its cores.  Each kernel adds its L3 and DRAM counts into the shared
+stats objects when its trace ends.
+
+Bit-identity is the contract: the replay reproduces every structural
 decision and every timing of :class:`~repro.memory.cache.Cache`,
 :class:`~repro.memory.shadow.ShadowTagStore`, the MSHR files, and
 :class:`~repro.memory.dram.Dram`.  ``tests/test_kernels.py``, the fuzz
 identity harness, and the bench's in-run kernels section pin it
 against ``REPRO_KERNEL=generic``, which disables all specialization.
 
-The replayed DRAM is the paper's single-core controller: the RANDOM
-drop policy (a full queue sheds every incoming prefetch) and the
-``Dram._map`` address split, ``%`` and ``//`` for any geometry.
-Eligibility is deliberately conservative: warm core or hierarchy
-state, subclassed hierarchy/cache/shadow/MSHR/DRAM components, DRAM
-telemetry, or a drop policy other than RANDOM (the §V-C1 policy belongs
-to the 4-core mixes) all turn the cell down silently.  The cell then
-runs the generic loop, which calls the real ``Hierarchy`` and ``Dram``
-(the variant name on ``SimulationResult.kernel`` records which path
-actually ran).  Segment-event density never turns a cell down: an
-all-event trace is all islands and still replays here.  A plan is
-memoized on the ``CompiledTrace._plans`` of the trace it was built
-from, and nowhere else; the process metrics registry counts
+The replayed DRAM is the paper's controller under both drop policies
+(``Dram._admit``: RANDOM sheds every prefetch that meets a full
+queue; LOW_PRIORITY_FIRST sheds an incoming C1 prefetch, else evicts
+the first queued one) and the ``Dram._map`` address split, ``%`` and
+``//`` for any geometry.  Eligibility is deliberately conservative:
+warm core or hierarchy state, subclassed hierarchy/cache/shadow/MSHR/
+DRAM components, or DRAM telemetry turn the cell down silently.  The
+cell then runs the generic loop, which calls the real ``Hierarchy``
+and ``Dram`` (the variant name on ``SimulationResult.kernel`` records
+which path actually ran).  Segment-event density never turns a cell
+down: an all-event trace is all islands and still replays here.  A
+plan is memoized on the ``CompiledTrace._plans`` of the trace it was
+built from, and nowhere else; the process metrics registry counts
 ``kernel.plan_builds``/``kernel.plan_cache_hits`` and kernel
 exec-compiles (``kernel.compiled.<variant>``), and a sweep's
 ``repro metrics`` shows what its cells added.
@@ -84,11 +94,47 @@ from repro.isa.trace import (
     DISP_STORE,
     CompiledTrace,
 )
+from repro.engine.kernel import core_feeds, feed_shape, variant_name
+from repro.isa.instructions import NUM_REGISTERS
+from repro.memory.dram import LOW_PRIORITY_COMPONENTS, DropPolicy
 from repro.obs.metrics import PROCESS
 
 _FAR = 1 << 62
 """Empty-pending sentinel (mirrors ``_MshrFile._NO_PENDING`` and
 ``Dram._NO_PENDING``)."""
+
+
+class _LowPriority(int):
+    """A virtual DRAM queue entry (a completion cycle) of a prefetch
+    from a ``LOW_PRIORITY_COMPONENTS`` component, queued under
+    LOW_PRIORITY_FIRST: the one fact ``Dram._admit`` reads beyond the
+    completion when it picks a queued victim."""
+
+    __slots__ = ()
+
+
+class SharedLevels:
+    """The virtual L3 and DRAM that the kernels of one run replay
+    against: the L3's recency-ordered set dicts, and the DRAM's
+    per-bank ready cycles and open rows, per-channel bus-free cycles,
+    queued completions and cached queue minima.  A mix builds one for
+    all its cores (they share the L3 and the controller); a
+    single-core cell builds its own.  The kernels mutate every list in
+    place, so each core sees the others' accesses in the order the
+    multicore scheduler interleaves them."""
+
+    __slots__ = ("l3_sets", "bank_ready", "bank_row", "bus_free",
+                 "queues", "q_min")
+
+    def __init__(self, l3, dram) -> None:
+        cfg = dram.config
+        banks = cfg.channels * cfg.ranks_per_channel * cfg.banks_per_rank
+        self.l3_sets = [dict() for _ in range(l3.num_sets)]
+        self.bank_ready = [0] * banks
+        self.bank_row = [None] * banks
+        self.bus_free = [0] * cfg.channels
+        self.queues = [[] for _ in range(cfg.channels)]
+        self.q_min = [_FAR] * cfg.channels
 
 
 def _get_plan(trace: CompiledTrace, key: tuple):
@@ -113,14 +159,14 @@ def _stock_cold_hierarchy(core):
     """The stock, cold :class:`~repro.memory.hierarchy.Hierarchy` behind
     ``core`` — or ``None`` when anything deviates and the tier must
     turn the cell down: warm core state, subclassed hierarchy / cache /
-    shadow / MSHR / DRAM components, DRAM telemetry attached, a drop
-    policy other than RANDOM, or resident lines or prior traffic.  The
-    hierarchy leg of :func:`maybe_run_segmented`'s eligibility."""
+    shadow / MSHR / DRAM components, DRAM telemetry attached, or
+    resident lines or prior traffic.  The hierarchy leg of the tier's
+    eligibility, for a single-core cell and every core of a mix."""
     if (core._index or core._fetch_cycle or core._fetch_slot
             or core._last_commit_time or core._commits_at_time):
         return None
     from repro.memory.cache import Cache
-    from repro.memory.dram import Dram, DropPolicy
+    from repro.memory.dram import Dram
     from repro.memory.hierarchy import Hierarchy, _MshrFile
     from repro.memory.shadow import ShadowTagStore
 
@@ -137,8 +183,6 @@ def _stock_cold_hierarchy(core):
         return None
     dram = hierarchy.dram
     if type(dram) is not Dram or dram.telemetry is not None:
-        return None
-    if dram.config.drop_policy is not DropPolicy.RANDOM:
         return None
     dram_stats = dram.stats
     if (l1._use_counter or hierarchy.l2._use_counter
@@ -157,8 +201,6 @@ def _stock_cold_hierarchy(core):
 # Segment plan and replay.
 # ----------------------------------------------------------------------
 
-SEGMENT_PREFIX = "segmented"
-
 # Per-instruction dispatch classes.  Hit/miss is decided live
 # (prefetches change it), so loads and stores are single classes.  A
 # taken backward branch (the feed row set T2 declares) is register-only
@@ -171,15 +213,6 @@ _SEG_BP_MISS = 3
 _SEG_FED = 4
 
 
-def segment_variant(flags: tuple) -> str:
-    """Kernel attribution name for the segmented tier: the burst
-    kernel variant's hook spelling with the ``fast`` prefix swapped, e.g.
-    ``segmented+instr+observe+issue+leanmem+staticbp``."""
-    from repro.engine.kernel import variant_name
-
-    return SEGMENT_PREFIX + variant_name(flags)[4:]
-
-
 class SegmentPlan:
     """Precomputed replay schedule for one (trace, L1 geometry) pair.
 
@@ -187,7 +220,8 @@ class SegmentPlan:
     perturb stays live in the generated segmented kernel.  ``rows``
     holds one ``(cls, src1, src2, dst, lat)`` tuple per instruction
     (unpacked directly in the replay loop's ``for`` target — cheaper
-    than a five-way zip); ``ev_rows`` holds one ``(pc, addr, line,
+    than a five-way zip), each row a reference to one of the few
+    distinct tuples; ``ev_rows`` holds one ``(pc, addr, line,
     mpc, value, sh1)`` tuple per memory access in trace order,
     consumed by a running iterator (loads and stores are exactly the
     memory-typed segment events, so no index column is needed).
@@ -221,7 +255,7 @@ def _build_segment_plan(trace: CompiledTrace, key: tuple) -> SegmentPlan:
     line_a, mpc_a, disp_a, bp_a = trace.derived_arrays()
     n = len(disp_a)
 
-    # Effective operands per dispatch arm, exactly as the burst kernel
+    # Effective operands per dispatch arm, exactly as the generic loop
     # reads them: ALU/store/cond-branch check src1+src2, loads only
     # src1, unconditional branches only src2, OTHER nothing; only ALU
     # (guarded) and loads write a destination.
@@ -248,8 +282,8 @@ def _build_segment_plan(trace: CompiledTrace, key: tuple) -> SegmentPlan:
     ev_lines = line_a[mem_pos].tolist()
 
     # Shadow-L1 walk (exact ShadowTagStore.access over every demand
-    # access, hit or miss — the burst kernel updates the shadow on
-    # both legs and only *reads* the outcome on a miss).
+    # access, hit or miss — Hierarchy.demand_access updates the shadow
+    # on both legs and only *reads* the outcome on a miss).
     sh_mask = l1_num_sets - 1
     sh_sets: list[dict] = [dict() for _ in range(l1_num_sets)]
     sh1: list[bool] = []
@@ -266,8 +300,21 @@ def _build_segment_plan(trace: CompiledTrace, key: tuple) -> SegmentPlan:
         s[line] = None
 
     plan = SegmentPlan()
-    plan.rows = list(zip(cls.tolist(), b_src1.tolist(), b_src2.tolist(),
-                         b_dst.tolist(), b_lat.tolist()))
+    # A trace holds few distinct rows (6 to 12 on the benchmark's
+    # traces), so every row is a reference to one shared tuple, found
+    # through an inverse index the way ``CompiledTrace._share_pcs``
+    # shares PCs: a pointer per row instead of a tuple per row.
+    # Registers shift by one so that "none" (-1) is a valid digit of
+    # the row's key.
+    columns = (cls, b_src1, b_src2, b_dst, b_lat)
+    regs = NUM_REGISTERS + 1
+    key = np.ravel_multi_index(
+        (cls, b_src1 + 1, b_src2 + 1, b_dst + 1, b_lat),
+        (_SEG_FED + 1, regs, regs, regs, max(alu_latency, 1) + 1))
+    _, first, inverse = np.unique(key, return_index=True,
+                                  return_inverse=True)
+    distinct = list(zip(*(column[first].tolist() for column in columns)))
+    plan.rows = list(map(distinct.__getitem__, inverse.tolist()))
     # One tuple per access: a single unpack in the replay arms instead
     # of six indexed column reads (.tolist() first, so the tuples hold
     # plain ints that compare/hash at C speed in the set dicts).
@@ -284,27 +331,27 @@ def _build_segment_plan(trace: CompiledTrace, key: tuple) -> SegmentPlan:
     return plan
 
 
-def maybe_run_segmented(core, flags: tuple):
-    """Run ``core`` through the segmented tier, or return ``None`` to
-    let the caller run the generic loop.
+def segmented_bursts(core, flags: tuple, shared: SharedLevels,
+                     burst_rows: int):
+    """``core``'s replay on the segmented tier, as a generator over the
+    virtual L3/DRAM ``shared``: each resume retires ``burst_rows`` rows,
+    writes ``core._fetch_cycle`` back and yields ``True``, until the
+    resume that reaches the end of the trace writes the core's figures
+    back and stops.
 
     ``flags`` are the hook-shape flags
-    :func:`~repro.engine.kernel.kernel_flags` returned for ``core``, so
-    the trace is compiled and no sampler, telemetry hub or dynamic
-    branch predictor is attached.  The one further condition is a
-    cold stock hierarchy (:func:`_stock_cold_hierarchy`).
+    :func:`~repro.engine.kernel.kernel_flags` returned for ``core``;
+    the caller has also checked its hierarchy
+    (:func:`_stock_cold_hierarchy`).
     """
-    if _stock_cold_hierarchy(core) is None:
-        return None
     instr, oa, ona, of = flags
-    variant = segment_variant(flags)
+    variant = variant_name(flags)
     plan = _get_plan(core.trace, segment_plan_key(core))
     PROCESS.count(f"kernel.selected.{variant}")
     core.kernel_variant = variant
 
     # Resolve the devirtualized composite access hook of the kernel key.
     from repro.core.composite import CompositePrefetcher
-    from repro.engine.kernel import core_feeds, feed_shape
 
     route = None
     if ona:
@@ -316,7 +363,23 @@ def maybe_run_segmented(core, flags: tuple):
 
     feeds = core_feeds(core)
     kernel = _segment_kernel(instr, oa, ona, of, feed_shape(feeds))
-    return kernel(core, plan, feeds, route)
+    return kernel(core, plan, feeds, route, shared, burst_rows)
+
+
+def maybe_run_segmented(core, flags: tuple):
+    """Run the single-core cell ``core`` through the segmented tier in
+    one burst, or return ``None`` to let the caller run the generic
+    loop (a hierarchy :func:`_stock_cold_hierarchy` turns down)."""
+    hierarchy = _stock_cold_hierarchy(core)
+    if hierarchy is None:
+        return None
+    shared = SharedLevels(hierarchy.l3, hierarchy.dram)
+    # The whole trace is one burst (at least one row: an empty trace
+    # still needs a positive step).
+    for _ in segmented_bursts(core, flags, shared,
+                              max(core._num_records, 1)):
+        pass
+    return core.stats
 
 
 _SEG_KERNELS: dict[tuple, object] = {}
@@ -324,10 +387,8 @@ _SEG_KERNELS: dict[tuple, object] = {}
 
 def _segment_kernel(instr: bool, oa: bool, ona: bool, of: bool,
                     shape: tuple):
-    """Compile (and memoize) one segmented replay kernel.
-
-    Like ``repro.engine.kernel``, the loop is generated with dead hook
-    branches absent; the kernel is additionally specialized on the
+    """Compile (and memoize) one segmented replay kernel, generated
+    with dead hook branches absent and specialized on the
     instruction-feed ``shape`` (:func:`~repro.engine.kernel.feed_shape`).
     """
     key = (instr, oa, ona, of, shape)
@@ -336,26 +397,88 @@ def _segment_kernel(instr: bool, oa: bool, ona: bool, of: bool,
         from repro.core.base import AccessEvent
 
         PROCESS.count("kernel.compiled."
-                      + segment_variant((instr, oa, ona, of)))
+                      + variant_name((instr, oa, ona, of)))
         source = _segment_source(*key)
-        namespace = {"_FAR": _FAR, "AccessEvent": AccessEvent}
+        namespace = {"_FAR": _FAR, "AccessEvent": AccessEvent,
+                     "_LowPriority": _LowPriority,
+                     "LOW_PRIORITY_FIRST": DropPolicy.LOW_PRIORITY_FIRST,
+                     "low_components": LOW_PRIORITY_COMPONENTS}
         exec(compile(source, f"<segmented kernel {key}>", "exec"),
              namespace)
         fn = _SEG_KERNELS[key] = namespace["run_segmented"]
     return fn
 
 
+def _feed_head(shape: tuple) -> list[str]:
+    """Bindings :func:`_feed_lines` reads: ``feed_<k>``, ``gate_<k>``,
+    ``fed_next`` for a row-set feed, and ``records`` or ``record``
+    (``trace`` and ``feeds`` in scope)."""
+    lines = []
+    for k, (_, gated) in enumerate(shape):
+        lines.append(f"    feed_{k} = feeds[{k}][0]")
+        if gated:
+            lines.append(f"    gate_{k} = feeds[{k}][2]")
+    rows = next((rows for rows, _ in shape if rows), None)
+    if rows:
+        lines.append(f"    fed_next = iter(trace.feed_records({rows!r})[1])"
+                     ".__next__")
+    if any(rows is None and not gated for rows, gated in shape):
+        lines.append("    records = trace.records")
+    elif any(rows is None for rows, _ in shape):
+        lines.append("    record = trace.record")
+    return lines
+
+
+def _feed_lines(shape: tuple, pad: str) -> list[str]:
+    """The instruction-feed calls for one retired instruction (row
+    ``i``, class ``cls``), in feed order.
+
+    A feed declaring the row set is called only at the plan's
+    ``_SEG_FED`` rows, with the set's next cached view (the view is
+    taken at every row of the set, so the cursor stays in step).  A
+    gated feed is called only while ``gate_<k>.armed``.  Other rows get
+    a view built at the call (``record``), or read from ``records``
+    when some feed wants every instruction anyway.
+    """
+    has_rows = any(rows for rows, _ in shape)
+    every = any(rows is None and not gated for rows, gated in shape)
+    view = "records[i]" if every else "record(i)"
+
+    def calls(ind: str, rec: str, fed_row: bool) -> list[str]:
+        out = []
+        for k, (rows, gated) in enumerate(shape):
+            if rows and not fed_row:
+                continue
+            call = f"feed_{k}({rec}, dispatch)"
+            if gated:
+                out += [f"{ind}if gate_{k}.armed:", f"{ind}    {call}"]
+            else:
+                out.append(ind + call)
+        return out
+
+    if not has_rows:
+        return calls(pad, view, False)
+    inner = pad + "    "
+    lines = [f"{pad}if cls == {_SEG_FED}:", f"{inner}rec = fed_next()",
+             *calls(inner, "rec", True)]
+    rest = calls(inner, view, False)
+    if rest:
+        lines += [f"{pad}else:", *rest]
+    return lines
+
+
 def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
                     shape: tuple) -> str:
-    """Source of a specialized segmented replay loop.
+    """Source of a specialized segmented replay generator.
 
-    The emitted code retires the whole trace with live hooks: the
-    stretch loop mirrors the burst kernel's issue/commit
-    arithmetic (a rolling ROB slot replaces its ``index % rob_size``);
-    each scalar island mirrors, effect for effect, ``Cache.lookup``/
-    ``fill``, ``_MshrFile``, ``ShadowTagStore.access`` (precomputed),
-    ``Hierarchy._demand_miss``/``_access_l2``/``_access_l3``/
-    ``prefetch``, and ``Dram.read``/``write`` — against a virtualized
+    The emitted code retires the trace with live hooks, ``burst_rows``
+    rows per resume: the stretch loop mirrors the generic loop's
+    issue/commit arithmetic (a rolling ROB slot replaces its
+    ``index % rob_size``); each scalar island mirrors, effect for
+    effect, ``Cache.lookup``/``fill``, ``_MshrFile``,
+    ``ShadowTagStore.access`` (precomputed), ``Hierarchy.demand_access``/
+    ``_access_l2``/``_access_l3``/``prefetch``, and ``Dram.read``/
+    ``write`` — against a virtualized
     hierarchy of flat ``[fill_time, dirty, prefetched, used,
     component]`` entries in recency-ordered per-set dicts (dict order
     is LRU order because ``Cache``'s use counter is strictly
@@ -365,14 +488,13 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     closure.  Hook call positions and ``AccessEvent`` payloads are
     exactly the generic loop's, so the prefetcher cannot distinguish
     the paths, and so are the ``credit_log`` entries.  Stats accumulate
-    in locals and write back once at the end, matching the burst
-    kernels' deferred-accumulator contract.  Instruction feeds are
-    called as in the burst kernels
-    (:func:`~repro.engine.kernel.feed_lines`), a row-set feed at the
-    plan's ``_SEG_FED`` rows.
+    in locals and write back once, when the trace ends (nothing reads
+    them mid-run: no observer of live state runs on this tier; the L3
+    and DRAM counts are added to the shared stats objects, so a mix's
+    kernels sum).  Instruction feeds are called as
+    :func:`_feed_lines` emits them, a row-set feed at the plan's
+    ``_SEG_FED`` rows.
     """
-    from repro.engine.kernel import feed_head, feed_lines
-
     build_event = oa or ona
     lines: list[str] = []
     emit = lines.append
@@ -385,10 +507,10 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
              f"{p}rest % banks_per_channel")
         emit(f"{ind}{p}row = {p}rest // rows_div")
 
-    def dram_read_tail(ind: str) -> None:
+    def dram_read_tail(ind: str, entry: str = "fill_time") -> None:
         # Bank/row/bus algebra shared by the inlined demand and
-        # prefetch reads; enters with dstart/dbank/drow/dch set and
-        # leaves the completion in fill_time.
+        # prefetch reads; enters with dstart/dbank/drow/dch set, queues
+        # ``entry`` and leaves the completion in fill_time.
         emit(f"{ind}dready = bank_ready[dbank]")
         emit(f"{ind}if dready > dstart:")
         emit(f"{ind}    dstart = dready")
@@ -410,14 +532,14 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{ind}bank_row[dbank] = drow")
         emit(f"{ind}bank_ready[dbank] = ddata")
         emit(f"{ind}bus_free[dch] = fill_time")
-        emit(f"{ind}dq.append(fill_time)")
+        emit(f"{ind}dq.append({entry})")
         emit(f"{ind}if fill_time < q_min[dch]:")
         emit(f"{ind}    q_min[dch] = fill_time")
         emit(f"{ind}d_reads += 1")
 
     def hook_block(ind: str, ev_args: str, flag: str,
                    level_expr: str) -> None:
-        # The burst kernel's hook sequence at one access: event (when
+        # The generic loop's hook sequence at one access: event (when
         # any event hook is live), on_prefetch_hit, observers, issue
         # requests, per-request on_fill.
         if build_event:
@@ -451,11 +573,11 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
              f"(v, e[4]) for v, e in {tset}.items() if e[2]))))")
 
     def demand_miss_block(ind: str, is_write: str) -> None:
-        # Hierarchy._demand_miss + _access_l2 + _access_l3 with the
-        # primary fills inlined (each preceding lookup or probe proves
-        # the line absent, so the resident leg is skipped).  Sets
-        # fill_time, level, served, component; tset1 is the L1 set the
-        # arm's lookup already indexed.
+        # The miss leg of Hierarchy.demand_access + _access_l2 +
+        # _access_l3 with the primary fills inlined (each preceding
+        # lookup or probe proves the line absent, so the resident leg
+        # is skipped).  Sets fill_time, level, served, component; tset1
+        # is the L1 set the arm's lookup already indexed.
         emit(f"{ind}mnow = issue")
         emit(f"{ind}l1_misses += 1")
         emit(f"{ind}miss_lines_l1[line] += 1")
@@ -598,8 +720,8 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{ind}    l1_min_p = fill_time")
 
     def hit_stats_block(ind: str) -> None:
-        # The burst leanmem kernel's L1-hit stat legs, after the
-        # recency bump.
+        # Hierarchy.demand_access's L1-hit stat legs, after the recency
+        # bump.
         emit(f"{ind}first_use = cl[2] and not cl[3]")
         emit(f"{ind}if first_use:")
         emit(f"{ind}    cl[3] = True")
@@ -616,7 +738,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     # ------------------------------------------------------------------
     # Prologue: hoists, virtual state, accumulators.
     # ------------------------------------------------------------------
-    emit("def run_segmented(core, plan, feeds, route):")
+    emit("def run_segmented(core, plan, feeds, route, shared, burst_rows):")
     emit('    """Generated segmented replay; see _segment_source."""')
     emit("    stats = core.stats")
     emit("    hierarchy = core.hierarchy")
@@ -657,12 +779,8 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("    miss_pcs = stats.miss_pcs")
     emit("    miss_latency_by_pc = stats.miss_latency_by_pc")
     emit("    trace = core.trace")
-    for line in feed_head(shape, "    "):
+    for line in _feed_head(shape):
         emit(line)
-    rows = next((rows for rows, _ in shape if rows), None)
-    if rows:
-        emit(f"    fed_next = iter(trace.feed_records({rows!r})[1])"
-             ".__next__")
     if oa:
         emit("    observe_access = core._observe_access")
     if ona:
@@ -672,21 +790,22 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("    on_prefetch_hit = core.prefetcher.on_prefetch_hit")
     emit("    log_append = hierarchy.credit_log.append")
     emit("")
+    emit("    low_first = cfg.drop_policy is LOW_PRIORITY_FIRST")
     emit("    far = _FAR")
     emit("    l1_sets = [dict() for _ in range(l1.num_sets)]")
     emit("    l2_sets = [dict() for _ in range(l2.num_sets)]")
-    emit("    l3_sets = [dict() for _ in range(l3.num_sets)]")
     emit("    sh2_sets = [dict() for _ in "
          "range(hierarchy.shadow_l2.num_sets)]")
     emit("    l1_pending = []")
     emit("    l1_min_p = far")
     emit("    l2_pending = []")
     emit("    l2_min_p = far")
-    emit("    bank_ready = [0] * (channels * banks_per_channel)")
-    emit("    bank_row = [None] * (channels * banks_per_channel)")
-    emit("    bus_free = [0] * channels")
-    emit("    queues = [[] for _ in range(channels)]")
-    emit("    q_min = [far] * channels")
+    emit("    l3_sets = shared.l3_sets")
+    emit("    bank_ready = shared.bank_ready")
+    emit("    bank_row = shared.bank_row")
+    emit("    bus_free = shared.bus_free")
+    emit("    queues = shared.queues")
+    emit("    q_min = shared.q_min")
     emit("")
     for name in ("l1_hits", "l1_misses", "l1_useful", "l1_late",
                  "l1_merges", "l1_evic", "l1_wb", "l1_pff", "l1_pfe",
@@ -878,13 +997,27 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("                    dq[:] = [c for c in dq if c > dnow]")
     emit("                    q_min[dch] = min(dq, default=far)")
     emit("                if len(dq) >= q_cap:")
-    emit("                    # RANDOM policy: a full queue sheds")
-    emit("                    # every incoming prefetch.")
+    emit("                    # Dram._admit: RANDOM sheds the incoming")
+    emit("                    # prefetch; LOW_PRIORITY_FIRST sheds an")
+    emit("                    # incoming low-priority one, else evicts the")
+    emit("                    # first queued low-priority prefetch (the")
+    emit("                    # stale q_min stays), else sheds it too.")
     emit("                    d_dropped += 1")
-    emit("                    pf_drop_dram += 1")
-    emit("                    return False")
+    emit("                    victim = -1")
+    emit("                    if low_first and component not in "
+         "low_components:")
+    emit("                        for k, c in enumerate(dq):")
+    emit("                            if type(c) is _LowPriority:")
+    emit("                                victim = k")
+    emit("                                break")
+    emit("                    if victim < 0:")
+    emit("                        pf_drop_dram += 1")
+    emit("                        return False")
+    emit("                    del dq[victim]")
     emit("                dstart = dnow")
-    dram_read_tail("                ")
+    dram_read_tail("                ",
+                   "_LowPriority(fill_time) if low_first and component "
+                   "in low_components else fill_time")
     emit("                # Primary L3 fill.")
     emit("                if len(tset3) >= l3_ways:")
     emit("                    vline = next(iter(tset3))")
@@ -962,10 +1095,18 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("    commits_at_time = 0")
     emit("    load_latency_total = 0")
     emit("    rob_slot = rob_size - 1")
+    # One burst (a single-core cell) iterates the plan's rows in place;
+    # a mix core slices out each resume's rows.
+    emit("    whole = burst_rows >= n")
+    emit("    for lo in range(0, n, burst_rows):")
+    emit("        chunk = rows if whole else rows[lo:lo + burst_rows]")
+    # The per-row loop is written at function depth and indented under
+    # the burst loop once it is complete.
+    row_loop = len(lines)
     if any(rows is None for rows, _ in shape):
-        emit("    for i, (cls, s1, s2, dst, lat) in enumerate(rows):")
+        emit("    for i, (cls, s1, s2, dst, lat) in enumerate(chunk, lo):")
     else:
-        emit("    for cls, s1, s2, dst, lat in rows:")
+        emit("    for cls, s1, s2, dst, lat in chunk:")
     emit("        if fetch_slot >= width:")
     emit("            fetch_cycle += 1")
     emit("            fetch_slot = 0")
@@ -980,8 +1121,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("            fetch_slot = 1")
     emit("        else:")
     emit("            dispatch = fetch_cycle")
-    for line in feed_lines(shape, "        ", "cls == 4",
-                           ["rec = fed_next()"], "i"):
+    for line in _feed_lines(shape, "        "):
         emit(line)
 
     def register_only() -> None:
@@ -1011,8 +1151,9 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("            tset1 = l1_sets[line & l1_mask]")
     emit("            cl = tset1.get(line)")
     emit("            if cl is not None:")
-    emit("                # Inlined L1 hit leg (the burst leanmem")
-    emit("                # kernel's); del+insert is the LRU touch.")
+    emit("                # Inlined L1 hit leg of")
+    emit("                # Hierarchy.demand_access; del+insert is the")
+    emit("                # LRU touch.")
     emit("                del tset1[line]")
     emit("                tset1[line] = cl")
     hit_stats_block("                ")
@@ -1095,6 +1236,10 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("                last_commit += 1")
     emit("                commits_at_time = 1")
     emit("        commit_ring[rob_slot] = last_commit")
+    lines[row_loop:] = ["    " + line for line in lines[row_loop:]]
+    emit("        if lo + burst_rows < n:")
+    emit("            core._fetch_cycle = fetch_cycle")
+    emit("            yield True")
     emit("")
 
     # ------------------------------------------------------------------

@@ -38,9 +38,9 @@ class SimulationResult:
     ``Hierarchy.credit_log``); :func:`repro.analysis.credit.replay`
     feeds them to a tracker."""
     kernel: str = "generic"
-    """Replay-kernel variant that produced this result (see
-    :mod:`repro.engine.kernel`); lets benchmarks and the fault journal
-    attribute timings to a kernel."""
+    """Replay path that produced this result: a ``segmented+…``
+    variant or ``generic`` (see :mod:`repro.engine.kernel`); lets
+    benchmarks and the fault journal attribute timings to a kernel."""
     manifest: RunManifest | None = None
     """Provenance stamp (config tag, prefetcher spec, git SHA, counter
     snapshot); see :mod:`repro.telemetry.manifest`."""

@@ -1,11 +1,11 @@
 """Cross-tier identity property harness (``repro fuzz``).
 
-The engine replays a single-core cell on the segmented kernels
-(:mod:`repro.engine.segmented`) and a multicore mix on the burst
-kernels (:mod:`repro.engine.kernel`); the generic step loop is the
-reference for both.  This module checks, over the stress suite and the
-seeded traces of :mod:`repro.workloads.fuzz`, that every cell replayed
-under any registered prefetcher produces bit-identical figures across
+The engine replays single-core cells and multicore mixes alike on the
+segmented kernels (:mod:`repro.engine.segmented`); the generic step
+loop is the reference for both.  This module checks, over the stress
+suite and the seeded traces of :mod:`repro.workloads.fuzz`, that every
+cell replayed under any registered prefetcher produces bit-identical
+figures across
 
 * **kernel vs generic** — the automatically selected kernel against
   the ``REPRO_KERNEL=generic`` escape hatch (the un-specialized step

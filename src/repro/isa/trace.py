@@ -222,8 +222,8 @@ def numpy_dtype(code: str) -> str:
 # Derived columns: per-record facts the timing model would otherwise
 # recompute for every (workload x prefetcher) cell.  Computed once per
 # workload at compile time, persisted alongside the primary columns by
-# the trace cache, and consumed by the specialized replay kernels
-# (repro.engine.kernel).  Derivation passes and cache restores count
+# the trace cache, and consumed by the segment plan
+# (repro.engine.segmented).  Derivation passes and cache restores count
 # as trace_cache.derived_builds / derived_hits in the process metrics
 # registry (repro.obs.metrics).
 

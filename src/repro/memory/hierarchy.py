@@ -126,10 +126,9 @@ class Hierarchy:
     ``("on_useful", line, component, level)``, and
     ``("on_pollution", level, victims)`` where ``victims`` is a tuple of
     ``(line_addr, component)`` for the prefetched lines in the affected
-    set, sorted by line.  Every replay tier records the same log: the
-    specialized kernels (:mod:`repro.engine.kernel`,
-    :mod:`repro.engine.segmented`) append to this list where this class
-    would.
+    set, sorted by line.  Every replay path records the same log: the
+    segmented tier (:mod:`repro.engine.segmented`) appends to this list
+    where this class would.
     """
 
     __slots__ = (
@@ -226,20 +225,6 @@ class Hierarchy:
                 prefetch_component=hit.component,
             )
 
-        return self._demand_miss(line, now, is_write, shadow_l1_hit, pc)
-
-    def _demand_miss(self, line: int, now: int, is_write: bool,
-                     shadow_l1_hit: bool, pc: int = -1) -> AccessResult:
-        """Miss leg of :meth:`demand_access`.
-
-        The caller has already counted the access, missed the L1 lookup,
-        and performed the shadow-tag access.  Split out so the
-        specialized replay kernels (:mod:`repro.engine.kernel`) can
-        inline the L1 hit path and fall back here only on a miss.
-        """
-        l1 = self.l1d
-        stats = l1.stats
-        telemetry = self.telemetry
         stats.demand_misses += 1
         self.miss_lines_l1[line] += 1
         if shadow_l1_hit:

@@ -1,10 +1,10 @@
 """Adversarial trace fuzzer: seeded programs for the identity harness.
 
-The engine has three replay tiers (generic step loop, specialized
-scalar kernels, segmented plan/replay) whose equivalence
-:mod:`repro.identity` checks as a *property*: any trace this module can
-generate, replayed under any registered prefetcher, must produce
-bit-identical figures on every tier.
+The engine has two replay paths, the segmented plan/replay tier and
+the generic step loop, for single-core cells and mix cores alike;
+:mod:`repro.identity` checks their equivalence as a *property*: any
+trace this module can generate, replayed under any registered
+prefetcher, must produce bit-identical figures on both.
 
 The generator is **deterministic per seed**: ``fuzz_workload(seed)``
 always builds the same program, so its trace compiles through the

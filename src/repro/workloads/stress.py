@@ -21,10 +21,12 @@ store_chain         store-buffer pressure: a store-dominated sweep over
                     a dirty line, so evictions cascade writebacks
                     L1->L2->L3->DRAM; pins writeback-cascade ordering
                     and the DRAM write-queue bookkeeping.
-page_stride         page-crossing strides: row-sized (2 KB) hops that
-                    open a fresh DRAM row on nearly every access —
-                    pins the row-buffer state machine (hit/empty/
-                    conflict classes) and bank-ready timing.
+page_stride         page-crossing strides: row-sized (2 KB) hops, each
+                    a cold miss to one DRAM bank, whose open row
+                    changes every 32 hops (2,421 row hits, 1 empty
+                    and 78 conflicts in 2,500 reads) — pins the
+                    row-buffer state machine (hit/empty/conflict
+                    classes), the address split and bank-ready timing.
 chase_ladder        pointer-chase depth ladder: scattered chains of
                     exponentially growing depth — pins the dependent-
                     load serialization path (one outstanding miss at a
@@ -41,11 +43,10 @@ mshr_burst          MSHR saturation bursts: fully independent misses
                     hold, then a quiet ALU phase — pins the
                     ``_MshrFile`` acquire/stall algebra at both L1 and
                     L2.
-hook_storm          segment-event density: nearly every instruction is
-                    a memory op or a mispredicted branch — pins the
-                    segmented tier's island-dense replay just under
-                    its coverage-degrade boundary
-                    (``SEGMENT_MAX_COVERAGE``).
+hook_storm          segment-event density: about 71% of instructions
+                    are memory ops or mispredicted branches, the
+                    densest of any registered workload — pins the
+                    segmented tier's island-dense replay.
 oddgeom             non-power-of-two geometry walks: 192-byte strides
                     over 1.5 KB regions aligned to odd multiples — set
                     indices and DRAM rows advance in non-pow2 steps,
@@ -55,7 +56,8 @@ oddgeom             non-power-of-two geometry walks: 192-byte strides
 Sizing: stressors run ~4-14k dynamic instructions (vs the 160k default
 simpoint) — long enough to leave the warm-up regime of the mechanism
 they pin, short enough that the fuzz harness can sweep the whole suite
-times every registered prefetcher times three replay tiers in seconds.
+times every registered prefetcher on both replay paths (segmented and
+generic, for single-core cells and mix cores alike) in seconds.
 """
 
 from __future__ import annotations
@@ -152,12 +154,15 @@ def store_chain(asm: Assembler, alloc: Allocator, *, lines: int = 1200,
 # ---------------------------------------------------------------------------
 def page_stride(asm: Assembler, alloc: Allocator, *, touches: int = 2500,
                 row_bytes: int = 2048) -> int:
-    """Hop one DRAM row (2 KB = 32 lines) per access.
+    """Hop one DRAM row's worth of bytes (2 KB = 32 lines) per access.
 
-    Each access lands on a fresh row: row-buffer hits vanish and the
-    controller alternates empty and conflict activations.  The stride
-    also crosses an L1 set-wrap every access (2 KB = exactly the scaled
-    L1's 32 sets x 64 B), so the sweep doubles as a set-aliasing test.
+    Every hop is a cold miss at every level.  ``DramConfig``'s address
+    split interleaves lines over the channels and then the banks, so a
+    32-line hop keeps both and advances the row every 32 hops: the
+    default sweep reads 2,421 row hits, 1 empty row and 78 conflicts.
+    The stride also crosses an L1 set-wrap every access (2 KB = exactly
+    the scaled L1's 32 sets x 64 B), so the sweep doubles as a
+    set-aliasing test.
     """
     base = alloc.alloc(touches * row_bytes, align=row_bytes)
     asm.movi("r1", base)
@@ -274,10 +279,10 @@ def hook_storm(asm: Assembler, alloc: Allocator, *, lines: int = 896,
 
     A scattered line list is read with back-to-back dependent loads, a
     taken (mispredicted) forward branch, and a store per element — the
-    body unrolled 8-wide so loop control almost vanishes and ~85% of
-    retired instructions are segment events.  This sits right at the
-    segmented tier's coverage-degrade boundary, exercising both the
-    island-dense kernel and the degrade decision.
+    body unrolled 8-wide so loop control almost vanishes and about 71%
+    of retired instructions are segment events, the densest of any
+    registered workload, so the segmented tier replays it almost all
+    as islands.
     """
     rng = random.Random(seed)
     targets = [alloc.alloc(64) for _ in range(lines)]
@@ -339,7 +344,7 @@ _stress("mshr_burst",
         "48-wide independent miss bursts (pins MSHR acquire/stall)",
         lambda asm, alloc: mshr_burst(asm, alloc), simpoint=16_000)
 _stress("hook_storm",
-        "all-event replay (pins segmented islands + coverage degrade)",
+        "event-dense replay (pins back-to-back segmented islands)",
         lambda asm, alloc: hook_storm(asm, alloc), simpoint=16_000)
 _stress("oddgeom",
         "non-pow2 strides/regions (pins modulo vs shift/mask address math)",

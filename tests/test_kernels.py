@@ -18,12 +18,14 @@ injected cache corruption.  Every path records the same credit log
 (the Figs. 13-14 input): the logs, and the credit buckets a tracker
 replays from them, are pinned registry-wide.
 
-Multicore mixes run their 32-instruction bursts on the scalar burst
-kernels; their per-core results are pinned against the generic
-``step()`` loop, including the burst size itself.  A one-core mix
-(:func:`_scalar`) runs a single trace on the burst kernel with a
-single core's hierarchy, which pins the burst kernel against the
-segmented tier on the same cell.
+Multicore mixes run their 32-instruction bursts on the segmented
+tier too, every core resuming one generator over a shared virtual
+L3/DRAM, or every core on the generic ``step()`` loop when the tier
+declines any of them; their per-core results are pinned against the
+generic loop, including the burst size itself and both drop policies.
+A one-core mix (:func:`_one_core_mix`) resumes a single trace's generator a
+burst at a time over a single core's hierarchy, which pins the
+resumable replay against the same cell run in one burst.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ from repro.isa import Assembler, Machine
 from repro.isa.trace import (
     BACKWARD_TAKEN,
     DERIVED_FIELDS,
+    DISP_ALU,
+    DISP_BR_UNCOND,
+    DISP_LOAD,
+    DISP_OTHER,
+    DISP_STORE,
     LINE_SHIFT,
     TRACE_FIELDS,
     CompiledTrace,
@@ -76,6 +83,14 @@ def chain():
     return compile_trace(build_chain_trace(nodes=1200, name="k-chain"))
 
 
+@pytest.fixture(scope="module")
+def rotate():
+    """``starbench.rotate``: the drop-policy mixes' C1-heavy app."""
+    from repro.workloads import get_workload
+
+    return get_workload("starbench.rotate").trace()
+
+
 def _identity(result) -> tuple:
     """Everything a simulation reports, for exact comparison."""
     return (
@@ -94,9 +109,10 @@ def _identity(result) -> tuple:
     )
 
 
-def _scalar(trace, prefetcher, config=None):
-    """``trace`` on the scalar burst kernel: a one-core mix, whose
-    hierarchy (one core's L3 share, its own DRAM) is a single core's."""
+def _one_core_mix(trace, prefetcher, config=None):
+    """``trace`` as a one-core mix: the segmented generator resumed a
+    burst at a time over a hierarchy (one core's L3 share, its own
+    DRAM) that is a single core's."""
     (result,) = simulate_multicore([trace], [prefetcher], config).per_core
     return result
 
@@ -114,7 +130,7 @@ def test_specialized_matches_generic_registry_wide(name, strided, chain,
         monkeypatch.delenv(KERNEL_ENV)
         # Leanmem cells, hook-free or hooked, climb to the segmented
         # kernel.
-        assert fast.kernel.startswith(("fast", "segmented")), name
+        assert fast.kernel.startswith("segmented+"), name
         assert slow.kernel == GENERIC
         assert _identity(fast) == _identity(slow), (name, trace.name)
 
@@ -164,9 +180,9 @@ def test_kernel_flags_none_under_escape_hatch(strided, monkeypatch):
 
 
 def test_variant_name_encodes_flags():
-    assert variant_name((False,) * 4) == "fast+leanmem+staticbp"
+    assert variant_name((False,) * 4) == "segmented+leanmem+staticbp"
     name = variant_name((True,) * 4)
-    assert name == "fast+instr+observe+issue+fill+leanmem+staticbp"
+    assert name == "segmented+instr+observe+issue+fill+leanmem+staticbp"
 
 
 def test_dynamic_branch_predictor_runs_the_generic_loop(strided):
@@ -252,7 +268,7 @@ def test_fusion_identity_at_jobs_4():
     for cell, a, b in zip(matrix, fused, serial):
         assert _identity(a) == _identity(b), cell
         assert a.kernel == b.kernel, cell
-        assert a.kernel.startswith(("fast", "segmented")), cell
+        assert a.kernel.startswith("segmented+"), cell
 
 
 # ----------------------------------------------------------------------
@@ -264,18 +280,18 @@ HOOK_FREE_VARIANT = "segmented+leanmem+staticbp"
 
 def test_batch_matches_scalar_and_generic(strided, chain, monkeypatch):
     """Hook-free cells climb to the segmented tier with every hook
-    branch absent; a one-core mix runs the exec-specialized burst
-    kernel; all three are bit-identical."""
+    branch absent, in one burst or resumed a burst at a time as a
+    one-core mix; all three runs are bit-identical."""
     for trace in (strided, chain):
         seg = simulate(trace, make_prefetcher("none"))
-        scalar = _scalar(trace, make_prefetcher("none"))
+        mixed = _one_core_mix(trace, make_prefetcher("none"))
         monkeypatch.setenv(KERNEL_ENV, GENERIC)
         generic = simulate(trace, make_prefetcher("none"))
         monkeypatch.delenv(KERNEL_ENV)
         assert seg.kernel == HOOK_FREE_VARIANT, trace.name
-        assert scalar.kernel == "fast+leanmem+staticbp"
+        assert mixed.kernel == HOOK_FREE_VARIANT
         assert generic.kernel == GENERIC
-        assert _identity(seg) == _identity(scalar), trace.name
+        assert _identity(seg) == _identity(mixed), trace.name
         assert _identity(seg) == _identity(generic), trace.name
 
 
@@ -339,7 +355,8 @@ def test_batch_segment_edge_cases(case, build, monkeypatch):
     """Degenerate segmentations of a hook-free cell — an event-free
     trace (empty event column), back-to-back events (empty stretches),
     and a trace shorter than one stretch — replay on the segmented tier
-    bit-identically to the scalar burst kernel and the generic loop."""
+    bit-identically in one burst, as a one-core mix and on the generic
+    loop."""
     trace = _compile_program(f"k-seg-{case}", build)
     events = trace.segment_events()
     if case == "alu-only":
@@ -347,12 +364,12 @@ def test_batch_segment_edge_cases(case, build, monkeypatch):
     elif case == "mem-only":
         assert len(events) == 64  # one per load, none for movi/halt
     auto = simulate(trace, make_prefetcher("none"))
-    scalar = _scalar(trace, make_prefetcher("none"))
+    mixed = _one_core_mix(trace, make_prefetcher("none"))
     monkeypatch.setenv(KERNEL_ENV, GENERIC)
     generic = simulate(trace, make_prefetcher("none"))
     monkeypatch.delenv(KERNEL_ENV)
     assert auto.kernel == HOOK_FREE_VARIANT, case
-    assert _identity(auto) == _identity(scalar) == _identity(generic), case
+    assert _identity(auto) == _identity(mixed) == _identity(generic), case
 
 
 def test_batch_identity_under_chaos_corrupt_and_resume(tmp_path):
@@ -420,8 +437,8 @@ HOOK_EDGE_CASES = {
 @pytest.mark.parametrize("case,build", list(HOOK_EDGE_CASES.items()))
 def test_segmented_hook_position_edge_cases(case, build, spec, monkeypatch):
     """Hook islands at the trace boundaries and back-to-back replay
-    bit-identically to the scalar burst kernel and the generic loop,
-    with live hooks."""
+    bit-identically in one burst, as a one-core mix and on the generic
+    loop, with live hooks."""
     trace = _compile_program(f"k-seghook-{case}", build)
     events = trace.segment_events().tolist()
     if case == "event-first":
@@ -431,13 +448,13 @@ def test_segmented_hook_position_edge_cases(case, build, spec, monkeypatch):
     else:
         assert events[-1] == len(trace) - 1
     seg = simulate(trace, make_prefetcher(spec))
-    scalar = _scalar(trace, make_prefetcher(spec))
+    mixed = _one_core_mix(trace, make_prefetcher(spec))
     monkeypatch.setenv(KERNEL_ENV, GENERIC)
     generic = simulate(trace, make_prefetcher(spec))
     monkeypatch.delenv(KERNEL_ENV)
     assert seg.kernel.startswith("segmented+"), (case, spec)
-    assert scalar.kernel.startswith("fast+"), (case, spec)
-    assert _identity(seg) == _identity(scalar), (case, spec)
+    assert mixed.kernel == seg.kernel, (case, spec)
+    assert _identity(seg) == _identity(mixed), (case, spec)
     assert _identity(seg) == _identity(generic), (case, spec)
 
 
@@ -454,6 +471,33 @@ def test_segmented_all_event_trace_degrades_to_scalar(monkeypatch):
     monkeypatch.delenv(KERNEL_ENV)
     assert fast.kernel.startswith("segmented+")
     assert _identity(fast) == _identity(generic)
+
+
+def test_plan_rows_share_their_tuples(chain):
+    """The plan's rows equal a per-row zip of each instruction's
+    effective operands, and hold only the few distinct tuple objects."""
+    core = OoOCore(chain, Hierarchy(EXPERIMENT_CONFIG),
+                   make_prefetcher("none"), EXPERIMENT_CONFIG.core)
+    key = segmented.segment_plan_key(core)
+    plan = segmented._build_segment_plan(chain, key)
+    _, _, disp, bp_miss = chain.derived_columns()
+    fed = set(chain.feed_records(BACKWARD_TAKEN)[0])
+    alu_latency = key[2]
+    expected = []
+    for i, (d, s1, s2, dst) in enumerate(zip(disp, chain.src1, chain.src2,
+                                             chain.dst)):
+        cls = {DISP_LOAD: 1, DISP_STORE: 2}.get(
+            d, 3 if bp_miss[i] else 4 if i in fed else 0)
+        expected.append((
+            cls,
+            -1 if d == DISP_OTHER else s2 if d == DISP_BR_UNCOND else s1,
+            -1 if d in (DISP_LOAD, DISP_BR_UNCOND, DISP_OTHER) else s2,
+            dst if d in (DISP_ALU, DISP_LOAD) else -1,
+            alu_latency if d == DISP_ALU else 1))
+    assert fed and plan.rows == expected
+    distinct = set(plan.rows)
+    assert len({id(row) for row in plan.rows}) == len(distinct)
+    assert len(distinct) < len(plan.rows) // 100
 
 
 def test_segmented_counts_kernel_compiles_apart_from_plan_builds(
@@ -564,8 +608,6 @@ def _run_core(trace, spec, config=EXPERIMENT_CONFIG, *, memory=Hierarchy,
 
 DECLINES = {
     "warm-core": {"warm": 100},
-    "drop-policy": {
-        "config": drop_policy._config_with(DropPolicy.LOW_PRIORITY_FIRST)},
     "dram-telemetry": {"dram_telemetry": True},
     "sampler": {"sampler": True},
     "telemetry": {"telemetry": True},
@@ -583,7 +625,7 @@ DECLINES = {
 def test_segmented_decline_runs_generic(case, strided, monkeypatch):
     """Each declined cell runs the generic loop, and its figures equal
     an uninterrupted ``REPRO_KERNEL=generic`` run of the same cell (a
-    predictor or drop policy of its own makes a cell of its own)."""
+    predictor of its own makes a cell of its own)."""
     options = dict(DECLINES[case])
     config = options.pop("config", EXPERIMENT_CONFIG)
     trace = strided
@@ -596,8 +638,20 @@ def test_segmented_decline_runs_generic(case, strided, monkeypatch):
     _, reference = _run_core(strided, "tpc", config)
     assert kernel == GENERIC, case
     assert figures == reference, case
-    if case == "drop-policy":
-        assert figures["dram"].dropped_prefetches > 0
+
+
+def test_low_priority_first_cell_runs_segmented(rotate, monkeypatch):
+    """A single-core cell under the Sec. V-C1 drop policy, at the
+    experiment's queue capacity, replays on the segmented tier and
+    equals the generic loop (whose controller evicts queued C1
+    prefetches on this app)."""
+    config = drop_policy._config_with(DropPolicy.LOW_PRIORITY_FIRST)
+    kernel, figures = _run_core(rotate, "tpc", config)
+    monkeypatch.setenv(KERNEL_ENV, GENERIC)
+    _, reference = _run_core(rotate, "tpc", config)
+    assert kernel.startswith("segmented+")
+    assert figures == reference
+    assert figures["dram"].dropped_prefetches > 0
 
 
 def test_subclassed_hierarchy_runs_generic(monkeypatch):
@@ -650,47 +704,46 @@ def shadow_mix():
 @pytest.mark.parametrize("name", available_prefetchers())
 def test_tracked_cells_match_scalar_and_generic_registry_wide(
         name, strided, chain, shadow_mix, monkeypatch):
-    """The segmented tier records the credit log the scalar burst kernel
-    and the generic loop record, entry for entry (pollution victims
-    sorted by line), and a tracker replays the same ordered buckets
-    from each."""
+    """The segmented tier records the credit log the generic loop
+    records, entry for entry (pollution victims sorted by line), in one
+    burst and as a one-core mix, and a tracker replays the same ordered
+    buckets from each."""
     for trace in (strided, chain, shadow_mix):
         seg, seg_tracker = _tracked(trace, name)
-        scalar, scalar_tracker = _tracked(trace, name, _scalar)
+        mixed, mixed_tracker = _tracked(trace, name, _one_core_mix)
         monkeypatch.setenv(KERNEL_ENV, GENERIC)
         generic, generic_tracker = _tracked(trace, name)
         monkeypatch.delenv(KERNEL_ENV)
         assert seg.kernel.startswith("segmented+"), (name, trace.name)
-        assert scalar.kernel.startswith("fast+"), (name, trace.name)
+        assert mixed.kernel == seg.kernel, (name, trace.name)
         assert generic.kernel == GENERIC
-        assert _identity(seg) == _identity(scalar), (name, trace.name)
+        assert _identity(seg) == _identity(mixed), (name, trace.name)
         assert _identity(seg) == _identity(generic), (name, trace.name)
-        assert seg.credit_log == scalar.credit_log, (name, trace.name)
+        assert seg.credit_log == mixed.credit_log, (name, trace.name)
         assert seg.credit_log == generic.credit_log, (name, trace.name)
         buckets = list(seg_tracker.buckets.items())
-        assert buckets == list(scalar_tracker.buckets.items())
+        assert buckets == list(mixed_tracker.buckets.items())
         assert buckets == list(generic_tracker.buckets.items())
 
 
-@pytest.mark.parametrize("setup", ["telemetry", "sampler", "scalar"])
+@pytest.mark.parametrize("setup", ["telemetry", "sampler"])
 def test_tracked_cell_off_the_segmented_tier_runs_generic(setup, strided,
                                                           monkeypatch):
     """Telemetry or a sampler keep a tracked cell on the generic loop,
-    and a one-core mix on its scalar burst kernel; each records the
-    segmented tier's credit log, so the tracker sees the same credit."""
+    which records the segmented tier's credit log, so the tracker sees
+    the same credit."""
     from repro.engine.ooo import OoOCore
     from repro.memory.hierarchy import Hierarchy
     from repro.telemetry.sampler import TimeSeriesSampler
 
     reference, reference_tracker = _tracked(strided, "tpc")
     assert reference.kernel.startswith("segmented+")
-    expected = GENERIC
     tracker = CreditTracker()
     if setup == "telemetry":
         result = simulate(strided, make_prefetcher("tpc"), tracker=tracker,
                           telemetry=Telemetry())
         kernel, log = result.kernel, result.credit_log
-    elif setup == "sampler":
+    else:
         # A sampler on the core, no telemetry hub on the hierarchy.
         hierarchy = Hierarchy(EXPERIMENT_CONFIG)
         core = OoOCore(strided, hierarchy, make_prefetcher("tpc"),
@@ -699,18 +752,15 @@ def test_tracked_cell_off_the_segmented_tier_runs_generic(setup, strided,
         core.run()
         kernel, log = core.kernel_variant, hierarchy.credit_log
         replay(log, tracker)
-    else:
-        result, tracker = _tracked(strided, "tpc", _scalar)
-        kernel, log = result.kernel, result.credit_log
-        expected = "fast+instr+observe+issue+leanmem+staticbp"
-    assert kernel == expected, setup
+    assert kernel == GENERIC, setup
     assert log == reference.credit_log, setup
     assert (list(tracker.buckets.items())
             == list(reference_tracker.buckets.items())), setup
 
 
 # ----------------------------------------------------------------------
-# Multicore bursts (docs/performance.md, "Replay kernels")
+# Multicore bursts on the segmented tier (docs/performance.md, "Replay
+# kernels")
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def mixes(strided, chain):
@@ -744,7 +794,7 @@ def test_burst_kernel_matches_generic_registry_wide(mix, spec, mixes,
                                                     monkeypatch):
     fast, slow = _mix_against_generic(monkeypatch, mixes[mix], spec)
     for core in fast.per_core:
-        assert core.kernel.startswith("fast+"), (mix, spec)
+        assert core.kernel.startswith("segmented+"), (mix, spec)
         assert core.kernel.endswith("+leanmem+staticbp"), (mix, spec)
     assert mix_identity(fast) == mix_identity(slow), (mix, spec)
     if spec == "tpc":
@@ -759,19 +809,58 @@ def test_burst_kernel_matches_generic_under_drop_policies(policy, mixes,
     for spec in ("tpc", "bop"):
         fast, slow = _mix_against_generic(monkeypatch, mixes["shared"], spec,
                                           config)
+        assert all(core.kernel.startswith("segmented+")
+                   for core in fast.per_core), (policy, spec)
         assert mix_identity(fast) == mix_identity(slow), (policy, spec)
     assert fast.per_core[0].dram.dropped_prefetches > 0
 
 
+def test_low_priority_first_mix_evicts_queued_c1_prefetches(rotate, chain,
+                                                           monkeypatch):
+    """A C1-heavy mix at the drop-policy experiment's queue capacity:
+    the generic run's controller evicts queued C1 prefetches for
+    incoming ones (``Dram._admit``'s LOW_PRIORITY_FIRST leg), and the
+    segmented mix replays that leg bit-identically."""
+    from repro.memory.dram import LOW_PRIORITY_COMPONENTS, Dram
+
+    evicted = []
+    admit = Dram._admit
+
+    def counting_admit(self, channel, now, is_prefetch, component):
+        # Drained as admit drains first, so the only entry an incoming
+        # prefetch's admission removes is a victim.
+        self._drain(channel, now)
+        queue = self._queues[channel]
+        before = list(queue)
+        result = admit(self, channel, now, is_prefetch, component)
+        if is_prefetch:
+            kept = {id(entry) for entry in queue}
+            evicted.extend(entry.component for entry in before
+                           if id(entry) not in kept)
+        return result
+
+    config = drop_policy._config_with(DropPolicy.LOW_PRIORITY_FIRST)
+    assert config.dram.queue_capacity == drop_policy.QUEUE_CAPACITY
+    monkeypatch.setattr(Dram, "_admit", counting_admit)
+    fast, slow = _mix_against_generic(monkeypatch,
+                                      [rotate, chain, rotate, chain], "tpc",
+                                      config)
+    assert evicted
+    assert set(evicted) <= LOW_PRIORITY_COMPONENTS
+    assert all(core.kernel.startswith("segmented+")
+               for core in fast.per_core)
+    assert mix_identity(fast) == mix_identity(slow)
+
+
 def test_burst_kernel_with_credit_trackers(mixes):
     """Trackers are fed their cores' credit logs after the mix, so a
-    tracked mix runs the burst kernels and equals the untracked mix,
+    tracked mix runs the segmented tier and equals the untracked mix,
     logs included; each tracker ends as one fed its core's log."""
     traces = mixes["shared"]
     trackers = [CreditTracker() for _ in traces]
     tracked = _run_mix(traces, "tpc", trackers=trackers)
     untracked = _run_mix(traces, "tpc")
-    assert all(core.kernel.startswith("fast+")
+    assert all(core.kernel.startswith("segmented+")
                for core in tracked.per_core)
     assert mix_identity(tracked) == mix_identity(untracked)
     assert any(t.buckets for t in trackers)
@@ -784,13 +873,14 @@ def test_burst_kernel_with_credit_trackers(mixes):
 @pytest.mark.parametrize("spec", ["none", "bop", "tpc"])
 def test_burst_kernel_edge_case_traces_match_generic(spec, monkeypatch):
     """The degenerate traces of the segmented sections, four to a mix:
-    the burst kernel retires each exactly as the generic loop does."""
+    the resumed segmented generator retires each exactly as the
+    generic loop does."""
     builds = {**EDGE_CASES, **HOOK_EDGE_CASES}
     traces = [_compile_program(f"k-mix-{case}", build)
               for case, build in builds.items()]
     for mix in (traces[:4], traces[2:]):
         fast, slow = _mix_against_generic(monkeypatch, mix, spec)
-        assert all(core.kernel.startswith("fast+")
+        assert all(core.kernel.startswith("segmented+")
                    for core in fast.per_core), spec
         assert mix_identity(fast) == mix_identity(slow), spec
 
@@ -809,18 +899,20 @@ def _built_list_columns(trace) -> set:
 
 
 def test_burst_kernel_binds_only_the_columns_it_reads(chain, strided):
-    """A hook-free core of a mix on cache-loaded (array-backed) traces
-    materializes only the four list columns its kernel reads."""
+    """The cores of a hook-free mix on cache-loaded (array-backed)
+    traces replay from the segment plan, which is built from the
+    arrays: no list column materializes."""
     traces = [CompiledTrace.from_column_bytes(
                   f"{trace.name}-arrays", trace.column_bytes(),
                   trace.memory, derived=trace.derived_bytes())
               for trace in (chain, strided)]
     assert all(not _built_list_columns(trace) for trace in traces)
     result = _run_mix(traces, "none")
-    assert all(core.kernel == "fast+leanmem+staticbp"
+    assert all(core.kernel == HOOK_FREE_VARIANT
                for core in result.per_core)
     for trace in traces:
-        assert _built_list_columns(trace) == {"pc", "dst", "src1", "src2"}
+        assert not _built_list_columns(trace)
+        assert trace._derived is None
 
 
 def test_object_trace_mix_runs_the_step_loop():
@@ -828,6 +920,34 @@ def test_object_trace_mix_runs_the_step_loop():
               build_chain_trace(nodes=200, name="k-mc-object-chain")]
     result = _run_mix(traces, "bop")
     assert [core.kernel for core in result.per_core] == [GENERIC, GENERIC]
+
+
+@pytest.mark.parametrize("declined", ["object-trace", "gshare"])
+def test_one_declined_core_runs_the_mix_on_the_step_loop(declined, strided,
+                                                         chain,
+                                                         monkeypatch):
+    """The cores of a mix share one L3/DRAM representation, so one core
+    the segmented tier declines — an object trace, or a ``gshare``
+    predictor on the first core built — sends every core to the step
+    loop, with the figures of ``REPRO_KERNEL=generic``."""
+    from repro.engine import branch
+
+    traces = [strided, chain, strided, chain]
+    if declined == "object-trace":
+        traces[2] = build_strided_trace(elements=1500, name="k-strided")
+    else:
+        make_predictor = branch.make_predictor
+        built = []
+
+        def first_core_gshare(name):
+            built.append(name)
+            return make_predictor("gshare" if len(built) % 4 == 1
+                                  else name)
+
+        monkeypatch.setattr(branch, "make_predictor", first_core_gshare)
+    fast, slow = _mix_against_generic(monkeypatch, traces, "tpc")
+    assert [core.kernel for core in fast.per_core] == [GENERIC] * 4
+    assert mix_identity(fast) == mix_identity(slow)
 
 
 def test_burst_size_is_semantics(mixes, monkeypatch):
@@ -899,15 +1019,15 @@ def test_wrapper_shapes_match_generic(shape, strided, chain, monkeypatch):
     build = WRAPPER_SHAPES[shape]
     for trace in (strided, chain):
         seg = simulate(trace, build())
-        scalar = _scalar(trace, build())
+        mixed = _one_core_mix(trace, build())
         monkeypatch.setenv(KERNEL_ENV, GENERIC)
         generic = simulate(trace, build())
         monkeypatch.delenv(KERNEL_ENV)
         assert seg.kernel.startswith("segmented+instr+"), trace.name
-        assert scalar.kernel.startswith("fast+instr+"), trace.name
+        assert mixed.kernel == seg.kernel, trace.name
         assert generic.kernel == GENERIC
         assert _with_log(seg) == _with_log(generic), (shape, trace.name)
-        assert _with_log(scalar) == _with_log(generic), (shape, trace.name)
+        assert _with_log(mixed) == _with_log(generic), (shape, trace.name)
 
 
 @pytest.mark.parametrize("shape", sorted(WRAPPER_SHAPES))
@@ -918,7 +1038,7 @@ def test_wrapper_shapes_in_a_mix_match_generic(shape, mixes, monkeypatch):
     monkeypatch.setenv(KERNEL_ENV, GENERIC)
     slow = simulate_multicore(traces, [build() for _ in traces])
     monkeypatch.delenv(KERNEL_ENV)
-    assert all(core.kernel.startswith("fast+instr+")
+    assert all(core.kernel.startswith("segmented+instr+")
                for core in fast.per_core), shape
     assert [core.kernel for core in slow.per_core] == [GENERIC] * 4
     assert mix_identity(fast) == mix_identity(slow), shape
@@ -980,21 +1100,21 @@ def test_undeclared_feed_sees_every_instruction_on_every_tier(
         return result.kernel, prefetcher.seen
 
     seg_kernel, seg = fed()
-    scalar_kernel, scalar = fed(_scalar)
+    mixed_kernel, mixed = fed(_one_core_mix)
     monkeypatch.setenv(KERNEL_ENV, GENERIC)
     generic_kernel, generic = fed()
     monkeypatch.delenv(KERNEL_ENV)
     assert seg_kernel.startswith("segmented+instr")
-    assert scalar_kernel.startswith("fast+instr")
+    assert mixed_kernel == seg_kernel
     assert generic_kernel == GENERIC
-    assert seg == scalar == generic == chain.pc
+    assert seg == mixed == generic == chain.pc
 
 
 @pytest.mark.parametrize("tier", ["segmented", "mix", "generic"])
 def test_kernels_feed_without_building_record_views(tier, monkeypatch):
-    """A ``tpc`` cell builds a view only for the rows it feeds, so no
-    kernel tier builds ``CompiledTrace.records``; the generic loop
-    still does."""
+    """A ``tpc`` cell builds a view only for the rows it feeds, so the
+    segmented tier never builds ``CompiledTrace.records``, in a cell or
+    as a mix core; the generic loop still does."""
     base = compile_trace(build_chain_trace(nodes=600, name="k-views"))
     trace = CompiledTrace.from_column_bytes(
         base.name, base.column_bytes(), base.memory,
@@ -1007,8 +1127,8 @@ def test_kernels_feed_without_building_record_views(tier, monkeypatch):
         if tier == "generic":
             monkeypatch.setenv(KERNEL_ENV, GENERIC)
         kernel = simulate(trace, make_prefetcher("tpc")).kernel
-    assert kernel.split("+")[0] == {"segmented": "segmented",
-                                    "generic": GENERIC}.get(tier, "fast")
+    assert kernel.split("+")[0] == {"generic": GENERIC}.get(tier,
+                                                            "segmented")
     assert (trace._records is None) == (tier != "generic")
     positions, views = trace.feed_records(BACKWARD_TAKEN)
     assert 0 < len(views) < len(trace) // 4
@@ -1035,10 +1155,10 @@ def test_journal_records_kernel(tmp_path):
 
     journal = MatrixJournal(tmp_path, "cfgdigest", code_version="v-test")
     journal.record_ok("spec.astar", "bop", "", seconds=1.0,
-                      kernel="fast+issue+fill+leanmem+staticbp")
+                      kernel="segmented+issue+fill+leanmem+staticbp")
     records = [json.loads(line)
                for line in journal.path.read_text().splitlines()]
-    assert records[-1]["kernel"] == "fast+issue+fill+leanmem+staticbp"
+    assert records[-1]["kernel"] == "segmented+issue+fill+leanmem+staticbp"
 
 
 def test_events_verb_reads_journal_with_kernel(tmp_path):
@@ -1049,7 +1169,7 @@ def test_events_verb_reads_journal_with_kernel(tmp_path):
 
     journal = MatrixJournal(tmp_path, "cfgdigest", code_version="v-test")
     journal.record_ok("spec.mcf", "tpc", "", attempts=2, seconds=2.5,
-                      kernel="fast+instr+observe+issue+leanmem+staticbp")
+                      kernel="segmented+instr+observe+issue+leanmem+staticbp")
     events = [normalize_record(r) for r in read_jsonl(journal.path)]
     assert events[0]["kind"] == "cell_ok"
     assert events[0]["component"] == "tpc"
@@ -1058,7 +1178,7 @@ def test_events_verb_reads_journal_with_kernel(tmp_path):
     assert list(filter_events(events, kind="cell_ok")) == events
     summary = summarize(events)
     assert summary["by_kernel"] == {
-        "fast+instr+observe+issue+leanmem+staticbp": 1}
+        "segmented+instr+observe+issue+leanmem+staticbp": 1}
     # Lifecycle records pass through normalization untouched, and their
     # summaries stay kernel-free.
     lifecycle = {"kind": "issued", "cycle": 7, "line": 1, "component": "T2",

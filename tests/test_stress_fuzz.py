@@ -176,11 +176,11 @@ def test_run_fuzz_report_shape():
     assert set(report["invariants"]) == {
         "kernel-vs-generic", "fused-vs-singleton", "warm-vs-cold"}
     assert len(report["per_workload"]) == 2
-    # The mix leg: both seeds as one 2-core mix, on the burst kernels,
+    # The mix leg: both seeds as one 2-core mix, on the segmented tier,
     # under none, tpc and tpc at both drop policies.
     assert report["mixes"] == 1
     assert sum(report["mix_kernels"].values()) == 2 * 4
-    assert all(k.startswith("fast+") for k in report["mix_kernels"])
+    assert all(k.startswith("segmented+") for k in report["mix_kernels"])
     assert 0 <= report["mix_seconds"] <= report["seconds"]
 
 
@@ -268,16 +268,17 @@ def _degenerate_traces():
 @pytest.mark.parametrize("prefetcher", ["none", "tpc"])
 def test_degenerate_traces_identical_on_every_tier(prefetcher,
                                                    monkeypatch):
-    """The segmented tier, the scalar burst kernel (a one-core mix) and
-    the generic loop agree on every degenerate shape."""
+    """The segmented tier in one burst, resumed a burst at a time (a
+    one-core mix) and the generic loop agree on every degenerate
+    shape."""
     for shape, trace in _degenerate_traces().items():
         auto = simulate(trace, make_prefetcher(prefetcher))
-        (scalar,) = simulate_multicore(
+        (mixed,) = simulate_multicore(
             [trace], [make_prefetcher(prefetcher)]).per_core
         monkeypatch.setenv(KERNEL_ENV, GENERIC)
         generic = simulate(trace, make_prefetcher(prefetcher))
         monkeypatch.delenv(KERNEL_ENV)
-        assert identity_tuple(auto) == identity_tuple(scalar), shape
+        assert identity_tuple(auto) == identity_tuple(mixed), shape
         assert identity_tuple(auto) == identity_tuple(generic), shape
 
 
