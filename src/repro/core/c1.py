@@ -32,13 +32,12 @@ DENSE_PROBABILITY = 0.75     # paper: > 3/4 dense probability
 
 
 class _RegionEntry:
-    __slots__ = ("region", "line_vector", "instruction_vector", "lru")
+    __slots__ = ("region", "line_vector", "instruction_vector")
 
-    def __init__(self, region: int, lru: int) -> None:
+    def __init__(self, region: int) -> None:
         self.region = region
         self.line_vector = 0
         self.instruction_vector = 0
-        self.lru = lru
 
 
 class _InstructionEntry:
@@ -67,13 +66,14 @@ class C1Prefetcher(Prefetcher):
         self.dense_probability = dense_probability
         self.target_level = target_level
         self.recent_regions = recent_regions
+        # Region -> entry in recency order: each access moves its region
+        # to the end, so the LRU region is the first key.
         self._rm: dict[int, _RegionEntry] = {}
         self._im: list[_InstructionEntry | None] = [None] * im_entries
         self._im_index: dict[int, int] = {}      # pc -> IM slot
         self._decided_dense: set[int] = set()
         self._decided_sparse: set[int] = set()
         self._recent: dict[int, None] = {}       # regions recently prefetched
-        self._clock = 0
 
     def reset(self) -> None:
         self._rm.clear()
@@ -82,45 +82,12 @@ class C1Prefetcher(Prefetcher):
         self._decided_dense.clear()
         self._decided_sparse.clear()
         self._recent.clear()
-        self._clock = 0
 
     # ------------------------------------------------------------------
     def claims(self, pc: int) -> bool:
         return pc in self._decided_dense
 
-    @property
-    def dense_pcs(self) -> frozenset[int]:
-        return frozenset(self._decided_dense)
-
     # ------------------------------------------------------------------
-    def _monitor_instruction(self, pc: int) -> int | None:
-        """IM slot of ``pc``, allocating one if free; None if IM is full."""
-        slot = self._im_index.get(pc)
-        if slot is not None:
-            return slot
-        for i, entry in enumerate(self._im):
-            if entry is None:
-                self._im[i] = _InstructionEntry(pc)
-                self._im_index[pc] = i
-                return i
-        return None
-
-    def _evict_region(self, entry: _RegionEntry) -> None:
-        """Region leaves the RM: update every monitored instruction."""
-        dense = entry.line_vector.bit_count() > self.dense_line_threshold
-        vector = entry.instruction_vector
-        for slot in range(self.im_entries):
-            if not vector & (1 << slot):
-                continue
-            instruction = self._im[slot]
-            if instruction is None:
-                continue
-            instruction.total_regions += 1
-            if dense:
-                instruction.dense_regions += 1
-            if instruction.total_regions >= self.decide_after:
-                self._decide(slot, instruction)
-
     def _decide(self, slot: int, instruction: _InstructionEntry) -> None:
         fraction = instruction.dense_regions / instruction.total_regions
         if fraction >= self.dense_probability:
@@ -133,61 +100,74 @@ class C1Prefetcher(Prefetcher):
     # ------------------------------------------------------------------
     def observe_access(self, event: AccessEvent) -> None:
         """Region monitoring sees *every* access (paper Sec. IV-C)."""
-        self._clock += 1
         line = event.line
         region = line >> REGION_SHIFT
-        offset = line & REGION_MASK
-        entry = self._rm.get(region)
+        rm = self._rm
+        entry = rm.pop(region, None)
         if entry is None:
-            if len(self._rm) >= self.rm_entries:
-                # LRU region; explicit scan (first minimum, like
-                # min(key=)) avoids a lambda call per tracked region.
-                victim_region = None
-                victim_lru = None
-                for tracked, candidate in self._rm.items():
-                    if victim_lru is None or candidate.lru < victim_lru:
-                        victim_lru = candidate.lru
-                        victim_region = tracked
-                self._evict_region(self._rm.pop(victim_region))
-            entry = _RegionEntry(region, self._clock)
-            self._rm[region] = entry
-        entry.line_vector |= 1 << offset
-        entry.lru = self._clock
+            if len(rm) >= self.rm_entries:
+                # The LRU region leaves the RM: every monitored
+                # instruction that touched it counts it, in slot order.
+                victim = rm.pop(next(iter(rm)))
+                vector = victim.instruction_vector
+                if vector:
+                    dense = victim.line_vector.bit_count() > \
+                        self.dense_line_threshold
+                    im = self._im
+                    while vector:
+                        low = vector & -vector
+                        vector ^= low
+                        slot = low.bit_length() - 1
+                        instruction = im[slot]
+                        if instruction is None:
+                            continue
+                        instruction.total_regions += 1
+                        if dense:
+                            instruction.dense_regions += 1
+                        if instruction.total_regions >= self.decide_after:
+                            self._decide(slot, instruction)
+            entry = _RegionEntry(region)
+        entry.line_vector |= 1 << (line & REGION_MASK)
+        rm[region] = entry
 
     def on_access(self, event: AccessEvent):
         pc = event.pc
-        region = event.line >> REGION_SHIFT
-        entry = self._rm.get(region)
+        if pc in self._decided_dense:
+            # Dense instruction: carpet-bomb the region (once per region
+            # while it stays in the recent-regions window).
+            region = event.line >> REGION_SHIFT
+            recent = self._recent
+            if region in recent:
+                return None
+            if len(recent) >= self.recent_regions:
+                recent.pop(next(iter(recent)))
+            recent[region] = None
+            region_base = region << REGION_SHIFT
+            return [
+                PrefetchRequest(region_base + i, self.target_level, "C1")
+                for i in range(REGION_LINES)
+                if region_base + i != event.line
+            ]
+        if pc in self._decided_sparse:
+            return None
 
         # Instruction monitoring: candidates are undecided instructions
         # that miss (C1 watches what the cache cannot already serve).
-        if pc not in self._decided_dense and pc not in self._decided_sparse:
-            if entry is None:
+        # A missing instruction takes the lowest free IM slot; IM
+        # entries leave only when a decision is made.
+        entry = self._rm.get(event.line >> REGION_SHIFT)
+        if entry is None:
+            return None
+        slot = self._im_index.get(pc)
+        if slot is None:
+            if not event.primary_miss or \
+                    len(self._im_index) >= self.im_entries:
                 return None
-            if event.primary_miss:
-                slot = self._monitor_instruction(pc)
-                if slot is not None:
-                    entry.instruction_vector |= 1 << slot
-            elif pc in self._im_index:
-                entry.instruction_vector |= 1 << self._im_index[pc]
-            return None
-
-        if pc not in self._decided_dense:
-            return None
-
-        # Dense instruction: carpet-bomb the region (once per region while
-        # it stays in the recent-regions window).
-        if region in self._recent:
-            return None
-        if len(self._recent) >= self.recent_regions:
-            self._recent.pop(next(iter(self._recent)))
-        self._recent[region] = None
-        region_base = region << REGION_SHIFT
-        return [
-            PrefetchRequest(region_base + i, self.target_level, "C1")
-            for i in range(REGION_LINES)
-            if region_base + i != event.line
-        ]
+            slot = self._im.index(None)
+            self._im[slot] = _InstructionEntry(pc)
+            self._im_index[pc] = slot
+        entry.instruction_vector |= 1 << slot
+        return None
 
     @property
     def storage_bits(self) -> int:

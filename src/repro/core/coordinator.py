@@ -57,29 +57,34 @@ class Coordinator:
         A claim by a higher-priority component gates lower-priority ones —
         except components marked ``always_observe`` (T2 and P1 share
         stride/value knowledge through the access stream, the paper's
-        "expanded SIT").
+        "expanded SIT").  A list is allocated only when a second
+        component adds requests; a component's own list is never
+        extended.
         """
-        requests: list[PrefetchRequest] = []
+        requests = None
         claimed = False
         pc = event.pc
         for on_access, claims, always_observe, component in self._dispatch:
-            if claimed and not always_observe:
-                continue
-            result = on_access(event)
+            if claimed:
+                if not always_observe:
+                    continue
+                result = on_access(event)
+            else:
+                result = on_access(event)
+                if claims(pc):
+                    claimed = True
+                    telemetry = self.telemetry
+                    if telemetry is not None and \
+                            pc not in self._trained_pcs:
+                        self._trained_pcs.add(pc)
+                        telemetry.emit(TRAINED, event.cycle, line=event.line,
+                                       component=component.component_tag,
+                                       pc=pc)
             if result:
-                requests.extend(result)
-            if not claimed and claims(pc):
-                claimed = True
-                telemetry = self.telemetry
-                if telemetry is not None and pc not in self._trained_pcs:
-                    self._trained_pcs.add(pc)
-                    telemetry.emit(TRAINED, event.cycle, line=event.line,
-                                   component=component.component_tag,
-                                   pc=pc)
-        if claimed or requests:
-            return requests or None
-        if not self.extras:
-            return None
+                requests = result if requests is None \
+                    else [*requests, *result]
+        if claimed or requests or not self.extras:
+            return requests
         return self._route_extra(event)
 
     def _route_extra(self, event: AccessEvent) -> list[PrefetchRequest] | None:

@@ -11,9 +11,9 @@ instances of the same backward branch:
   are remembered in the **non-loop PC table** (NLPCT) and skipped, which
   shortens the time to lock onto a stable loop.
 
-Besides the loop identity, the hardware tracks the average execution time
-per iteration (``T_iter``), which T2's prefetch-distance formula
-``d = (AMAT + m) / T_iter`` consumes.
+Besides the loop identity, the hardware tracks the execution time per
+iteration (``T_iter``, see :attr:`LoopDetector.iteration_time`), which
+T2's prefetch-distance formula ``d = (AMAT + m) / T_iter`` consumes.
 """
 
 from __future__ import annotations
@@ -23,25 +23,21 @@ class LoopDetector:
     """Loop-branch register + NLPCT + iteration timing."""
 
     def __init__(self, nlpct_entries: int = 16,
-                 nlpct_strike_limit: int = 2,
-                 ewma_weight: float = 0.25) -> None:
+                 nlpct_strike_limit: int = 2) -> None:
         self.nlpct_entries = nlpct_entries
         self.nlpct_strike_limit = nlpct_strike_limit
-        self.ewma_weight = ewma_weight
         self._lr_pc: int | None = None
         self._lr_target: int | None = None
         self._lr_confirmed = False
         self._nlpct: dict[int, None] = {}
         self._strikes: dict[int, int] = {}
         self._last_iteration_cycle: int | None = None
-        self._iteration_time: float = 0.0
         self._iteration_time_fast: float = 0.0
         self.loop_pc: int | None = None
         self.iterations = 0
 
     def reset(self) -> None:
-        self.__init__(self.nlpct_entries, self.nlpct_strike_limit,
-                      self.ewma_weight)
+        self.__init__(self.nlpct_entries, self.nlpct_strike_limit)
 
     # ------------------------------------------------------------------
     @property
@@ -61,11 +57,6 @@ class LoopDetector:
         """
         return self._iteration_time_fast if self.in_loop else 0.0
 
-    @property
-    def average_iteration_time(self) -> float:
-        """Plain EWMA of cycles per iteration (diagnostics)."""
-        return self._iteration_time if self.in_loop else 0.0
-
     def is_non_loop(self, pc: int) -> bool:
         return pc in self._nlpct
 
@@ -76,40 +67,38 @@ class LoopDetector:
         boundary of the identified loop."""
         if pc in self._nlpct:
             return False
+        lr_pc = self._lr_pc
 
-        if self._lr_pc == pc and self._lr_target == target_pc:
+        if lr_pc == pc and self._lr_target == target_pc:
             # Back-to-back instance: the loop is identified.
             self._lr_confirmed = True
             self.loop_pc = pc
-            self._strikes.pop(pc, None)
-            if self._last_iteration_cycle is not None:
-                delta = cycle - self._last_iteration_cycle
-                if self._iteration_time == 0.0:
-                    self._iteration_time = float(delta)
-                else:
-                    w = self.ewma_weight
-                    self._iteration_time += w * (delta - self._iteration_time)
+            if self._strikes:
+                self._strikes.pop(pc, None)
+            last = self._last_iteration_cycle
+            if last is not None:
+                delta = cycle - last
                 fast = self._iteration_time_fast
                 if fast == 0.0 or delta <= fast:
                     self._iteration_time_fast = float(delta)
                 else:
-                    self._iteration_time_fast += 0.02 * (delta - fast)
+                    self._iteration_time_fast = fast + 0.02 * (delta - fast)
             self._last_iteration_cycle = cycle
             self.iterations += 1
             return True
 
         # A different backward branch displaces the LR.
-        if self._lr_pc is not None and not self._lr_confirmed:
-            strikes = self._strikes.get(self._lr_pc, 0) + 1
-            if strikes >= self.nlpct_strike_limit:
-                self._insert_nlpct(self._lr_pc)
-                self._strikes.pop(self._lr_pc, None)
+        if lr_pc is not None:
+            if self._lr_confirmed:
+                # Leaving a confirmed loop: clear loop context.
+                self.loop_pc = None
             else:
-                self._strikes[self._lr_pc] = strikes
-        if self._lr_pc is not None and self._lr_confirmed:
-            # Leaving a confirmed loop: clear loop context.
-            self.loop_pc = None
-            self._iteration_time = 0.0
+                strikes = self._strikes.get(lr_pc, 0) + 1
+                if strikes >= self.nlpct_strike_limit:
+                    self._insert_nlpct(lr_pc)
+                    self._strikes.pop(lr_pc, None)
+                else:
+                    self._strikes[lr_pc] = strikes
         self._lr_pc = pc
         self._lr_target = target_pc
         self._lr_confirmed = False

@@ -118,6 +118,8 @@ class P1Prefetcher(Prefetcher):
         # Confirmed patterns.
         self._aop_pairs: dict[int, list[tuple[int, int]]] = {}
         self._chains: dict[int, _ChainState] = {}
+        # Every PC a confirmed pattern names: triggers, dependents, chains.
+        self._claimed: set[int] = set()
         self.pointer_trigger_pcs: set[int] = set()
         self._rtt = 150.0  # memory round-trip estimate for hop serialization
 
@@ -133,6 +135,7 @@ class P1Prefetcher(Prefetcher):
         self._chain_verify = {}
         self._aop_pairs = {}
         self._chains = {}
+        self._claimed = set()
         self.pointer_trigger_pcs = set()
         self._rtt = 150.0
 
@@ -141,13 +144,7 @@ class P1Prefetcher(Prefetcher):
 
     # ------------------------------------------------------------------
     def claims(self, pc: int) -> bool:
-        if pc in self._aop_pairs or pc in self._chains:
-            return True
-        for pairs in self._aop_pairs.values():
-            for dependent_pc, _ in pairs:
-                if dependent_pc == pc:
-                    return True
-        return False
+        return pc in self._claimed
 
     # ------------------------------------------------------------------
     # Detection: taint walks over the instruction stream
@@ -219,20 +216,20 @@ class P1Prefetcher(Prefetcher):
                 self._select_trigger()
 
         # Track stride state for every interesting load (trigger streams).
-        entry = self.sit.get(event.mpc)
-        if entry is None and (
-            pc == self.taint.trigger_pc or pc in self._aop_pairs
-        ):
+        trigger = self.taint.trigger_pc
+        entry = self.sit.observe(event.mpc, event.addr)
+        if entry is None and (pc == trigger or pc in self._aop_pairs):
             entry = self.sit.allocate(event.mpc, event.addr)
-        elif entry is not None:
-            entry.observe(event.addr)
 
-        if pc == self.taint.trigger_pc:
+        if pc == trigger:
             self._verify_trigger(event)
-        self._check_dependent(event)
+        if self._aop_verify:
+            self._check_dependent(event)
 
-        # The request list is allocated only on the (rare) paths that can
-        # actually prefetch; most loads return without touching it.
+        # Only a confirmed pattern's trigger can prefetch; the request
+        # list is allocated only on those (rare) paths.
+        if pc not in self._claimed:
+            return None
         requests: list[PrefetchRequest] | None = None
 
         pairs = self._aop_pairs.get(pc)
@@ -262,6 +259,7 @@ class P1Prefetcher(Prefetcher):
             tracker.observe(event.addr - previous_value)
             if tracker.confirmed:
                 self._chains[pc] = _ChainState(tracker.delta)
+                self._claimed.add(pc)
                 self.pointer_trigger_pcs.add(pc)
                 self._chain_verify.pop(pc, None)
                 self._disarm(pc)
@@ -278,10 +276,9 @@ class P1Prefetcher(Prefetcher):
         self._select_trigger()
 
     def _check_dependent(self, event: AccessEvent) -> None:
-        """Called for loads that are under AoP verification."""
-        if not self._aop_verify:
-            return
-        for trigger_pc, verify in list(self._aop_verify.items()):
+        """Called for loads while an AoP verification is open.  The loop
+        returns right after its only mutation of ``_aop_verify``."""
+        for trigger_pc, verify in self._aop_verify.items():
             tracker = verify.get(event.pc)
             if tracker is None:
                 continue
@@ -292,6 +289,7 @@ class P1Prefetcher(Prefetcher):
             if tracker.confirmed:
                 pairs = self._aop_pairs.setdefault(trigger_pc, [])
                 pairs.append((event.pc, tracker.delta))
+                self._claimed.update((trigger_pc, event.pc))
                 self.pointer_trigger_pcs.add(trigger_pc)
                 verify.pop(event.pc, None)
                 if trigger_pc == self.taint.trigger_pc:

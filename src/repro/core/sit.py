@@ -31,6 +31,14 @@ class InstructionState(enum.IntEnum):
     NON_STRIDED = 3
 
 
+UNKNOWN = InstructionState.UNKNOWN
+OBSERVATION = InstructionState.OBSERVATION
+STRIDED = InstructionState.STRIDED
+NON_STRIDED = InstructionState.NON_STRIDED
+"""The members as module globals: T2 tests a state once or twice per
+access, and an ``is`` against a global costs a fraction of an
+``InstructionState.X`` lookup."""
+
 STRIDED_THRESHOLD = 16
 """Consecutive identical deltas to label an instruction STRIDED."""
 
@@ -42,48 +50,22 @@ EARLY_ISSUE_THRESHOLD = 4
 
 
 class SitEntry:
-    """One tracked memory instruction."""
+    """One tracked memory instruction (updated by
+    :meth:`StrideIdentifierTable.observe`)."""
 
     __slots__ = ("mpc", "last_addr", "delta", "same_count", "diff_count",
-                 "lru", "pointer_delta", "is_pointer", "run_estimate")
+                 "run_estimate")
 
-    def __init__(self, mpc: int, addr: int, lru: int) -> None:
+    def __init__(self, mpc: int, addr: int) -> None:
         self.mpc = mpc
         self.last_addr = addr
         self.delta = 0
         self.same_count = 0
         self.diff_count = 0
-        self.lru = lru
-        # P1 extension (paper Sec. IV-B-1): a strided instruction whose
-        # *value* feeds a dependent load's address keeps that constant
-        # offset here.
-        self.pointer_delta: int | None = None
-        self.is_pointer = False
         # Learned typical run length of this stream (0 = unknown / long).
         # A stream that repeatedly breaks after N stable deltas (e.g. a
         # 16-line region sweep) teaches T2 not to prefetch past N.
         self.run_estimate = 0.0
-
-    def observe(self, addr: int) -> int:
-        """Update with a new instance; returns the observed delta."""
-        delta = addr - self.last_addr
-        self.last_addr = addr
-        if delta == self.delta:
-            self.same_count += 1
-            self.diff_count = 0
-        else:
-            if self.same_count >= 4:
-                # A proven run just ended: learn its length.
-                if self.run_estimate == 0.0:
-                    self.run_estimate = float(self.same_count)
-                else:
-                    self.run_estimate += 0.5 * (
-                        self.same_count - self.run_estimate
-                    )
-            self.delta = delta
-            self.same_count = 1
-            self.diff_count += 1
-        return delta
 
     @property
     def stable(self) -> bool:
@@ -92,49 +74,60 @@ class SitEntry:
 
 
 class StrideIdentifierTable:
-    """Bounded SIT with LRU replacement, plus the I-cache state bits."""
+    """Bounded SIT with LRU replacement, plus the I-cache state bits.
+
+    ``_table`` is kept in recency order (every observed instance and
+    allocation moves its entry to the end), so the LRU victim is the
+    first key.  ``states`` holds the I-cache state bits: a PC's
+    :class:`InstructionState` member, stored once T2 labels it (a PC
+    with no entry is ``UNKNOWN``).  They outlive the PC's SIT entry.
+    """
 
     def __init__(self, entries: int = 32) -> None:
         self.entries = entries
         self._table: dict[int, SitEntry] = {}
-        self._states: dict[int, InstructionState] = {}
-        self._clock = 0
+        self.states: dict[int, InstructionState] = {}
 
     def reset(self) -> None:
         self._table.clear()
-        self._states.clear()
-        self._clock = 0
+        self.states.clear()
 
     # ------------------------------------------------------------------
-    # I-cache state bits
-    # ------------------------------------------------------------------
-    def state_of(self, pc: int) -> InstructionState:
-        return self._states.get(pc, InstructionState.UNKNOWN)
-
-    def set_state(self, pc: int, state: InstructionState) -> None:
-        self._states[pc] = state
-
-    # ------------------------------------------------------------------
-    # SIT entries
-    # ------------------------------------------------------------------
-    def get(self, mpc: int) -> SitEntry | None:
-        entry = self._table.get(mpc)
-        if entry is not None:
-            self._clock += 1
-            entry.lru = self._clock
+    def observe(self, mpc: int, addr: int) -> SitEntry | None:
+        """Update ``mpc``'s entry with a new instance at ``addr`` and
+        return it, most recently used now; ``None`` when the SIT does
+        not track ``mpc``."""
+        table = self._table
+        entry = table.pop(mpc, None)
+        if entry is None:
+            return None
+        table[mpc] = entry
+        delta = addr - entry.last_addr
+        entry.last_addr = addr
+        if delta == entry.delta:
+            entry.same_count += 1
+            entry.diff_count = 0
+        else:
+            same = entry.same_count
+            if same >= 4:
+                # A proven run just ended: learn its length.
+                if entry.run_estimate == 0.0:
+                    entry.run_estimate = float(same)
+                else:
+                    entry.run_estimate += 0.5 * (same - entry.run_estimate)
+            entry.delta = delta
+            entry.same_count = 1
+            entry.diff_count += 1
         return entry
 
     def allocate(self, mpc: int, addr: int) -> SitEntry:
-        self._clock += 1
-        entry = self._table.get(mpc)
-        if entry is not None:
-            entry.lru = self._clock
-            return entry
-        if len(self._table) >= self.entries:
-            victim = min(self._table, key=lambda k: self._table[k].lru)
-            del self._table[victim]
-        entry = SitEntry(mpc, addr, self._clock)
-        self._table[mpc] = entry
+        table = self._table
+        entry = table.pop(mpc, None)
+        if entry is None:
+            if len(table) >= self.entries:
+                del table[next(iter(table))]
+            entry = SitEntry(mpc, addr)
+        table[mpc] = entry
         return entry
 
     def drop(self, mpc: int) -> None:

@@ -15,15 +15,15 @@ class TestT2Unit:
         t2 = T2Prefetcher()
         event = make_event(pc=0x10, addr=0, hit=True, primary_miss=False)
         t2.on_access(event)
-        assert t2.sit.state_of(0x10) is InstructionState.UNKNOWN
+        assert 0x10 not in t2.sit.states  # UNKNOWN
         miss = make_event(pc=0x10, addr=64, hit=False)
         t2.on_access(miss)
-        assert t2.sit.state_of(0x10) is InstructionState.OBSERVATION
+        assert t2.sit.states[0x10] is InstructionState.OBSERVATION
 
     def test_strided_after_sixteen_deltas(self):
         t2 = T2Prefetcher()
         feed_stream(t2, [i * 8 for i in range(20)], pc=0x10)
-        assert t2.sit.state_of(0x10) is InstructionState.STRIDED
+        assert t2.sit.states[0x10] is InstructionState.STRIDED
         assert t2.claims(0x10)
 
     def test_non_strided_after_changing_deltas(self):
@@ -32,7 +32,7 @@ class TestT2Unit:
         t2 = T2Prefetcher()
         feed_stream(t2, [rng.randrange(1 << 20) * 8 for _ in range(10)],
                     pc=0x10)
-        assert t2.sit.state_of(0x10) is InstructionState.NON_STRIDED
+        assert t2.sit.states[0x10] is InstructionState.NON_STRIDED
         assert not t2.claims(0x10)
 
     def test_early_issue_in_observation(self):
@@ -49,26 +49,30 @@ class TestT2Unit:
                                     addr=i * 8, hit=False))
             t2.on_access(make_event(pc=0x10, mpc=0x10 ^ 0xBBB,
                                     addr=0x100000 + i * 16, hit=False))
-        entry_a = t2.sit.get(0x10 ^ 0xAAA)
-        entry_b = t2.sit.get(0x10 ^ 0xBBB)
+        entry_a = t2.sit._table.get(0x10 ^ 0xAAA)
+        entry_b = t2.sit._table.get(0x10 ^ 0xBBB)
         assert entry_a is not None and entry_b is not None
         assert entry_a.delta == 8 and entry_b.delta == 16
 
     def test_boosted_pcs_double_distance(self):
+        # d = int((AMAT + m) / T_iter) + 1 = int((100 + 32) / 10) + 1.
         t2 = T2Prefetcher()
-        t2.loops._iteration_time = 10.0
+        t2.loops._iteration_time_fast = 10.0
         t2.loops.loop_pc = 0x99
         t2._amat = 100.0
-        base = t2.prefetch_distance(0x10)
+        assert t2.loops.iteration_time == 10.0
+        assert t2.prefetch_distance(0x10) == 14
         t2.boosted_pcs.add(0x10)
-        assert t2.prefetch_distance(0x10) == min(2 * base, t2.max_distance)
+        assert t2.prefetch_distance(0x10) == 28
 
     def test_distance_capped_by_proven_length(self):
+        # int((300 + 32) / 1) + 1 = 333, clamped to max_distance (128).
         t2 = T2Prefetcher()
-        t2.loops._iteration_time = 1.0
+        t2.loops._iteration_time_fast = 1.0
         t2.loops.loop_pc = 0x99
         t2._amat = 300.0
-        assert t2.prefetch_distance(0x10, proven_length=5) <= 5
+        assert t2.prefetch_distance(0x10) == 128
+        assert t2.prefetch_distance(0x10, proven_length=5) == 5
 
     def test_storage_close_to_table2(self):
         kb = T2Prefetcher().storage_bits / 8 / 1024

@@ -4,7 +4,6 @@ from repro.core.loop_detector import LoopDetector
 from repro.core.sit import (
     EARLY_ISSUE_THRESHOLD,
     InstructionState,
-    SitEntry,
     StrideIdentifierTable,
 )
 from repro.core.taint import TaintUnit
@@ -73,55 +72,72 @@ class TestLoopDetector:
 
 
 class TestSitEntry:
+    """Stride tracking of one entry, updated through
+    ``StrideIdentifierTable.observe``."""
+
     def test_stable_after_threshold(self):
-        entry = SitEntry(0x10, 0, lru=0)
+        sit = StrideIdentifierTable()
+        entry = sit.allocate(0x10, 0)
         for i in range(1, EARLY_ISSUE_THRESHOLD + 1):
-            entry.observe(i * 8)
+            sit.observe(0x10, i * 8)
         assert entry.stable
         assert entry.delta == 8
 
     def test_delta_change_resets_same_count(self):
-        entry = SitEntry(0x10, 0, lru=0)
+        sit = StrideIdentifierTable()
+        entry = sit.allocate(0x10, 0)
         for i in range(1, 6):
-            entry.observe(i * 8)
-        entry.observe(1000)
+            sit.observe(0x10, i * 8)
+        sit.observe(0x10, 1000)
         assert entry.same_count == 1
         assert entry.diff_count == 1
 
     def test_run_length_learned_on_break(self):
-        entry = SitEntry(0x10, 0, lru=0)
+        sit = StrideIdentifierTable()
+        entry = sit.allocate(0x10, 0)
         addr = 0
         for i in range(1, 11):
             addr = i * 8
-            entry.observe(addr)
-        entry.observe(100000)  # break after a 10-long run
+            sit.observe(0x10, addr)
+        sit.observe(0x10, 100000)  # break after a 10-long run
         assert entry.run_estimate >= 9
 
     def test_zero_delta_not_stable(self):
-        entry = SitEntry(0x10, 0x50, lru=0)
+        sit = StrideIdentifierTable()
+        entry = sit.allocate(0x10, 0x50)
         for _ in range(10):
-            entry.observe(0x50)
+            sit.observe(0x10, 0x50)
         assert not entry.stable
 
 
 class TestStrideIdentifierTable:
     def test_state_defaults_to_unknown(self):
+        # An entry stores no state bits: its PC stays UNKNOWN until T2
+        # labels it, and a reset forgets every label.
         sit = StrideIdentifierTable()
-        assert sit.state_of(0x99) is InstructionState.UNKNOWN
+        sit.allocate(0x99, 0)
+        assert 0x99 not in sit.states
+        sit.states[0x99] = InstructionState.OBSERVATION
+        sit.reset()
+        assert not sit.states and len(sit) == 0
 
     def test_state_transitions_persist(self):
-        sit = StrideIdentifierTable()
-        sit.set_state(0x10, InstructionState.STRIDED)
-        assert sit.state_of(0x10) is InstructionState.STRIDED
+        # The state bits outlive the PC's SIT entry.
+        sit = StrideIdentifierTable(entries=1)
+        sit.states[0x10] = InstructionState.STRIDED
+        sit.allocate(0x10, 0)
+        sit.allocate(0x20, 0)  # evicts 0x10's entry
+        sit.drop(0x20)
+        assert sit.states[0x10] is InstructionState.STRIDED
 
     def test_capacity_lru(self):
         sit = StrideIdentifierTable(entries=2)
         sit.allocate(1, 0)
         sit.allocate(2, 0)
-        sit.get(1)            # touch 1; 2 is LRU
+        sit.observe(1, 8)     # touch 1; 2 is LRU
         sit.allocate(3, 0)
-        assert sit.get(2) is None
-        assert sit.get(1) is not None
+        assert sit.observe(2, 0) is None
+        assert sit.observe(1, 16) is not None
 
     def test_allocate_idempotent(self):
         sit = StrideIdentifierTable()
@@ -134,7 +150,7 @@ class TestStrideIdentifierTable:
         sit = StrideIdentifierTable()
         sit.allocate(1, 0)
         sit.drop(1)
-        assert sit.get(1) is None
+        assert sit.observe(1, 0) is None and len(sit) == 0
         sit.drop(1)  # idempotent
 
 

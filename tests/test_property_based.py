@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.credit import CreditTracker
 from repro.core.loop_detector import LoopDetector
-from repro.core.sit import SitEntry, StrideIdentifierTable
+from repro.core.sit import StrideIdentifierTable
 from repro.core.taint import TaintUnit
 from repro.isa import Assembler, Machine
 from repro.isa.instructions import NUM_REGISTERS, OpClass
@@ -101,18 +101,20 @@ class TestSitProperties:
     @given(st.integers(min_value=1, max_value=4096),
            st.integers(min_value=5, max_value=40))
     def test_constant_stride_always_stabilizes(self, stride, count):
-        entry = SitEntry(0, 0, 0)
+        sit = StrideIdentifierTable()
+        entry = sit.allocate(0, 0)
         for i in range(1, count):
-            entry.observe(i * stride)
+            sit.observe(0, i * stride)
         assert entry.delta == stride
         assert entry.stable
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 30),
                     min_size=2, max_size=50))
     def test_observe_never_crashes_and_counts_consistent(self, addresses):
-        entry = SitEntry(0, addresses[0], 0)
+        sit = StrideIdentifierTable()
+        entry = sit.allocate(0, addresses[0])
         for addr in addresses[1:]:
-            entry.observe(addr)
+            sit.observe(0, addr)
             assert entry.same_count >= 1 or entry.diff_count >= 1
 
     @given(st.lists(st.tuples(st.integers(0, 100), lines),

@@ -39,6 +39,7 @@ from repro.telemetry import (
 )
 from repro.telemetry import events as ev
 from repro.workloads import get_workload
+from repro.workloads.fuzz import fuzz_workload
 from repro.identity import diff_fields, identity_tuple
 from tests.conftest import build_aop_trace, build_strided_trace
 
@@ -112,6 +113,30 @@ class TestObserverPurity:
         # sends the cell to the generic loop.
         assert plain.kernel.startswith("segmented+")
         assert sampled.kernel == GENERIC
+
+    @pytest.mark.parametrize("name", ["tpc", "tpc-adaptive", "t2", "p1",
+                                      "c1"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_observed_tpc_cells_equal_the_plain_cell_over_fuzz_seeds(
+            self, name, seed):
+        """The same purity over fuzz programs, under the paper's
+        composite and its components.  The hub also reaches the
+        coordinator, whose ``route`` then emits a ``trained`` event at
+        each PC's first claim: a branch no plain cell takes."""
+        trace = fuzz_workload(seed).trace()
+        plain = simulate(trace, make_prefetcher(name))
+        telemetry = Telemetry(sampler=TimeSeriesSampler(interval=1000))
+        sampled = simulate(trace, make_prefetcher(name), telemetry=telemetry)
+        tracked = simulate(trace, make_prefetcher(name),
+                           tracker=CreditTracker())
+        assert identity_tuple(sampled) == identity_tuple(plain), (
+            diff_fields(sampled, plain))
+        assert identity_tuple(tracked) == identity_tuple(plain), (
+            diff_fields(tracked, plain))
+        assert plain.kernel.startswith("segmented+")
+        assert sampled.kernel == GENERIC
+        if name == "tpc":
+            assert telemetry.count(ev.TRAINED) > 0
 
 
 class TestReconciliation:
