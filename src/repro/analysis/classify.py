@@ -8,7 +8,8 @@ increasing difficulty of prefetch":
 * **HHF** — everything else.
 
 "The division is done offline to have a better approximation to ground
-truth."  This module replays a trace once and labels cache lines:
+truth."  This module replays a trace's loads and stores once, in trace
+order, and labels cache lines:
 
 * a PC is *strided* when it has enough dynamic instances and a dominant
   repeated delta; lines it touches are LHF;
@@ -26,7 +27,8 @@ from __future__ import annotations
 import enum
 from collections import Counter, defaultdict
 
-from repro.isa.trace import Trace
+from repro.isa.instructions import OpClass
+from repro.isa.trace import CompiledTrace, Trace
 
 REGION_LINES = 16
 DENSE_THRESHOLD = 6
@@ -40,6 +42,21 @@ class Category(enum.Enum):
     LHF = "LHF"
     MHF = "MHF"
     HHF = "HHF"
+
+
+def _memory_rows(trace: Trace | CompiledTrace):
+    """``(pc, addr)`` of every load and store of ``trace``, in trace
+    order.  A compiled trace answers from its columns, so no record
+    view is built; an object trace from its records."""
+    if isinstance(trace, CompiledTrace):
+        import numpy as np
+
+        pc, opc, addr = trace.array_columns()[:3]
+        rows = np.flatnonzero((opc == int(OpClass.LOAD))
+                              | (opc == int(OpClass.STORE)))
+        return zip(pc[rows].tolist(), addr[rows].tolist())
+    return ((record.pc, record.addr) for record in trace.records
+            if record.is_mem)
 
 
 class OfflineClassifier:
@@ -71,11 +88,8 @@ class OfflineClassifier:
         dense_regions: set[int] = set()
         access_index = 0
 
-        for record in trace.records:
-            if not record.is_mem:
-                continue
-            pc = record.pc
-            line = record.addr >> 6
+        for pc, addr in _memory_rows(trace):
+            line = addr >> 6
             instances[pc] += 1
             lines_by_pc[pc].add(line)
             access_index += 1
@@ -96,10 +110,10 @@ class OfflineClassifier:
                     generations[region] = (lines, access_index)
             previous = last_addr.get(pc)
             if previous is not None:
-                delta = record.addr - previous
+                delta = addr - previous
                 if delta != 0:
                     delta_counts[pc][delta] += 1
-            last_addr[pc] = record.addr
+            last_addr[pc] = addr
 
         # Strided PCs -> LHF lines.
         for pc, count in instances.items():

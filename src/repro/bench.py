@@ -8,7 +8,9 @@ writes a machine-readable ``BENCH_simulator.json``:
   measures the simulator hot loop and not trace generation;
 * **kernels** — the same matrix re-run under ``REPRO_KERNEL=generic``,
   reporting the specialized-vs-generic speedup, per-cell kernel
-  variants, and whether the figures were bit-identical (they must be;
+  variants, the kernels the serial pass compiled with their generated
+  lines and compile seconds, and whether the figures were
+  bit-identical (they must be;
   ``--check`` and ``--require-specialized`` gate on this section).  A
   single-core cell runs either the segmented tier
   (:mod:`repro.engine.segmented`) or the generic loop, so
@@ -414,6 +416,7 @@ def run_chaos_bench(quick: bool = True, jobs: int = 0,
 
 def run_bench(quick: bool = False, jobs: int = 0,
               progress=None) -> dict:
+    from repro.obs import metrics
     from repro.parallel import default_jobs
 
     def say(line: str) -> None:
@@ -427,7 +430,9 @@ def run_bench(quick: bool = False, jobs: int = 0,
     say(f"warming {len({w for w, _ in matrix})} traces")
     trace_phase = _warm_traces(matrix)
     say(f"serial pass over {len(matrix)} cells")
+    before = metrics.mark()
     serial = bench_serial(matrix, config)
+    compiled = metrics.since(before)
     say(f"serial: {serial['instr_per_sec']} instr/sec")
     specialized_figures = serial.pop("cell_figures")
     variants = serial.pop("kernel_variants")
@@ -446,6 +451,12 @@ def run_bench(quick: bool = False, jobs: int = 0,
             cell for cell, variant in variants.items()
             if variant == "generic"
         ),
+        # What the serial pass paid to generate and compile its kernels
+        # (its settle pass compiles them all).
+        "compiled": sum(count for name, count in compiled.items()
+                        if name.startswith("kernel.compiled.")),
+        "generated_lines": compiled["kernel.generated_lines"],
+        "compile_seconds": round(compiled["kernel.compile_us"] / 1e6, 3),
     }
     say(f"kernels: {kernels['speedup_vs_generic']}x vs generic, "
         f"identical={kernels['identical']}")

@@ -182,20 +182,28 @@ class P1Prefetcher(Prefetcher):
         self._walks = 0
         self._select_trigger()
 
+    def _eligible(self, pc: int, count: int) -> bool:
+        """Whether candidate ``pc`` with ``count`` slow loads may be the
+        trigger: a recurring miss (at least 2) that is neither resolved
+        nor already a confirmed pattern."""
+        return (count > 1 and pc not in self._resolved
+                and pc not in self._aop_pairs and pc not in self._chains)
+
+    def _arm(self, pc: int) -> None:
+        self._walks = 0
+        self.taint.arm(pc)
+
     def _select_trigger(self) -> None:
-        """Arm the TPU on the hottest unresolved recurring-miss load."""
+        """Arm the TPU on the hottest eligible candidate (the first seen
+        among equal counts)."""
         best_pc = None
-        best_count = 1  # require at least 2 primary misses
+        best_count = 0
         for pc, count in self._candidates.items():
-            if pc in self._resolved or pc in self._aop_pairs or \
-                    pc in self._chains:
-                continue
-            if count > best_count:
+            if count > best_count and self._eligible(pc, count):
                 best_count = count
                 best_pc = pc
         if best_pc is not None:
-            self._walks = 0
-            self.taint.arm(best_pc)
+            self._arm(best_pc)
 
     # ------------------------------------------------------------------
     # Access stream
@@ -211,9 +219,14 @@ class P1Prefetcher(Prefetcher):
         # qualifies.
         slow = event.primary_miss or event.latency >= 16
         if slow and pc not in self._resolved:
-            self._candidates[pc] = self._candidates.get(pc, 0) + 1
-            if self.taint.trigger_pc is None:
-                self._select_trigger()
+            count = self._candidates.get(pc, 0) + 1
+            self._candidates[pc] = count
+            # With no trigger armed, only this load can have become
+            # eligible: every disarm rescans at once (_finish_walks,
+            # _disarm), the exclusion sets only grow, and only this
+            # count moved.  So arm it where _select_trigger would.
+            if self.taint.trigger_pc is None and self._eligible(pc, count):
+                self._arm(pc)
 
         # Track stride state for every interesting load (trigger streams).
         trigger = self.taint.trigger_pc

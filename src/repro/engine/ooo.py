@@ -393,9 +393,10 @@ class OoOCore:
         A core :func:`~repro.engine.kernel.kernel_flags` accepts, on the
         stock cold hierarchy
         (:func:`~repro.engine.segmented._stock_cold_hierarchy`), runs the
-        segmented tier (:mod:`repro.engine.segmented`: vectorized
-        stretches between segment events, scalar islands at them),
-        bit-identically.  Every other core runs the generic loop:
+        segmented tier (:mod:`repro.engine.segmented`: each distinct
+        stretch of the trace compiled to straight-line code, with the
+        scalar island of its segment event inline), bit-identically.
+        Every other core runs the generic loop:
         object traces, a sampler, telemetry, a dynamic branch predictor,
         ``REPRO_KERNEL=generic``, warm core state, a subclassed memory
         model and DRAM telemetry.  Selected here rather than in

@@ -16,15 +16,20 @@ splitting the work the way the paper splits prefetching:
 * **Plan (pay once per trace x L1 geometry)** — :func:`_build_segment_plan`
   precomputes only what stays a pure function of the trace: the fused
   per-instruction dispatch classes (the feed row set among them) and
-  effective operands, one shared tuple per distinct row, the flat
-  per-event columns (pc/mPC/addr/line/value), and the shadow-L1
-  outcome per demand access (shadow tags see only demand traffic, so
-  their whole story is trace-determined even under prefetching).
+  effective operands, cut into *stretches* (runs of rows that end at a
+  segment event, at a taken backward branch, or at the trace's end),
+  the table of distinct stretches (most frequent first) with the
+  trace's sequence of stretch ids, the flat per-event columns
+  (pc/mPC/addr/line/value), and the shadow-L1 outcome per demand
+  access (shadow tags see only demand traffic, so their whole story is
+  trace-determined even under prefetching).
 * **Replay (every cell, every mix core)** — a generated kernel
-  (:func:`_segment_source`, compiled and memoized per hook shape)
-  retires the hook-free stretches through a
-  tight class-dispatch loop and executes a *scalar island* at each
-  segment event: the L1 hit leg, the full demand-miss leg, and the
+  (:func:`_segment_source`, compiled and memoized per hook shape and
+  stretch table) runs ``for sid in plan.stretch_ids`` with one arm per
+  distinct stretch, each arm the stretch as straight-line code: the
+  rows' operands folded to constants, the 32 register ready-times in
+  locals, and the stretch's *scalar island* inline at its event: the
+  L1 hit leg, the full demand-miss leg, and the
   entire prefetch path run against a virtualized hierarchy — flat
   ``[fill_time, dirty, prefetched, used, component]`` entries in
   recency-ordered per-set dicts (dict order is exact LRU order), the
@@ -40,17 +45,20 @@ splitting the work the way the paper splits prefetching:
   ``on_fill``, ``on_prefetch_hit``) are called at exactly the positions
   and with exactly the :class:`~repro.core.base.AccessEvent` payloads
   of the generic loop, so prefetcher state is handed off bit-exactly
-  at every stretch/island boundary.  Every kernel likewise appends the
+  at every row.  Every kernel likewise appends the
   credit-accounting entries (``on_useful``, ``on_pollution``,
   ``on_prefetch_issued``) to ``Hierarchy.credit_log`` where
   ``Hierarchy`` does, with each ``on_pollution``'s victims sorted by
   line, so the log equals the generic loop's.
 
-The kernel is a generator (:func:`segmented_bursts`): each resume
-retires a burst of rows and writes ``core._fetch_cycle`` back for the
-multicore scheduler.  A single-core cell drives it to the end in one
-burst (:func:`maybe_run_segmented`); a mix resumes each core
-``multicore.BURST`` rows at a time.  The private L1/L2, shadow tags
+Every kernel is a generator (:func:`segmented_bursts`): it yields
+every ``burst_rows`` rows, at the ROB-ring check each row makes
+anyway, and writes ``core._fetch_cycle`` back for the multicore
+scheduler, which steps a mix core ``multicore.BURST`` rows at a time;
+the next resume continues inside the stretch where it stopped.  A
+single-core cell (:func:`maybe_run_segmented`) asks for one burst as
+long as its trace, so the same kernel runs it to the end in one
+resume without ever yielding.  The private L1/L2, shadow tags
 and MSHRs live in the kernel's locals; the virtual L3 sets and the
 DRAM bank, bus and queue lists live in a :class:`SharedLevels` that
 a single-core cell builds for itself and a mix builds once for all
@@ -77,12 +85,16 @@ which path actually ran).  Segment-event density never turns a cell
 down: an all-event trace is all islands and still replays here.  A
 plan is memoized on the ``CompiledTrace._plans`` of the trace it was
 built from, and nowhere else; the process metrics registry counts
-``kernel.plan_builds``/``kernel.plan_cache_hits`` and kernel
-exec-compiles (``kernel.compiled.<variant>``), and a sweep's
+``kernel.plan_builds``/``kernel.plan_cache_hits``, kernel
+exec-compiles (``kernel.compiled.<variant>``) and what they cost
+(``kernel.generated_lines``, ``kernel.compile_us``), and a sweep's
 ``repro metrics`` shows what its cells added.
 """
 
 from __future__ import annotations
+
+import time
+from heapq import heappop, heappush
 
 from repro.isa.trace import (
     BACKWARD_TAKEN,
@@ -217,21 +229,23 @@ class SegmentPlan:
     """Precomputed replay schedule for one (trace, L1 geometry) pair.
 
     Only trace-pure facts live here — everything the prefetcher can
-    perturb stays live in the generated segmented kernel.  ``rows``
-    holds one ``(cls, src1, src2, dst, lat)`` tuple per instruction
-    (unpacked directly in the replay loop's ``for`` target — cheaper
-    than a five-way zip), each row a reference to one of the few
-    distinct tuples; ``ev_rows`` holds one ``(pc, addr, line,
-    mpc, value, sh1)`` tuple per memory access in trace order,
-    consumed by a running iterator (loads and stores are exactly the
-    memory-typed segment events, so no index column is needed).
-    ``sh1`` is the shadow-L1 outcome per access: shadow tags see only
-    demand traffic, so their whole hit/miss story is trace-determined
-    even under prefetching.
+    perturb stays live in the generated segmented kernel.  A *stretch*
+    is a run of rows that ends at a segment event (a load, a store or a
+    mispredicted branch), at a taken backward branch, or at the end of
+    the trace; each row is its ``(cls, src1, src2, dst, lat)`` tuple.
+    ``table`` holds the trace's distinct stretches, most frequent first
+    (the kernel compiles each into straight-line code), and
+    ``stretch_ids`` the trace's sequence of stretch ids.  ``ev_rows``
+    holds one ``(pc, addr, line, mpc, value, sh1)`` tuple per memory
+    access in trace order, consumed by a running iterator (loads and
+    stores are exactly the memory-typed segment events, so no index
+    column is needed).  ``sh1`` is the shadow-L1 outcome per access:
+    shadow tags see only demand traffic, so their whole hit/miss story
+    is trace-determined even under prefetching.
     """
 
     __slots__ = (
-        "rows", "ev_rows",
+        "table", "stretch_ids", "ev_rows", "n",
         "n_mem", "loads", "stores", "branches", "mispredicts",
     )
 
@@ -300,12 +314,10 @@ def _build_segment_plan(trace: CompiledTrace, key: tuple) -> SegmentPlan:
         s[line] = None
 
     plan = SegmentPlan()
-    # A trace holds few distinct rows (6 to 12 on the benchmark's
-    # traces), so every row is a reference to one shared tuple, found
-    # through an inverse index the way ``CompiledTrace._share_pcs``
-    # shares PCs: a pointer per row instead of a tuple per row.
-    # Registers shift by one so that "none" (-1) is a valid digit of
-    # the row's key.
+    plan.n = n
+    # Rows are numbered by their distinct tuple (a trace holds a few
+    # dozen), so a stretch is a tuple of small ints.  Registers shift
+    # by one so that "none" (-1) is a valid digit of the row's key.
     columns = (cls, b_src1, b_src2, b_dst, b_lat)
     regs = NUM_REGISTERS + 1
     key = np.ravel_multi_index(
@@ -314,7 +326,27 @@ def _build_segment_plan(trace: CompiledTrace, key: tuple) -> SegmentPlan:
     _, first, inverse = np.unique(key, return_index=True,
                                   return_inverse=True)
     distinct = list(zip(*(column[first].tolist() for column in columns)))
-    plan.rows = list(map(distinct.__getitem__, inverse.tolist()))
+    # A stretch ends after every row that is not _SEG_SIMPLE: each event
+    # and each taken backward branch.  The branch cut keeps a loop with
+    # no event in its body from becoming one stretch as long as all its
+    # iterations, whose straight-line code would grow with the trip
+    # count instead of with the program.
+    ends = (np.flatnonzero(cls) + 1).tolist()
+    if n and (not ends or ends[-1] != n):
+        ends.append(n)
+    row_ids = inverse.ravel().tolist()
+    found: dict[tuple, int] = {}
+    intern = found.setdefault
+    first_seen = [intern(tuple(row_ids[start:end]), len(found))
+                  for start, end in zip([0, *ends], ends)]
+    order = np.argsort(-np.bincount(first_seen, minlength=len(found)),
+                       kind="stable")
+    rank = np.empty(len(found), dtype=np.int64)
+    rank[order] = np.arange(len(found))
+    stretches = list(found)
+    plan.table = tuple(tuple(distinct[r] for r in stretches[sid])
+                       for sid in order.tolist())
+    plan.stretch_ids = rank[first_seen].tolist()
     # One tuple per access: a single unpack in the replay arms instead
     # of six indexed column reads (.tolist() first, so the tuples hold
     # plain ints that compare/hash at C speed in the set dicts).
@@ -342,7 +374,8 @@ def segmented_bursts(core, flags: tuple, shared: SharedLevels,
     ``flags`` are the hook-shape flags
     :func:`~repro.engine.kernel.kernel_flags` returned for ``core``;
     the caller has also checked its hierarchy
-    (:func:`_stock_cold_hierarchy`).
+    (:func:`_stock_cold_hierarchy`).  A trace of at most ``burst_rows``
+    rows finishes in the first resume without yielding.
     """
     instr, oa, ona, of = flags
     variant = variant_name(flags)
@@ -362,7 +395,8 @@ def segmented_bursts(core, flags: tuple, shared: SharedLevels,
             route = hook
 
     feeds = core_feeds(core)
-    kernel = _segment_kernel(instr, oa, ona, of, feed_shape(feeds))
+    kernel = _segment_kernel(instr, oa, ona, of, feed_shape(feeds),
+                             plan.table)
     return kernel(core, plan, feeds, route, shared, burst_rows)
 
 
@@ -386,26 +420,36 @@ _SEG_KERNELS: dict[tuple, object] = {}
 
 
 def _segment_kernel(instr: bool, oa: bool, ona: bool, of: bool,
-                    shape: tuple):
+                    shape: tuple, table: tuple):
     """Compile (and memoize) one segmented replay kernel, generated
-    with dead hook branches absent and specialized on the
-    instruction-feed ``shape`` (:func:`~repro.engine.kernel.feed_shape`).
+    with dead hook branches absent, specialized on the instruction-feed
+    ``shape`` (:func:`~repro.engine.kernel.feed_shape`), and with every
+    stretch of the plan's ``table`` as straight-line code.  Each
+    compile counts
+    ``kernel.compiled.<variant>``, its source lines
+    (``kernel.generated_lines``) and the microseconds spent generating
+    and compiling it (``kernel.compile_us``).
     """
-    key = (instr, oa, ona, of, shape)
+    key = (instr, oa, ona, of, shape, table)
     fn = _SEG_KERNELS.get(key)
     if fn is None:
         from repro.core.base import AccessEvent
 
-        PROCESS.count("kernel.compiled."
-                      + variant_name((instr, oa, ona, of)))
+        started = time.perf_counter()
+        variant = variant_name((instr, oa, ona, of))
         source = _segment_source(*key)
         namespace = {"_FAR": _FAR, "AccessEvent": AccessEvent,
                      "_LowPriority": _LowPriority,
                      "LOW_PRIORITY_FIRST": DropPolicy.LOW_PRIORITY_FIRST,
-                     "low_components": LOW_PRIORITY_COMPONENTS}
-        exec(compile(source, f"<segmented kernel {key}>", "exec"),
-             namespace)
+                     "low_components": LOW_PRIORITY_COMPONENTS,
+                     "heappush": heappush, "heappop": heappop}
+        name = f"<segmented kernel {variant} {shape}>"
+        exec(compile(source, name, "exec"), namespace)
         fn = _SEG_KERNELS[key] = namespace["run_segmented"]
+        PROCESS.count(f"kernel.compiled.{variant}")
+        PROCESS.count("kernel.generated_lines", source.count("\n"))
+        PROCESS.count("kernel.compile_us",
+                      round((time.perf_counter() - started) * 1e6))
     return fn
 
 
@@ -429,53 +473,56 @@ def _feed_head(shape: tuple) -> list[str]:
     return lines
 
 
-def _feed_lines(shape: tuple, pad: str) -> list[str]:
-    """The instruction-feed calls for one retired instruction (row
-    ``i``, class ``cls``), in feed order.
+def _feed_lines(shape: tuple, pad: str, fed_row: bool) -> list[str]:
+    """The instruction-feed calls for one retired row, in feed order;
+    ``fed_row`` says whether the row is a ``_SEG_FED`` row.
 
     A feed declaring the row set is called only at the plan's
     ``_SEG_FED`` rows, with the set's next cached view (the view is
-    taken at every row of the set, so the cursor stays in step).  A
-    gated feed is called only while ``gate_<k>.armed``.  Other rows get
-    a view built at the call (``record``), or read from ``records``
-    when some feed wants every instruction anyway.
+    taken at every row of the set, so the cursor stays in step), and
+    at those rows every other feed gets the same view.  A gated feed is
+    called only while ``gate_<k>.armed``.  Other rows get a view built
+    at the call (``record``), or read from ``records`` when some feed
+    wants every instruction anyway; the row's index is
+    ``base + rob_slot``.  Every feed is passed the row's dispatch
+    cycle, which is ``fetch_cycle`` once the ROB check has run.
     """
-    has_rows = any(rows for rows, _ in shape)
     every = any(rows is None and not gated for rows, gated in shape)
-    view = "records[i]" if every else "record(i)"
-
-    def calls(ind: str, rec: str, fed_row: bool) -> list[str]:
-        out = []
-        for k, (rows, gated) in enumerate(shape):
-            if rows and not fed_row:
-                continue
-            call = f"feed_{k}({rec}, dispatch)"
-            if gated:
-                out += [f"{ind}if gate_{k}.armed:", f"{ind}    {call}"]
-            else:
-                out.append(ind + call)
-        return out
-
-    if not has_rows:
-        return calls(pad, view, False)
-    inner = pad + "    "
-    lines = [f"{pad}if cls == {_SEG_FED}:", f"{inner}rec = fed_next()",
-             *calls(inner, "rec", True)]
-    rest = calls(inner, view, False)
-    if rest:
-        lines += [f"{pad}else:", *rest]
+    shared_view = fed_row and any(rows for rows, _ in shape)
+    if shared_view:
+        view = "rec"
+    elif every:
+        view = "records[base + rob_slot]"
+    else:
+        view = "record(base + rob_slot)"
+    lines = [f"{pad}rec = fed_next()"] if shared_view else []
+    for k, (rows, gated) in enumerate(shape):
+        if rows and not fed_row:
+            continue
+        call = f"feed_{k}({view}, fetch_cycle)"
+        if gated:
+            lines += [f"{pad}if gate_{k}.armed:", f"{pad}    {call}"]
+        else:
+            lines.append(pad + call)
     return lines
 
 
 def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
-                    shape: tuple) -> str:
-    """Source of a specialized segmented replay generator.
+                    shape: tuple, table: tuple) -> str:
+    """Source of a specialized segmented replay kernel.
 
-    The emitted code retires the trace with live hooks, ``burst_rows``
-    rows per resume: the stretch loop mirrors the generic loop's
-    issue/commit arithmetic (a rolling ROB slot replaces its
-    ``index % rob_size``); each scalar island mirrors, effect for
-    effect, ``Cache.lookup``/``fill``, ``_MshrFile``,
+    The emitted loop walks the plan's stretch ids, with one ``match``
+    arm per stretch of ``table`` (most frequent first).  Each
+    arm is the stretch as straight-line code: every row's fetch, ROB,
+    issue and commit arithmetic with its operands folded to constants,
+    the generic loop's ``index % rob_size`` as a rolling ROB slot, and
+    the 32 register ready-times as locals (``r0`` ...), loaded from
+    ``core._reg_ready`` at the start and written back at the end (no
+    hook reads a core's registers, so nothing can see them stale).  A
+    stretch that ends at a load or store carries that event's *scalar
+    island* inline, which mirrors, effect for effect,
+    ``Cache.lookup``/``fill``, ``_MshrFile`` (heap-ordered pending
+    fills with cached minima),
     ``ShadowTagStore.access`` (precomputed), ``Hierarchy.demand_access``/
     ``_access_l2``/``_access_l3``/``prefetch``, and ``Dram.read``/
     ``write`` — against a virtualized
@@ -484,7 +531,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     is LRU order because ``Cache``'s use counter is strictly
     increasing, so victim selection is ``next(iter(set))``).  Demand
     misses and the demand DRAM read are inlined straight into the
-    load/store arms; ``do_prefetch`` keeps its early-return shape as a
+    islands; ``do_prefetch`` keeps its early-return shape as a
     closure.  Hook call positions and ``AccessEvent`` payloads are
     exactly the generic loop's, so the prefetcher cannot distinguish
     the paths, and so are the ``credit_log`` entries.  Stats accumulate
@@ -494,6 +541,17 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     kernels sum).  Instruction feeds are called as
     :func:`_feed_lines` emits them, a row-set feed at the plan's
     ``_SEG_FED`` rows.
+
+    The kernel is a generator that yields every ``burst_rows`` rows.
+    Each row bumps its ROB slot before touching the fetch clock, and
+    tests the slot against ``stop``: the raw ring index of whichever
+    comes first, the ring's wrap or the next burst boundary.  At that
+    stop the kernel wraps the ring if it must and, at a boundary,
+    writes ``core._fetch_cycle`` (still the previous row's) and yields,
+    so a resume continues inside the stretch where the last one
+    stopped; the rows pay nothing for bursting beyond the wrap check
+    they make anyway.  The row after the last is never reached, so a
+    burst as long as the trace (a single-core cell) never yields.
     """
     build_event = oa or ona
     lines: list[str] = []
@@ -566,6 +624,27 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
             emit(f"{ind}if {flag}:")
             emit(f"{ind}    on_prefetch_hit(line, {level_expr})")
 
+    def drain(ind: str, level: int, bound: str) -> None:
+        # _MshrFile._prune: retire the pending fills due by ``bound``,
+        # smallest first off the heap, keeping the cached minimum.
+        emit(f"{ind}while l{level}_min_p <= {bound}:")
+        emit(f"{ind}    heappop(l{level}_pending)")
+        emit(f"{ind}    l{level}_min_p = l{level}_pending[0] "
+             f"if l{level}_pending else far")
+
+    def mshr_acquire(ind: str, level: int, now: str) -> None:
+        # _MshrFile.acquire: prune, then wait for the earliest fill
+        # when every MSHR is busy (``now`` becomes that fill).
+        drain(ind, level, now)
+        emit(f"{ind}if len(l{level}_pending) >= l{level}_cap:")
+        emit(f"{ind}    {now} = l{level}_min_p")
+        drain(ind + "    ", level, now)
+
+    def mshr_push(ind: str, level: int) -> None:
+        emit(f"{ind}heappush(l{level}_pending, fill_time)")
+        emit(f"{ind}if fill_time < l{level}_min_p:")
+        emit(f"{ind}    l{level}_min_p = fill_time")
+
     def pollution_entry(ind: str, level: int, tset: str) -> None:
         # Hierarchy._prefetch_victims before the fill: the set's
         # prefetched entries, sorted by line.
@@ -584,15 +663,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{ind}if sh1:")
         emit(f"{ind}    pollution_l1 += 1")
         pollution_entry(ind + "    ", 1, "tset1")
-        emit(f"{ind}if l1_min_p <= mnow:")
-        emit(f"{ind}    l1_pending[:] = [x for x in l1_pending "
-             f"if x > mnow]")
-        emit(f"{ind}    l1_min_p = min(l1_pending, default=far)")
-        emit(f"{ind}if len(l1_pending) >= l1_cap:")
-        emit(f"{ind}    mnow = min(l1_pending)")
-        emit(f"{ind}    l1_pending[:] = [x for x in l1_pending "
-             f"if x > mnow]")
-        emit(f"{ind}    l1_min_p = min(l1_pending, default=far)")
+        mshr_acquire(ind, 1, "mnow")
         emit(f"{ind}t = mnow + l1_latency")
         emit(f"{ind}l2_acc += 1")
         emit(f"{ind}tset2 = l2_sets[line & l2_mask]")
@@ -634,15 +705,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{i2}if not sh1 and sh2_hit:")
         emit(f"{i2}    pollution_l2 += 1")
         pollution_entry(i2 + "    ", 2, "tset2")
-        emit(f"{i2}if l2_min_p <= t:")
-        emit(f"{i2}    l2_pending[:] = [x for x in l2_pending "
-             f"if x > t]")
-        emit(f"{i2}    l2_min_p = min(l2_pending, default=far)")
-        emit(f"{i2}if len(l2_pending) >= l2_cap:")
-        emit(f"{i2}    t = min(l2_pending)")
-        emit(f"{i2}    l2_pending[:] = [x for x in l2_pending "
-             f"if x > t]")
-        emit(f"{i2}    l2_min_p = min(l2_pending, default=far)")
+        mshr_acquire(i2, 2, "t")
         emit(f"{i2}now3 = t + l2_lat")
         emit(f"{i2}l3_acc += 1")
         emit(f"{i2}tset3 = l3_sets[line & l3_mask]")
@@ -699,9 +762,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
              f"None)")
         emit(f"{i2}tset2[line] = [fill_time, False, False, False, "
              f"None]")
-        emit(f"{i2}l2_pending.append(fill_time)")
-        emit(f"{i2}if fill_time < l2_min_p:")
-        emit(f"{i2}    l2_min_p = fill_time")
+        mshr_push(i2, 2)
         emit(f"{i2}component = None")
         emit(f"{ind}if len(tset1) >= l1_ways:")
         emit(f"{ind}    vline = next(iter(tset1))")
@@ -715,9 +776,7 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
              f"None)")
         emit(f"{ind}tset1[line] = [fill_time, {is_write}, False, "
              f"False, None]")
-        emit(f"{ind}l1_pending.append(fill_time)")
-        emit(f"{ind}if fill_time < l1_min_p:")
-        emit(f"{ind}    l1_min_p = fill_time")
+        mshr_push(ind, 1)
 
     def hit_stats_block(ind: str) -> None:
         # Hierarchy.demand_access's L1-hit stat legs, after the recency
@@ -942,18 +1001,12 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("            return False")
     emit("        # MSHR try_acquire_prefetch at the target level.")
     emit("        if target_level == 1:")
-    emit("            if l1_min_p <= now:")
-    emit("                l1_pending[:] = [x for x in l1_pending "
-         "if x > now]")
-    emit("                l1_min_p = min(l1_pending, default=far)")
+    drain("            ", 1, "now")
     emit("            if len(l1_pending) >= l1_cap:")
     emit("                pf_drop_mshr += 1")
     emit("                return False")
     emit("        else:")
-    emit("            if l2_min_p <= now:")
-    emit("                l2_pending[:] = [x for x in l2_pending "
-         "if x > now]")
-    emit("                l2_min_p = min(l2_pending, default=far)")
+    drain("            ", 2, "now")
     emit("            if len(l2_pending) >= l2_cap:")
     emit("                pf_drop_mshr += 1")
     emit("                return False")
@@ -1067,184 +1120,184 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     emit("        pf_issued += 1")
     emit("        by_component[component or \"?\"] += 1")
     emit("        if target_level == 1:")
-    emit("            l1_pending.append(fill_time)")
-    emit("            if fill_time < l1_min_p:")
-    emit("                l1_min_p = fill_time")
+    mshr_push("            ", 1)
     emit("        else:")
-    emit("            l2_pending.append(fill_time)")
-    emit("            if fill_time < l2_min_p:")
-    emit("                l2_min_p = fill_time")
+    mshr_push("            ", 2)
     emit("        log_append(('on_prefetch_issued', pline, component))")
     emit("        return True")
     emit("")
 
     # ------------------------------------------------------------------
-    # The stretch/island loop.
+    # The stretch loop: one straight-line arm per distinct stretch.
     # ------------------------------------------------------------------
+    def load_island(ind: str, dst: int) -> None:
+        # A load's hit leg or miss leg, then its register write (the
+        # generic loop's ``reg_ready[dst]``, so a dst of -1 is r31).
+        i2 = ind + "    "
+        emit(f"{ind}pc, addr, line, mpc, value, sh1 = ev_next()")
+        emit(f"{ind}tset1 = l1_sets[line & l1_mask]")
+        emit(f"{ind}cl = tset1.get(line)")
+        emit(f"{ind}if cl is not None:")
+        emit(f"{i2}del tset1[line]")
+        emit(f"{i2}tset1[line] = cl")
+        hit_stats_block(i2)
+        emit(f"{i2}if ready < issue:")
+        emit(f"{i2}    ready = issue")
+        emit(f"{i2}complete = ready + l1_latency")
+        emit(f"{i2}latency = complete - issue")
+        emit(f"{i2}load_latency_total += latency")
+        hook_block(i2,
+                   f"issue, pc, mpc, addr, line, True, True, False, "
+                   f"latency, value, {dst}, first_use, cl[4]",
+                   "first_use", "1")
+        emit(f"{ind}else:")
+        demand_miss_block(i2, "False")
+        emit(f"{i2}complete = fill_time")
+        emit(f"{i2}latency = complete - issue")
+        emit(f"{i2}load_latency_total += latency")
+        emit(f"{i2}miss_pcs[pc] += 1")
+        emit(f"{i2}miss_latency_by_pc[pc] += latency")
+        hook_block(i2,
+                   f"issue, pc, mpc, addr, line, True, False, True, "
+                   f"latency, value, {dst}, served, component",
+                   "served", "level")
+        if of:
+            emit(f"{i2}on_fill(line, 1)")
+        emit(f"{ind}r{dst % NUM_REGISTERS} = complete")
+
+    def store_island(ind: str) -> None:
+        i2 = ind + "    "
+        emit(f"{ind}pc, addr, line, mpc, value, sh1 = ev_next()")
+        emit(f"{ind}tset1 = l1_sets[line & l1_mask]")
+        emit(f"{ind}cl = tset1.get(line)")
+        emit(f"{ind}if cl is not None:")
+        emit(f"{i2}del tset1[line]")
+        emit(f"{i2}tset1[line] = cl")
+        emit(f"{i2}cl[1] = True")
+        hit_stats_block(i2)
+        hook_block(i2,
+                   "issue, pc, mpc, addr, line, False, True, False, "
+                   "0, 0, -1, first_use, cl[4]",
+                   "first_use", "1")
+        emit(f"{ind}else:")
+        demand_miss_block(i2, "True")
+        hook_block(i2,
+                   "issue, pc, mpc, addr, line, False, False, True, "
+                   "0, 0, -1, served, component",
+                   "served", "level")
+        if of:
+            emit(f"{i2}on_fill(line, 1)")
+        emit(f"{ind}complete = issue + 1")
+
+    def row_code(ind: str, row: tuple) -> None:
+        # One row of OoOCore.step with its operands folded: the ROB
+        # slot first (so a burst stop sees the previous row's fetch
+        # cycle), then fetch, the ROB stall, feeds, issue, the event
+        # or the register write, and in-order commit.
+        cls, s1, s2, dst, lat = row
+        emit(f"{ind}rob_slot += 1")
+        emit(f"{ind}if rob_slot == stop:")
+        emit(f"{ind}    if rob_slot == rob_size:")
+        emit(f"{ind}        rob_slot = 0")
+        emit(f"{ind}        base += rob_size")
+        emit(f"{ind}    if base + rob_slot == next_burst:")
+        emit(f"{ind}        core._fetch_cycle = fetch_cycle")
+        emit(f"{ind}        yield True")
+        emit(f"{ind}        next_burst += burst_rows")
+        emit(f"{ind}    stop = next_burst - base")
+        emit(f"{ind}    if stop > rob_size:")
+        emit(f"{ind}        stop = rob_size")
+        emit(f"{ind}if fetch_slot >= width:")
+        emit(f"{ind}    fetch_cycle += 1")
+        emit(f"{ind}    fetch_slot = 1")
+        emit(f"{ind}else:")
+        emit(f"{ind}    fetch_slot += 1")
+        emit(f"{ind}rob_free = commit_ring[rob_slot]")
+        emit(f"{ind}if rob_free > fetch_cycle:")
+        emit(f"{ind}    fetch_cycle = rob_free")
+        emit(f"{ind}    fetch_slot = 1")
+        lines.extend(_feed_lines(shape, ind, cls == _SEG_FED))
+        sources = dict.fromkeys(s for s in (s1, s2) if s >= 0)
+        if sources or cls in (_SEG_LOAD, _SEG_STORE):
+            emit(f"{ind}issue = fetch_cycle")
+            for s in sources:
+                emit(f"{ind}if r{s} > issue:")
+                emit(f"{ind}    issue = r{s}")
+            ready = "issue"
+        else:
+            ready = "fetch_cycle"
+        if cls == _SEG_LOAD:
+            load_island(ind, dst)
+        elif cls == _SEG_STORE:
+            store_island(ind)
+        else:
+            emit(f"{ind}complete = {ready} + {lat}")
+            if cls == _SEG_BP_MISS:
+                emit(f"{ind}fetch_cycle = complete + branch_penalty")
+                emit(f"{ind}fetch_slot = 0")
+            elif dst >= 0:
+                emit(f"{ind}r{dst} = complete")
+        emit(f"{ind}if complete > last_commit:")
+        emit(f"{ind}    last_commit = complete")
+        emit(f"{ind}    commits_at_time = 1")
+        emit(f"{ind}else:")
+        emit(f"{ind}    commits_at_time += 1")
+        emit(f"{ind}    if commits_at_time > width:")
+        emit(f"{ind}        last_commit += 1")
+        emit(f"{ind}        commits_at_time = 1")
+        emit(f"{ind}commit_ring[rob_slot] = last_commit")
+
+    registers = set()
+    for stretch in table:
+        for cls, s1, s2, dst, _ in stretch:
+            registers.update(s for s in (s1, s2) if s >= 0)
+            if cls == _SEG_LOAD or dst >= 0:
+                registers.add(dst % NUM_REGISTERS)
+    registers = sorted(registers)
     emit("    width = core._width")
     emit("    branch_penalty = core._branch_penalty")
     emit("    rob_size = core._rob_size")
     emit("    commit_ring = core._commit_ring")
     emit("    reg_ready = core._reg_ready")
+    for reg in registers:
+        emit(f"    r{reg} = reg_ready[{reg}]")
     emit("    ev_next = iter(plan.ev_rows).__next__")
-    emit("    rows = plan.rows")
-    emit("    n = len(rows)")
     emit("    fetch_cycle = 0")
     emit("    fetch_slot = 0")
     emit("    last_commit = 0")
     emit("    commits_at_time = 0")
     emit("    load_latency_total = 0")
     emit("    rob_slot = rob_size - 1")
-    # One burst (a single-core cell) iterates the plan's rows in place;
-    # a mix core slices out each resume's rows.
-    emit("    whole = burst_rows >= n")
-    emit("    for lo in range(0, n, burst_rows):")
-    emit("        chunk = rows if whole else rows[lo:lo + burst_rows]")
-    # The per-row loop is written at function depth and indented under
-    # the burst loop once it is complete.
-    row_loop = len(lines)
-    if any(rows is None for rows, _ in shape):
-        emit("    for i, (cls, s1, s2, dst, lat) in enumerate(chunk, lo):")
+    # Row index - rob_slot: the first row wraps the ring to 0.
+    emit("    base = -rob_size")
+    emit("    next_burst = burst_rows")
+    emit("    stop = rob_size")
+    # One ``match`` arm per stretch, most frequent first.  An
+    # ``if``/``elif`` chain dispatches as fast but nests one level per
+    # arm, and CPython's compiler runs out of recursion depth at a few
+    # thousand arms; ``match`` arms compile flat.
+    if table:
+        emit("    for sid in plan.stretch_ids:")
     else:
-        emit("    for cls, s1, s2, dst, lat in chunk:")
-    emit("        if fetch_slot >= width:")
-    emit("            fetch_cycle += 1")
-    emit("            fetch_slot = 0")
-    emit("        fetch_slot += 1")
-    emit("        rob_slot += 1")
-    emit("        if rob_slot == rob_size:")
-    emit("            rob_slot = 0")
-    emit("        rob_free = commit_ring[rob_slot]")
-    emit("        if rob_free > fetch_cycle:")
-    emit("            dispatch = rob_free")
-    emit("            fetch_cycle = rob_free")
-    emit("            fetch_slot = 1")
-    emit("        else:")
-    emit("            dispatch = fetch_cycle")
-    for line in _feed_lines(shape, "        "):
-        emit(line)
-
-    def register_only() -> None:
-        emit("            issue = dispatch")
-        emit("            if s1 >= 0:")
-        emit("                ready = reg_ready[s1]")
-        emit("                if ready > issue:")
-        emit("                    issue = ready")
-        emit("            if s2 >= 0:")
-        emit("                ready = reg_ready[s2]")
-        emit("                if ready > issue:")
-        emit("                    issue = ready")
-        emit("            complete = issue + lat")
-        emit("            if dst >= 0:")
-        emit("                reg_ready[dst] = complete")
-
-    emit("        if cls == 0:  # register-only: ALU / predicted "
-         "branch / other")
-    register_only()
-    emit("        elif cls == 1:  # load")
-    emit("            issue = dispatch")
-    emit("            if s1 >= 0:")
-    emit("                ready = reg_ready[s1]")
-    emit("                if ready > issue:")
-    emit("                    issue = ready")
-    emit("            pc, addr, line, mpc, value, sh1 = ev_next()")
-    emit("            tset1 = l1_sets[line & l1_mask]")
-    emit("            cl = tset1.get(line)")
-    emit("            if cl is not None:")
-    emit("                # Inlined L1 hit leg of")
-    emit("                # Hierarchy.demand_access; del+insert is the")
-    emit("                # LRU touch.")
-    emit("                del tset1[line]")
-    emit("                tset1[line] = cl")
-    hit_stats_block("                ")
-    emit("                if ready < issue:")
-    emit("                    ready = issue")
-    emit("                complete = ready + l1_latency")
-    emit("                latency = complete - issue")
-    emit("                load_latency_total += latency")
-    hook_block("                ",
-               "issue, pc, mpc, addr, line, True, True, False, "
-               "latency, value, dst, first_use, cl[4]",
-               "first_use", "1")
-    emit("                reg_ready[dst] = complete")
-    emit("            else:")
-    demand_miss_block("                ", "False")
-    emit("                complete = fill_time")
-    emit("                latency = complete - issue")
-    emit("                load_latency_total += latency")
-    emit("                miss_pcs[pc] += 1")
-    emit("                miss_latency_by_pc[pc] += latency")
-    hook_block("                ",
-               "issue, pc, mpc, addr, line, True, False, True, "
-               "latency, value, dst, served, component",
-               "served", "level")
-    if of:
-        emit("                on_fill(line, 1)")
-    emit("                reg_ready[dst] = complete")
-    emit("        elif cls == 2:  # store")
-    emit("            issue = dispatch")
-    emit("            if s1 >= 0:")
-    emit("                ready = reg_ready[s1]")
-    emit("                if ready > issue:")
-    emit("                    issue = ready")
-    emit("            if s2 >= 0:")
-    emit("                ready = reg_ready[s2]")
-    emit("                if ready > issue:")
-    emit("                    issue = ready")
-    emit("            pc, addr, line, mpc, value, sh1 = ev_next()")
-    emit("            tset1 = l1_sets[line & l1_mask]")
-    emit("            cl = tset1.get(line)")
-    emit("            if cl is not None:")
-    emit("                del tset1[line]")
-    emit("                tset1[line] = cl")
-    emit("                cl[1] = True")
-    hit_stats_block("                ")
-    hook_block("                ",
-               "issue, pc, mpc, addr, line, False, True, False, "
-               "0, 0, -1, first_use, cl[4]",
-               "first_use", "1")
-    emit("            else:")
-    demand_miss_block("                ", "True")
-    hook_block("                ",
-               "issue, pc, mpc, addr, line, False, False, True, "
-               "0, 0, -1, served, component",
-               "served", "level")
-    if of:
-        emit("                on_fill(line, 1)")
-    emit("            complete = issue + 1")
-    emit("        elif cls == 3:  # statically mispredicted branch")
-    emit("            issue = dispatch")
-    emit("            if s1 >= 0:")
-    emit("                ready = reg_ready[s1]")
-    emit("                if ready > issue:")
-    emit("                    issue = ready")
-    emit("            if s2 >= 0:")
-    emit("                ready = reg_ready[s2]")
-    emit("                if ready > issue:")
-    emit("                    issue = ready")
-    emit("            complete = issue + 1")
-    emit("            fetch_cycle = complete + branch_penalty")
-    emit("            fetch_slot = 0")
-    emit("        else:  # cls == 4: taken backward branch, register-only")
-    register_only()
-    emit("        if complete > last_commit:")
-    emit("            last_commit = complete")
-    emit("            commits_at_time = 1")
-    emit("        else:")
-    emit("            commits_at_time += 1")
-    emit("            if commits_at_time > width:")
-    emit("                last_commit += 1")
-    emit("                commits_at_time = 1")
-    emit("        commit_ring[rob_slot] = last_commit")
-    lines[row_loop:] = ["    " + line for line in lines[row_loop:]]
-    emit("        if lo + burst_rows < n:")
-    emit("            core._fetch_cycle = fetch_cycle")
-    emit("            yield True")
+        # An empty trace has no row to yield at; still a generator.
+        emit("    yield from ()")
+    if len(table) > 1:
+        emit("        match sid:")
+    for sid, stretch in enumerate(table):
+        ind = "        "
+        if len(table) > 1:
+            ind = "                "
+            emit(f"            case {sid if sid < len(table) - 1 else '_'}:")
+        for row in stretch:
+            row_code(ind, row)
+    for reg in registers:
+        emit(f"    reg_ready[{reg}] = r{reg}")
     emit("")
 
     # ------------------------------------------------------------------
     # Finalization: write the virtualized story into the real objects.
     # ------------------------------------------------------------------
+    emit("    n = plan.n")
     emit("    core._index = n")
     emit("    core._fetch_cycle = fetch_cycle")
     emit("    core._fetch_slot = fetch_slot")

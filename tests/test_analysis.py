@@ -139,6 +139,110 @@ class TestOfflineClassifier:
         classifier = OfflineClassifier(strided_trace)
         assert classifier.strided_pcs
 
+    def test_columns_classify_as_the_record_loop(self):
+        """A compiled trace is classified from its columns, builds no
+        record view, and labels every line and PC as the record loop
+        did, over the stress suite and four SPEC apps: ``spec.mcf`` (no
+        strided PC), ``spec.leslie3d`` (five), and ``spec.soplex`` and
+        ``spec.gcc`` (dense regions, so MHF lines beside LHF).  Each SPEC
+        trace is read from the trace cache, or built when the cache is
+        cold, and dropped after its check."""
+        from repro.isa.trace import TraceRecord, compile_trace
+        from repro.workloads import get_suite, get_workload
+        from repro.workloads.tracecache import TraceCache
+
+        cache = TraceCache()
+        spec = [get_workload(name) for name in (
+            "spec.mcf", "spec.leslie3d", "spec.soplex", "spec.gcc")]
+        for workload in get_suite("stress") + spec:
+            if workload.name.startswith("stress."):
+                trace = workload.trace()
+            else:
+                trace = cache.get(workload.name, workload.simpoint) \
+                    or compile_trace(workload.object_trace())
+            records = (TraceRecord(*row) for row in zip(
+                *(column.tolist() for column in trace.array_columns())))
+            views = trace._records
+            new = OfflineClassifier(trace)
+            reference = _RecordLoopClassifier(_Records(records))
+            assert trace._records is views, workload.name
+            assert new.strided_pcs == reference.strided_pcs, workload.name
+            assert new._lhf_lines == reference._lhf_lines, workload.name
+            assert new._mhf_lines == reference._mhf_lines, workload.name
+
+
+class _Records:
+    """A stand-in trace that holds only a record stream."""
+
+    def __init__(self, records) -> None:
+        self.records = records
+
+
+class _RecordLoopClassifier(OfflineClassifier):
+    """The classifier's build as it was before it read trace columns:
+    one pass over ``trace.records``, verbatim."""
+
+    def _build(self, trace) -> None:
+        from collections import defaultdict
+
+        from repro.analysis.classify import REGION_LINES
+
+        last_addr: dict[int, int] = {}
+        delta_counts: dict[int, Counter] = defaultdict(Counter)
+        instances: Counter = Counter()
+        lines_by_pc: dict[int, set[int]] = defaultdict(set)
+        generations: dict[int, tuple[set[int], int]] = {}
+        dense_regions: set[int] = set()
+        access_index = 0
+
+        for record in trace.records:
+            if not record.is_mem:
+                continue
+            pc = record.pc
+            line = record.addr >> 6
+            instances[pc] += 1
+            lines_by_pc[pc].add(line)
+            access_index += 1
+            region = line // REGION_LINES
+            if region not in dense_regions:
+                generation = generations.get(region)
+                if (
+                    generation is None
+                    or access_index - generation[1] > self.density_window
+                ):
+                    generation = (set(), access_index)
+                lines, _ = generation
+                lines.add(line)
+                if len(lines) > self.dense_threshold:
+                    dense_regions.add(region)
+                    generations.pop(region, None)
+                else:
+                    generations[region] = (lines, access_index)
+            previous = last_addr.get(pc)
+            if previous is not None:
+                delta = record.addr - previous
+                if delta != 0:
+                    delta_counts[pc][delta] += 1
+            last_addr[pc] = record.addr
+
+        for pc, count in instances.items():
+            if count < self.min_instances:
+                continue
+            deltas = delta_counts.get(pc)
+            if not deltas:
+                continue
+            total = sum(deltas.values())
+            dominant = deltas.most_common(1)[0][1]
+            if total and dominant / total >= self.strided_fraction:
+                self.strided_pcs.add(pc)
+                self._lhf_lines.update(lines_by_pc[pc])
+
+        for region in dense_regions:
+            base = region * REGION_LINES
+            for line in range(base, base + REGION_LINES):
+                if line not in self._lhf_lines:
+                    self._mhf_lines.add(line)
+
 
 class TestCreditTracker:
     def test_positive_credit(self):

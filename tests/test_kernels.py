@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -473,9 +474,12 @@ def test_segmented_all_event_trace_degrades_to_scalar(monkeypatch):
     assert _identity(fast) == _identity(generic)
 
 
-def test_plan_rows_share_their_tuples(chain):
-    """The plan's rows equal a per-row zip of each instruction's
-    effective operands, and hold only the few distinct tuple objects."""
+def test_plan_stretch_table_expands_to_the_rows(chain):
+    """The plan's stretch table, read in the order of its stretch ids,
+    spells out every instruction's effective operands; each stretch
+    ends at its one event or taken backward branch (the trace's last
+    stretch may end at the trace's end instead), no stretch repeats,
+    and the table runs from the most frequent stretch down."""
     core = OoOCore(chain, Hierarchy(EXPERIMENT_CONFIG),
                    make_prefetcher("none"), EXPERIMENT_CONFIG.core)
     key = segmented.segment_plan_key(core)
@@ -494,32 +498,157 @@ def test_plan_rows_share_their_tuples(chain):
             -1 if d in (DISP_LOAD, DISP_BR_UNCOND, DISP_OTHER) else s2,
             dst if d in (DISP_ALU, DISP_LOAD) else -1,
             alu_latency if d == DISP_ALU else 1))
-    assert fed and plan.rows == expected
-    distinct = set(plan.rows)
-    assert len({id(row) for row in plan.rows}) == len(distinct)
-    assert len(distinct) < len(plan.rows) // 100
+    rows = [row for sid in plan.stretch_ids for row in plan.table[sid]]
+    assert fed and rows == expected and plan.n == len(chain)
+    assert len(set(plan.table)) == len(plan.table)
+    for sid, stretch in enumerate(plan.table):
+        assert all(row[0] == 0 for row in stretch[:-1]), sid
+        assert stretch[-1][0] or sid == plan.stretch_ids[-1], sid
+    counts = Counter(plan.stretch_ids)
+    frequencies = [counts[sid] for sid in range(len(plan.table))]
+    assert frequencies == sorted(frequencies, reverse=True)
+    assert len(plan.table) < len(plan.stretch_ids) // 100
 
 
 def test_segmented_counts_kernel_compiles_apart_from_plan_builds(
         monkeypatch):
-    """Two traces with the same hook shape build two plans but
-    exec-compile one kernel: ``compiled.<variant>`` counts compiles,
-    ``plan_builds`` counts plans."""
+    """A kernel is compiled per stretch table, not per trace or cell:
+    one trace replayed twice compiles once, and a second trace with
+    another table builds its own plan and compiles its own kernel.
+    Mix cores resume the kernels their traces compiled as single-core
+    cells.  ``compiled.<variant>`` counts compiles, ``plan_builds``
+    counts plans, and every compile adds its generated lines and
+    compile microseconds."""
     monkeypatch.setattr(segmented, "_SEG_KERNELS", {})
-    traces = [
-        compile_trace(build_strided_trace(elements=400, name="k-count-a")),
-        compile_trace(build_chain_trace(nodes=300, name="k-count-b")),
-    ]
+    strided = compile_trace(build_strided_trace(elements=400,
+                                                name="k-count-a"))
+    chain = compile_trace(build_chain_trace(nodes=300, name="k-count-b"))
     before = metrics.mark()
-    variants = {simulate(trace, make_prefetcher("bop")).kernel
-                for trace in traces}
-    counted = metrics.since(before)
+    variants = {simulate(strided, make_prefetcher("bop")).kernel
+                for _ in range(2)}
+    once = metrics.since(before)
+    simulate(chain, make_prefetcher("bop"))
+    both = metrics.since(before)
 
     (variant,) = variants
     assert variant.startswith("segmented+")
-    assert counted[f"kernel.selected.{variant}"] == 2
-    assert counted[f"kernel.compiled.{variant}"] == 1
-    assert counted["kernel.plan_builds"] == 2
+    assert once[f"kernel.selected.{variant}"] == 2
+    assert once[f"kernel.compiled.{variant}"] == 1
+    assert once["kernel.plan_builds"] == 1
+    assert once["kernel.generated_lines"] > 0
+    assert once["kernel.compile_us"] > 0
+    tables = [plan.table for trace in (strided, chain)
+              for plan in trace._plans.values()]
+    assert len(tables) == 2 and tables[0] != tables[1]
+    assert both[f"kernel.compiled.{variant}"] == 2
+    assert both["kernel.plan_builds"] == 2
+    assert both["kernel.generated_lines"] > once["kernel.generated_lines"]
+    mix = simulate_multicore([strided, chain],
+                             [make_prefetcher("bop") for _ in range(2)])
+    assert all(len(trace) > multicore.BURST for trace in (strided, chain))
+    assert {core.kernel for core in mix.per_core} == {variant}
+    assert metrics.since(before)[f"kernel.compiled.{variant}"] == 2
+
+
+# ----------------------------------------------------------------------
+# Stretch-compiled kernels: ROB wraps, burst stops and stretch shapes
+# ----------------------------------------------------------------------
+def test_kernel_compiles_thousands_of_stretches(monkeypatch):
+    """A stretch table of 5,000 distinct stretches compiles: the arms
+    are ``match`` cases, where an ``elif`` chain that long exhausts
+    the compiler's recursion depth."""
+    monkeypatch.setattr(segmented, "_SEG_KERNELS", {})
+    table = tuple(((0, i % 32, -1, (i + 1) % 32, 1 + i // 32),)
+                  for i in range(5000))
+    assert callable(segmented._segment_kernel(False, False, False, False,
+                                              (), table))
+
+
+def _sized(rows):
+    """A program whose trace is exactly ``rows`` rows: loads and adds
+    in a 1:3 mix, so stretches and burst stops fall at every offset."""
+    def build(asm):
+        asm.movi("r1", 0x40000)
+        for i in range(rows - 1):
+            if i % 4 == 3:
+                asm.load("r2", "r1", 8 * i)
+            else:
+                asm.add("r3", "r3", "r2")
+    return build
+
+
+def _long_register_run(asm):
+    """One register-only stretch of 400 rows, longer than any ROB the
+    tests configure, between two loads."""
+    asm.movi("r1", 0x40000)
+    asm.load("r2", "r1", 0)
+    for i in range(400):
+        asm.add(f"r{3 + i % 5}", f"r{3 + (i + 1) % 5}", "r2")
+    asm.load("r2", "r1", 64)
+
+
+def _single_row(asm):
+    asm.movi("r1", 7)
+
+
+def _stretch_traces() -> list:
+    from repro.workloads.fuzz import fuzz_workload
+
+    traces = [_compile_program(f"k-rows-{rows}", _sized(rows))
+              for rows in (64, 65)]
+    traces += [_compile_program(f"k-stretch-{case}", build)
+               for case, build in (("long", _long_register_run),
+                                   ("single", _single_row),
+                                   ("events", _all_memory),
+                                   ("event-free", _all_alu))]
+    traces.append(fuzz_workload(20).trace())
+    return traces
+
+
+@pytest.fixture(scope="module")
+def stretch_traces():
+    traces = _stretch_traces()
+    assert [len(trace) for trace in traces[:2]] == [64, 65]
+    assert len(traces[3]) == 1
+    assert len(traces[4].segment_events()) == len(traces[4]) - 1
+    assert len(traces[5].segment_events()) == 0
+    return traces
+
+
+def _with_rob(rob):
+    if rob is None:
+        return EXPERIMENT_CONFIG
+    return dataclasses.replace(
+        EXPERIMENT_CONFIG,
+        core=dataclasses.replace(EXPERIMENT_CONFIG.core, rob_entries=rob))
+
+
+@pytest.mark.parametrize("spec", ["none", "bop", "tpc"])
+@pytest.mark.parametrize("rob", [None, 100, 7])
+def test_stretch_kernels_match_generic(rob, spec, stretch_traces,
+                                       monkeypatch):
+    """Straight-line stretch code retires every row as the generic loop
+    does, in one burst and as 4-core mixes resumed every 32 rows, for
+    ROB sizes the burst does not divide (100, 7) and the default: on
+    traces of exactly two bursts and one row more, a register-only
+    stretch longer than the ROB, single-row, all-event and event-free
+    traces, and fuzz seed 20's stretch table."""
+    config = _with_rob(rob)
+    long_trace = stretch_traces[2]
+    core = OoOCore(long_trace, Hierarchy(config), make_prefetcher("none"),
+                   config.core)
+    plan = segmented._get_plan(long_trace, segmented.segment_plan_key(core))
+    assert max(map(len, plan.table)) > config.core.rob_entries
+    for trace in stretch_traces:
+        fast, slow = _against_generic(trace, spec, monkeypatch, config)
+        assert fast.kernel.startswith("segmented+"), trace.name
+        assert _with_log(fast) == _with_log(slow), (trace.name, rob, spec)
+    mixes = (stretch_traces[:4], stretch_traces[3:])
+    for mix in mixes:
+        fast, slow = _mix_against_generic(monkeypatch, mix, spec, config)
+        assert all(core.kernel.startswith("segmented+")
+                   for core in fast.per_core)
+        assert mix_identity(fast) == mix_identity(slow), (rob, spec)
 
 
 def test_segmented_identity_under_chaos_corrupt_and_resume(tmp_path):

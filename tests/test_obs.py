@@ -188,9 +188,13 @@ def test_metrics_roundtrip_through_journal_resume(tmp_path, monkeypatch):
 
 
 def test_process_registry_counts_kernel_selection(sweeps):
+    """Kernel selections and compiles count in the process registry,
+    each compile with its generated lines and compile microseconds."""
     counters = metrics.PROCESS.counters
     assert any(name.startswith("kernel.selected.") for name in counters)
     assert any(name.startswith("kernel.compiled.") for name in counters)
+    assert counters["kernel.generated_lines"] > 0
+    assert counters["kernel.compile_us"] > 0
 
 
 @pytest.fixture(scope="module")
