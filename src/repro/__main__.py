@@ -29,17 +29,15 @@ latest`` and ``repro metrics latest`` read them back.
 matrices: an interrupted run resumed with the same cache + journal
 re-simulates nothing that completed); see docs/performance.md and
 docs/robustness.md.  Parallel cells are fault-isolated with bounded
-retry/backoff and an optional per-cell timeout (``REPRO_RETRY_MAX`` /
-``REPRO_RETRY_BACKOFF`` / ``REPRO_CELL_TIMEOUT``); degradations are
+retry/backoff (``repro.faults.RetryPolicy``); degradations are
 JSONL-logged to ``runs/journal/faults.jsonl``, which ``repro events``
 reads like any lifecycle trace.
 
-Parallel sweeps share each compiled trace's numpy columns over named
-shared-memory segments and dispatch fine-grained units with work
-stealing (see docs/performance.md): ``REPRO_SHM=0`` disables segment
-publication, and ``REPRO_MP_CONTEXT`` selects the pool start method
-(``fork`` default / ``spawn`` / ``forkserver`` — figures are
-bit-identical across all of them and to ``--jobs 1``).
+Parallel sweeps fork a persistent worker pool, share each compiled
+trace's numpy columns over named shared-memory segments and dispatch
+fine-grained units with work stealing (see docs/performance.md):
+``REPRO_SHM=0`` disables segment publication; figures are bit-identical
+either way and to ``--jobs 1``.
 """
 
 from __future__ import annotations

@@ -17,9 +17,8 @@ writes a machine-readable ``BENCH_simulator.json``:
   ``--require-specialized``'s no-generic-cell gate also proves every
   matrix cell ran the segmented tier;
 * **parallel** — the same matrix through :func:`repro.parallel.run_jobs`
-  at ``--jobs N``, reported as speedup over the serial pass; on hosts
-  where the pool would lose (``<= 2`` CPUs, tiny matrix) the pass
-  auto-falls back to serial and records ``parallel.fallback``;
+  at ``--jobs N``, the path every ``--jobs N`` sweep takes, reported as
+  speedup over the serial pass;
 * **cache** — a cold run populating a scratch on-disk result cache vs a
   warm run reading it back, with the warm run's fresh-simulation count
   (which must be zero) recorded alongside the times.
@@ -33,9 +32,9 @@ merge split — so a slow run can be attributed to the right layer.
 (exit 1) when serial throughput drops more than ``--tolerance`` (default
 30%) below the committed baseline, or when the parallel pass at
 ``jobs >= 2`` on a multi-core host comes out *slower* than serial
-(``speedup_vs_serial < 1.0`` — the PR-2 pool paid more in spawn and
-pickling than it won back; that must never happen again).  Single-core
-hosts skip the parallel gate, annotated in the report.  The committed
+(``speedup_vs_serial < 1.0`` — a pool that pays more in worker startup
+and pickling than it wins back is a regression).  Single-core hosts
+skip the parallel gate, annotated in the report.  The committed
 baseline in ``benchmarks/BENCH_baseline.json`` was measured *before*
 the hot-loop optimization, so ``improvement_vs_baseline`` in the output
 doubles as the optimization's scoreboard on comparable hardware.
@@ -227,24 +226,16 @@ def bench_parallel(matrix, config, jobs: int, serial_seconds: float) -> dict:
     obs = FabricObs("bench-parallel")
     timings: dict = {}
     started = time.perf_counter()
-    run_jobs(matrix, config, jobs, timings=timings, obs=obs,
-             auto_serial=True)
+    run_jobs(matrix, config, jobs, timings=timings, obs=obs)
     elapsed = time.perf_counter() - started
     obs.finish()
     report = pool_report(obs.records())
-    fallback = bool(timings.get("fallback"))
-    section = {
+    return {
         "jobs": jobs,
         "cpus": os.cpu_count() or 1,
         "seconds": round(elapsed, 3),
-        # A serial fallback never measured a pool, so a "speedup" here
-        # would be serial-vs-serial timing noise dressed up as a
-        # result.  null means "not measured"; check_regression reads
-        # the null itself to skip the gate (no side channel).
         "speedup_vs_serial": (
-            None if fallback
-            else round(serial_seconds / elapsed, 2) if elapsed else 0.0
-        ),
+            round(serial_seconds / elapsed, 2) if elapsed else 0.0),
         "phases": timings,
         "workers": report["workers"],
         "utilization": {
@@ -254,10 +245,6 @@ def bench_parallel(matrix, config, jobs: int, serial_seconds: float) -> dict:
             "straggler_worker": report["straggler_worker"],
         },
     }
-    if fallback:
-        section["fallback"] = timings["fallback"]
-        section["fallback_reason"] = timings.get("fallback_reason")
-    return section
 
 
 def bench_cache(matrix, config) -> dict:
@@ -497,10 +484,7 @@ def check_regression(report: dict, baseline_path: str,
     A second gate covers the parallel layer: at ``jobs >= 2`` on a
     multi-core host, ``speedup_vs_serial`` below 1.0 means the pool made
     things *slower* and fails the check.  Single-core hosts cannot show
-    a real speedup, so the gate is skipped (and the report says so), as
-    is a pass whose ``speedup_vs_serial`` is ``null`` — the honest
-    record of a serial fallback, which measured no pool at all; falling
-    back *is* the fix on such hosts.
+    a real speedup, so the gate is skipped (and the report says so).
 
     The replay-kernel gates ``--check`` also turns on are rows of
     :data:`GATES`.
@@ -511,18 +495,7 @@ def check_regression(report: dict, baseline_path: str,
     reference = baseline[mode]["instr_per_sec"]
     current = report["serial"]["instr_per_sec"]
     parallel = report["parallel"]
-    # A fallback pass records speedup_vs_serial: null (it measured no
-    # pool); the gate decision derives from that value alone.
-    fallback = parallel.get("speedup_vs_serial") is None
-    gate_applies = (parallel["jobs"] >= 2
-                    and (os.cpu_count() or 1) >= 2
-                    and not fallback)
-    if fallback:
-        parallel_gate = "skipped (serial fallback)"
-    elif gate_applies:
-        parallel_gate = "enforced"
-    else:
-        parallel_gate = "skipped (single-core host)"
+    gate_applies = parallel["jobs"] >= 2 and (os.cpu_count() or 1) >= 2
     report["baseline"] = {
         "path": baseline_path,
         "mode": mode,
@@ -531,7 +504,8 @@ def check_regression(report: dict, baseline_path: str,
             round(current / reference, 2) if reference else 0.0
         ),
         "tolerance": tolerance,
-        "parallel_gate": parallel_gate,
+        "parallel_gate": ("enforced" if gate_applies
+                          else "skipped (single-core host)"),
     }
     floor = (1.0 - tolerance) * reference
     if current < floor:

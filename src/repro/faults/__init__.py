@@ -14,8 +14,9 @@ every degradation leaves an auditable trail:
 * **Retry with backoff** — :class:`RetryPolicy` bounds how often a cell
   is rescheduled and how long the parent waits between attempts
   (deterministic exponential backoff, no jitter), plus the per-cell
-  wall-clock timeout that replaces a hung worker.  Every knob has an
-  environment override so CI and operators can tune without code.
+  wall-clock timeout that replaces a hung worker.  Callers that need
+  other bounds (``repro bench --chaos`` sets a timeout) pass their own
+  policy.
 * **Resumable matrices** — :class:`~repro.faults.journal.MatrixJournal`
   records completed cells under ``runs/journal/`` with the same key
   scheme as the result cache, so an interrupted ``report_all``/
@@ -33,12 +34,7 @@ See ``docs/robustness.md`` for the failure model and knob reference.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-
-RETRY_MAX_ENV = "REPRO_RETRY_MAX"
-RETRY_BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
-CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
 
 #: How a cell ultimately failed (``CellFailure.kind`` values).
 FAIL_ERROR = "error"          # the cell's own code raised
@@ -75,56 +71,27 @@ def failures_in(results) -> "list[CellFailure]":
     return [r for r in results if isinstance(r, CellFailure)]
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: "float | None") -> "float | None":
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with deterministic exponential backoff.
 
     ``max_attempts`` counts *schedulings* of a cell (first try included);
     ``delay(attempt)`` is the pause before scheduling attempt ``attempt``
-    (1-based retries).  ``timeout_seconds`` is the per-cell wall-clock
-    budget measured from dispatch to a pool worker — ``None`` disables
-    the watchdog.  Environment overrides: ``REPRO_RETRY_MAX``,
-    ``REPRO_RETRY_BACKOFF``, ``REPRO_CELL_TIMEOUT``.
+    (1-based retries): ``backoff_seconds``, doubled for each further
+    retry.  ``timeout_seconds`` is the per-cell wall-clock budget
+    measured from dispatch to a pool worker — ``None`` disables the
+    watchdog.
     """
 
     max_attempts: int = 3
     backoff_seconds: float = 0.05
-    backoff_factor: float = 2.0
     timeout_seconds: "float | None" = None
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        return cls(
-            max_attempts=max(1, _env_int(RETRY_MAX_ENV, 3)),
-            backoff_seconds=_env_float(RETRY_BACKOFF_ENV, 0.05) or 0.0,
-            timeout_seconds=_env_float(CELL_TIMEOUT_ENV, None),
-        )
 
     def delay(self, attempt: int) -> float:
         """Seconds to wait before scheduling ``attempt`` (>= 1)."""
         if attempt <= 0:
             return 0.0
-        return self.backoff_seconds * (self.backoff_factor ** (attempt - 1))
+        return self.backoff_seconds * 2.0 ** (attempt - 1)
 
 
 from repro.faults.atomic import atomic_write_bytes, atomic_write_pickle  # noqa: E402

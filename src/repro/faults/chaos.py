@@ -120,10 +120,11 @@ def get_chaos() -> ChaosConfig:
 def set_chaos(config: "ChaosConfig | None") -> None:
     """Programmatic override (``None`` returns control to the env).
 
-    Note: pool workers inherit the *environment*, not this override —
-    for cross-process injection export ``config.spec()`` via
-    ``REPRO_CHAOS`` before the pool spawns (``repro bench --chaos``
-    does exactly that).
+    Note: pool workers see the override, like the environment, only as
+    it stood when the persistent pool forked them — for cross-process
+    injection shut the pool down and export ``config.spec()`` via
+    ``REPRO_CHAOS`` before the next sweep forks a new one (``repro
+    bench --chaos`` does exactly that).
     """
     global _override
     _override = config
@@ -141,10 +142,6 @@ def mark_worker() -> None:
     """Pool-worker initializer hook: kill directives only fire here."""
     global _IN_WORKER
     _IN_WORKER = True
-
-
-def in_worker() -> bool:
-    return _IN_WORKER
 
 
 def _fire_once(token) -> bool:

@@ -48,10 +48,11 @@ def pool_report(records: list) -> dict:
             entry["steals"] += 1
     mode = "pool" if workers else "serial"
     if not workers:
-        # Serial fallback (auto_serial or --jobs 1): attribute the whole
-        # sweep to one pseudo-lane so the busy/idle split still shows up
-        # instead of an empty ``workers`` table.  The serial path emits
-        # no unit spans, so fall back to its worker-0 cell spans.
+        # Serial sweep (--jobs 1, or at most one pool-eligible cell):
+        # attribute the whole sweep to one pseudo-lane so the busy/idle
+        # split still shows up instead of an empty ``workers`` table.
+        # The serial path emits no unit spans, so fall back to its
+        # worker-0 cell spans.
         source = serial_units or [c for c in cells
                                   if c.get("worker", 0) <= 0]
         if source:

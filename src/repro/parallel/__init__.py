@@ -9,17 +9,17 @@ bit-identical to running the same jobs serially.
 
 Performance properties (PR 2-3, reworked by the shared-memory PR):
 
-* **Persistent pool** — the executor is created once per process and
-  reused across every ``run_jobs`` call.  ``shutdown_pool()`` runs at
-  interpreter exit, or sooner if the worker count or the start method
-  (``REPRO_MP_CONTEXT``: ``fork`` default, ``spawn``, ``forkserver``)
-  changes.
+* **Persistent pool** — the executor forks its workers once per
+  process and is reused across every ``run_jobs`` call.
+  ``shutdown_pool()`` runs at interpreter exit, or sooner if the worker
+  count changes.
 * **Zero-copy trace sharing** — the parent publishes each warmed
   compiled trace's numpy columns (primary, derived, segment events,
   memory image) into named ``multiprocessing.shared_memory`` segments
   once (:mod:`repro.parallel.shm`); workers attach and rebuild the
-  trace as ``frombuffer`` views — no re-deserialization, no reliance
-  on fork-COW timing, identical under ``fork`` and ``spawn``.  The
+  trace as ``frombuffer`` views — no re-deserialization, and no
+  reliance on fork-COW timing: a trace the parent first loads after
+  the pool forked reaches the workers the same way.  The
   manifest entries ride the unit payloads; segments are unlinked at
   ``atexit``, on ``KeyboardInterrupt``, or via
   :func:`repro.parallel.shm.release_all`.  ``REPRO_SHM=0`` restores
@@ -110,40 +110,12 @@ SimJob = tuple  # (workload, spec, tag) — see ``normalize_job``
 
 _EXECUTOR = None
 _EXECUTOR_WORKERS = 0
-_EXECUTOR_CONTEXT = ""
 _SHUTDOWN_REGISTERED = False
 
 
 def default_jobs() -> int:
     """Worker count when ``--jobs 0`` is given: one per CPU."""
     return os.cpu_count() or 1
-
-
-MIN_POOL_CELLS = 4
-"""Fewest pool-eligible cells for which a pool can beat in-process
-serial execution (see :func:`serial_fallback_reason`)."""
-
-
-def serial_fallback_reason(pool_cells: int, n_jobs: int) -> str | None:
-    """Why a pool would lose to serial execution here, or ``None``.
-
-    Two regimes where worker spawn + result pickling reliably cost more
-    than the parallelism wins back: a host with at most two CPUs (the
-    workers only time-slice cores the parent is already saturating —
-    the measured ``repro bench`` outcome on such hosts was a 0.82x
-    *slowdown*), and a matrix with fewer pool-eligible cells than
-    :data:`MIN_POOL_CELLS` (spawn overhead is amortized over too little
-    work).  Used by :func:`run_jobs` when the caller opts in via
-    ``auto_serial=True``; callers that need real workers regardless —
-    the chaos harness kills them on purpose — simply don't opt in.
-    """
-    cpus = os.cpu_count() or 1
-    if cpus <= 2:
-        return f"host has {cpus} cpu(s)"
-    if pool_cells < MIN_POOL_CELLS:
-        return (f"matrix has {pool_cells} pool-eligible cells "
-                f"(< {MIN_POOL_CELLS})")
-    return None
 
 
 def normalize_job(job) -> tuple[str, object, str]:
@@ -228,38 +200,25 @@ def _worker_init() -> None:
 
 
 def _get_executor(workers: int):
-    """The persistent pool, (re)created when size or context changes."""
-    global _EXECUTOR, _EXECUTOR_WORKERS, _EXECUTOR_CONTEXT, \
-        _SHUTDOWN_REGISTERED
-    wanted = shm.mp_context_name()
-    if _EXECUTOR is not None and (_EXECUTOR_WORKERS != workers
-                                  or _EXECUTOR_CONTEXT != wanted):
+    """The persistent fork pool, (re)created when its size changes."""
+    global _EXECUTOR, _EXECUTOR_WORKERS, _SHUTDOWN_REGISTERED
+    if _EXECUTOR is not None and _EXECUTOR_WORKERS != workers:
         shutdown_pool()
     if _EXECUTOR is None:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import resource_tracker
 
         # Workers must share this process's resource tracker, the one
-        # shm.publish registers segments with: fork workers inherit a
-        # running tracker, spawn and forkserver workers are handed its
-        # pipe.  A worker that started its own would unlink every
-        # segment it attached when it died.
+        # shm.publish registers segments with: a fork worker inherits
+        # the tracker only if it is running before the fork.  A worker
+        # that started its own would unlink every segment it attached
+        # when it died.
         resource_tracker.ensure_running()
-
-        # REPRO_MP_CONTEXT selects the start method (default fork).
-        # With shared-memory trace columns the choice is a startup-cost
-        # knob, not a correctness one: spawn workers attach the same
-        # segments fork workers inherit, and figures are bit-identical
-        # either way (pinned by tests/test_shm_parallel.py).
-        try:
-            context = multiprocessing.get_context(wanted)
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-        _EXECUTOR = ProcessPoolExecutor(max_workers=workers,
-                                        mp_context=context,
-                                        initializer=_worker_init)
+        _EXECUTOR = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_worker_init)
         _EXECUTOR_WORKERS = workers
-        _EXECUTOR_CONTEXT = wanted
         if not _SHUTDOWN_REGISTERED:
             atexit.register(shutdown_pool)
             _SHUTDOWN_REGISTERED = True
@@ -482,7 +441,7 @@ def _publish_traces(workloads, obs=None) -> dict:
 # ----------------------------------------------------------------------
 def run_jobs(jobs: Sequence[SimJob], config: SystemConfig,
              n_jobs: int, timings: dict | None = None,
-             policy=None, obs=None, auto_serial: bool = False) -> list:
+             policy=None, obs=None) -> list:
     """Simulate ``jobs`` with up to ``n_jobs`` persistent workers.
 
     Returns a list aligned with ``jobs`` where each slot holds either a
@@ -493,23 +452,16 @@ def run_jobs(jobs: Sequence[SimJob], config: SystemConfig,
     ``n_jobs <= 1`` runs everything serially in-process (same code path
     the workers use, same isolation), as does a job list with at most
     one pool-eligible cell.  ``policy`` is the retry/timeout contract
-    (default: :meth:`RetryPolicy.from_env`).  ``timings``, when given,
-    is filled on **every** exit path with the phase breakdown
+    (default: ``RetryPolicy()``).  ``timings``, when given, is filled on
+    **every** exit path with the phase breakdown
     (``trace_warm_seconds``, ``simulate_seconds``, ``merge_seconds``).
     ``obs`` (a :class:`repro.obs.FabricObs`) attaches fabric span
     tracing and receives the workers' counts; ``None`` records nothing.
-
-    ``auto_serial=True`` additionally falls back to the serial path
-    when :func:`serial_fallback_reason` predicts the pool would lose
-    (tiny matrix, or a host with at most two CPUs), recording
-    ``timings["fallback"] = "serial"`` and the reason.  Off by default:
-    tests and the chaos harness need real workers even where a pool is
-    a net loss.
     """
     from repro.faults import RetryPolicy
 
     if policy is None:
-        policy = RetryPolicy.from_env()
+        policy = RetryPolicy()
     normalized = [normalize_job(job) for job in jobs]
     results: list = [None] * len(normalized)
     remote: list[int] = []
@@ -518,18 +470,10 @@ def run_jobs(jobs: Sequence[SimJob], config: SystemConfig,
         for i, (_, spec, _) in enumerate(normalized):
             (remote if _is_picklable(spec) else local).append(i)
 
-    fallback_reason = None
-    if auto_serial and len(remote) > 1:
-        fallback_reason = serial_fallback_reason(len(remote), n_jobs)
-
     warm_seconds = 0.0
     merge_seconds = 0.0
     started = time.perf_counter()
     try:
-        if fallback_reason is not None:
-            _run_serial(range(len(normalized)), normalized, config,
-                        results, policy, obs)
-            return results
         if len(remote) <= 1:
             # Serial path: nothing (or a single cell) is pool-eligible —
             # a pool that could only ever run one job is pure overhead.
@@ -554,9 +498,6 @@ def run_jobs(jobs: Sequence[SimJob], config: SystemConfig,
         raise
     finally:
         if timings is not None:
-            if fallback_reason is not None:
-                timings["fallback"] = "serial"
-                timings["fallback_reason"] = fallback_reason
             timings["trace_warm_seconds"] = round(warm_seconds, 3)
             timings["simulate_seconds"] = round(
                 time.perf_counter() - started - merge_seconds, 3)

@@ -1,10 +1,9 @@
 """Zero-copy trace sharing over named shared-memory segments.
 
-Fork-COW trace sharing (PR 3) had two structural problems: it only
-works under the ``fork`` start method, and it only covers traces that
-were warm *before* the pool forked — a worker that needed anything else
-re-deserialized the on-disk cache entry, paying a full column copy per
-worker.  This module replaces both with explicit shared memory:
+Fork-COW trace sharing only covers traces that were warm *before* the
+pool forked — a worker that needed anything else re-deserialized the
+on-disk cache entry, paying a full column copy per worker.  This module
+replaces it with explicit shared memory:
 
 * **Publish** (parent, once per workload) — every numpy column of a
   :class:`~repro.isa.trace.CompiledTrace` is copied into one named
@@ -16,27 +15,26 @@ worker.  This module replaces both with explicit shared memory:
   the process boundary.
 * **Attach** (worker, once per segment) — :func:`attach` opens the
   segment and rebuilds the trace as ``numpy.frombuffer`` views into
-  the shared buffer: zero copies, O(1) in trace size, identical under
-  ``fork`` and ``spawn``.  :func:`install` adopts the attached traces
-  into the workload registry so ``simulate_spec`` finds them through
-  the normal memo path; a fork-inherited memo always wins (it carries
-  the parent's memoized replay plans).
+  the shared buffer: zero copies, O(1) in trace size, whether or not
+  the worker forked before the parent loaded the trace.  :func:`install`
+  adopts the attached traces into the workload registry so
+  ``simulate_spec`` finds them through the normal memo path; a
+  fork-inherited memo always wins (it carries the parent's memoized
+  replay plans).
 * **Lifecycle** — the parent keeps a manifest of everything it
   published (:func:`manifest_names`).  Segments are unlinked exactly
   once: explicitly via :func:`release_all` (``run_jobs`` calls it when
   a ``KeyboardInterrupt``/``SystemExit`` unwinds a sweep) or by the
   ``atexit`` hook registered on first publish.  Every pool worker
   shares the parent's resource tracker: ``repro.parallel`` starts it
-  before it creates the pool, fork workers inherit it, and spawn and
-  forkserver workers are handed its pipe.  A worker's attach registers
-  the segment name with that one tracker, where the parent's publish
-  already registered it, so a chaos-killed worker takes no segment
-  down with it and the parent's unlink is the one unregister.
+  before it forks the pool, and the workers inherit it.  A worker's
+  attach registers the segment name with that one tracker, where the
+  parent's publish already registered it, so a chaos-killed worker
+  takes no segment down with it and the parent's unlink is the one
+  unregister.
 
 ``REPRO_SHM=0`` disables publication entirely (workers fall back to
-fork-COW memos or the on-disk trace cache); ``REPRO_MP_CONTEXT``
-selects the pool start method (``fork`` default, ``spawn`` — which this
-module is what makes viable — or ``forkserver``).
+fork-COW memos or the on-disk trace cache).
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from repro.isa.trace import (
 from repro.obs.metrics import PROCESS
 
 SHM_ENV = "REPRO_SHM"
-MP_CONTEXT_ENV = "REPRO_MP_CONTEXT"
 
 _SIGNED_64_MIN = -(1 << 63)
 _SIGNED_64_MAX = (1 << 63) - 1
@@ -96,14 +93,6 @@ def _np():
 def enabled() -> bool:
     """Shared-memory publication on? (``REPRO_SHM=0`` disables.)"""
     return os.environ.get(SHM_ENV) != "0"
-
-
-def mp_context_name() -> str:
-    """Pool start method from ``REPRO_MP_CONTEXT`` (default ``fork``)."""
-    name = os.environ.get(MP_CONTEXT_ENV)
-    if name in ("fork", "spawn", "forkserver"):
-        return name
-    return "fork"
 
 
 def _slug(text: str) -> str:
@@ -188,16 +177,6 @@ def manifest_names() -> list[str]:
     return sorted(entry.segment for entry, _ in _PUBLISHED.values())
 
 
-def entries_for(workloads) -> dict[str, SharedTrace]:
-    """The manifest entries covering ``workloads`` (missing ones skipped)."""
-    entries = {}
-    for workload in workloads:
-        published_entry = _PUBLISHED.get(workload)
-        if published_entry is not None:
-            entries[workload] = published_entry[0]
-    return entries
-
-
 def release(workload: str) -> bool:
     """Unlink one workload's segment; ``True`` if one was published."""
     item = _PUBLISHED.pop(workload, None)
@@ -273,8 +252,8 @@ def install(entries: dict[str, SharedTrace]) -> int:
     Runs at the top of every worker unit: for each entry whose workload
     has no trace memo yet (fork-inherited memos win — they carry the
     parent's replay plans), attach the segment and install the view as
-    the memo.  Unknown names (dynamic fuzz workloads under ``spawn``)
-    are registered as stubs, so the registry lookup inside
+    the memo.  Unknown names (dynamic fuzz workloads the parent
+    registered after the pool forked) are registered as stubs, so the registry lookup inside
     ``simulate_spec`` succeeds without the builder.  Returns how many
     traces were adopted.
     """

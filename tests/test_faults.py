@@ -68,18 +68,10 @@ class _BoomFactory:
 # ----------------------------------------------------------------------
 # Retry policy and chaos grammar
 # ----------------------------------------------------------------------
-def test_retry_policy_env_overrides(monkeypatch):
-    monkeypatch.setenv("REPRO_RETRY_MAX", "5")
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.5")
-    monkeypatch.setenv("REPRO_CELL_TIMEOUT", "7.5")
-    policy = RetryPolicy.from_env()
-    assert policy.max_attempts == 5
-    assert policy.backoff_seconds == 0.5
-    assert policy.timeout_seconds == 7.5
+def test_retry_policy_delay_sequence():
+    policy = RetryPolicy(backoff_seconds=0.5)
     # Deterministic exponential backoff, 1-based retries.
-    assert [policy.delay(n) for n in (1, 2, 3)] == [0.5, 1.0, 2.0]
-    monkeypatch.setenv("REPRO_RETRY_MAX", "not-a-number")
-    assert RetryPolicy.from_env().max_attempts == 3  # malformed -> default
+    assert [policy.delay(n) for n in (0, 1, 2, 3)] == [0.0, 0.5, 1.0, 2.0]
 
 
 def test_chaos_spec_parse_and_roundtrip(monkeypatch):

@@ -5,7 +5,8 @@ Three contracts under test:
 * **Zero-copy sharing** — a published trace attaches as numpy views
   that are value-identical to the original (columns, derived columns,
   segment events, memory image), and figures are bit-identical with
-  shared memory on, off, and serial — under ``fork`` *and* ``spawn``.
+  shared memory on, off, and serial — also for workers that inherited
+  no trace and attached the segment.
 * **Lifecycle** — the parent-side manifest is the leak oracle: segments
   are released on explicit :func:`repro.parallel.shm.release_all`, on a
   ``KeyboardInterrupt`` unwinding ``run_jobs``, and survive a
@@ -41,8 +42,8 @@ APP2 = "spec.astar"
 @pytest.fixture(autouse=True)
 def _shm_isolation(monkeypatch):
     """Chaos off, fault log off, segments + pool torn down around each
-    test (the persistent pool must not leak one test's env into the
-    next — REPRO_MP_CONTEXT/REPRO_SHM are read at fork time)."""
+    test (the persistent pool must not leak one test's env or trace
+    memos into the next — its workers inherit both at fork time)."""
     monkeypatch.setenv("REPRO_FAULT_LOG", "")
     chaos.reset_chaos()
     shutdown_pool()
@@ -108,7 +109,7 @@ def test_shm_disabled_publishes_nothing(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Figure identity: shm on / off / serial, fork / spawn
+# Figure identity: shm on / off / serial
 # ----------------------------------------------------------------------
 MATRIX = [(APP, "none"), (APP, "bop"), (APP2, "none"), (APP2, "bop")]
 
@@ -123,19 +124,6 @@ def test_figures_identical_shm_on_off_and_serial(monkeypatch):
     without = _ok_figures(run_jobs(MATRIX, EXPERIMENT_CONFIG, 2))
     assert without == serial
     assert shm.manifest_names() == []
-
-
-def test_spawn_context_bit_identical_to_fork_and_serial(monkeypatch):
-    """The spawn smoke test: workers that share nothing by fork must
-    attach the shared segments and reproduce the figures exactly."""
-    serial = _ok_figures(run_jobs(MATRIX, EXPERIMENT_CONFIG, 1))
-    fork = _ok_figures(run_jobs(MATRIX, EXPERIMENT_CONFIG, 2))
-    monkeypatch.setenv(shm.MP_CONTEXT_ENV, "spawn")
-    assert shm.mp_context_name() == "spawn"
-    # The executor rebuilds itself when the requested context changes.
-    spawn = _ok_figures(run_jobs(MATRIX, EXPERIMENT_CONFIG, 2))
-    assert fork == serial
-    assert spawn == serial
 
 
 # ----------------------------------------------------------------------
@@ -195,29 +183,45 @@ def test_chaos_killed_worker_does_not_unlink_segments(monkeypatch):
 
 
 TWO_SWEEPS = f"""
+import json
+
 from repro.engine.config import EXPERIMENT_CONFIG
+from repro.obs import FabricObs
 from repro.parallel import run_jobs
 
+def figures(results):
+    return [(r.core.cycles, r.core.instructions, r.l1d.demand_misses,
+             r.dram_traffic) for r in results]
+
 run_jobs([("{APP}", "none"), ("{APP}", "bop")], EXPERIMENT_CONFIG, 2)
-# The second sweep's trace is published after the pool forked, so the
-# workers attach a segment they did not inherit.
-run_jobs([("{APP2}", "none"), ("{APP2}", "bop")], EXPERIMENT_CONFIG, 2)
+# The parent first loads the second sweep's trace after the pool forked,
+# so the workers inherit no memo of it: they must attach its segment.
+matrix = [("{APP2}", "none"), ("{APP2}", "bop")]
+obs = FabricObs("second-sweep")
+pool = figures(run_jobs(matrix, EXPERIMENT_CONFIG, 2, obs=obs))
+print(json.dumps({{
+    "pool": pool,
+    "serial": figures(run_jobs(matrix, EXPERIMENT_CONFIG, 1)),
+    "attaches": obs.metrics.counters.get("trace_cache.shm_attaches", 0),
+}}))
 """
 
 
 def test_two_sweeps_on_one_pool_exit_cleanly():
-    """Two sweeps on one persistent pool, the second on a workload
-    published after the fork: at exit the parent unlinks every segment
-    exactly once, and the resource tracker reports nothing."""
+    """Two sweeps on one persistent pool, the second on a workload the
+    parent loads after the fork: its workers attach the shared segment
+    and reproduce the serial figures exactly, and at exit the parent
+    unlinks every segment exactly once, with the resource tracker
+    reporting nothing."""
     env = {k: v for k, v in os.environ.items()
-           if k not in (shm.SHM_ENV, shm.MP_CONTEXT_ENV, chaos.CHAOS_ENV)}
+           if k not in (shm.SHM_ENV, chaos.CHAOS_ENV)}
     env["PYTHONPATH"] = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.Popen([sys.executable, "-c", TWO_SWEEPS], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True)
     try:
-        _, stderr = proc.communicate(timeout=300)
+        stdout, stderr = proc.communicate(timeout=300)
     finally:
         proc.kill()  # no-op once it exited
     assert proc.returncode == 0, stderr
@@ -225,6 +229,9 @@ def test_two_sweeps_on_one_pool_exit_cleanly():
              if "KeyError" in line or "resource_tracker" in line]
     assert noisy == [], stderr
     assert glob.glob(f"/dev/shm/repro-{proc.pid}-*") == []
+    second = json.loads(stdout.splitlines()[-1])
+    assert second["pool"] == second["serial"]
+    assert second["attaches"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -256,32 +263,20 @@ def test_imbalanced_matrix_records_steals():
 
 
 # ----------------------------------------------------------------------
-# Bench honesty: null speedup on serial fallback
+# Bench gates
 # ----------------------------------------------------------------------
-def test_check_regression_skips_gate_on_null_speedup(tmp_path, monkeypatch):
+def test_check_regression_enforces_parallel_gate(tmp_path, monkeypatch):
+    import repro.bench as bench_mod
     from repro.bench import check_regression
 
     baseline = tmp_path / "baseline.json"
     baseline.write_text(json.dumps(
         {"quick": {"instr_per_sec": 1000}, "full": {"instr_per_sec": 1000}}))
+    monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: 2)
     report = {
         "quick": True,
         "serial": {"instr_per_sec": 1000},
-        "parallel": {"jobs": 2, "cpus": 1, "speedup_vs_serial": None,
-                     "fallback": "serial",
-                     "fallback_reason": "host has 1 cpu(s)"},
-    }
-    assert check_regression(report, str(baseline)) is None
-    # The gate annotation derives from the null value itself.
-    assert report["baseline"]["parallel_gate"] == "skipped (serial fallback)"
-
-    import repro.bench as bench_mod
-
-    monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: 4)
-    report = {
-        "quick": True,
-        "serial": {"instr_per_sec": 1000},
-        "parallel": {"jobs": 2, "cpus": 4, "speedup_vs_serial": 0.8},
+        "parallel": {"jobs": 2, "cpus": 2, "speedup_vs_serial": 0.8},
     }
     error = check_regression(report, str(baseline))
     assert error is not None and "0.8" in error
@@ -352,17 +347,3 @@ def test_bench_gate_table(options, mutate, message, tmp_path, monkeypatch,
     else:
         assert code == 1
         assert len(failures) == 1 and message in failures[0], failures
-
-
-def test_bench_parallel_reports_null_speedup_on_fallback(monkeypatch):
-    from repro import bench as bench_mod
-    from repro import parallel
-
-    # Force the fallback prediction regardless of host shape.
-    monkeypatch.setattr(parallel, "serial_fallback_reason",
-                        lambda cells, jobs: "forced for test")
-    section = bench_mod.bench_parallel(MATRIX, EXPERIMENT_CONFIG, 2, 1.0)
-    assert section["speedup_vs_serial"] is None
-    assert section["fallback"] == "serial"
-    assert section["fallback_reason"] == "forced for test"
-    assert "steals" in section["utilization"]
