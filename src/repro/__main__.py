@@ -251,6 +251,10 @@ def _cmd_report(args) -> None:
         argv += ["--cache-dir", args.cache_dir]
     if args.journal_dir:
         argv += ["--journal-dir", args.journal_dir]
+    if args.digests:
+        argv += ["--digests", args.digests]
+    if args.check:
+        argv += ["--check", args.check]
     report_all.main(argv)
 
 
@@ -526,6 +530,15 @@ def main(argv: list[str] | None = None) -> None:
         "report", help="regenerate every table and figure"
     )
     report_parser.add_argument("-o", "--output", default=None)
+    report_parser.add_argument(
+        "--digests", default=None, metavar="FILE",
+        help="write each section's text sha256 here (JSON)",
+    )
+    report_parser.add_argument(
+        "--check", default=None, metavar="REF",
+        help="exit 1 naming every section whose text digest differs "
+             "from REF's (e.g. benchmarks/REPORT_digests.json)",
+    )
     add_runner_flags(report_parser)
     report_parser.set_defaults(func=_cmd_report)
 

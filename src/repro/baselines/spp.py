@@ -25,39 +25,67 @@ def _advance_signature(signature: int, delta: int) -> int:
 
 
 class _PatternEntry:
-    """Candidate deltas (up to 4) with confidence counters for one
-    signature."""
+    """Candidate deltas (up to 4) with confidence counters for the
+    signature ``signature``.  The strongest candidate (the first, on a
+    tie) is kept current: its index ``top``, ``best_delta`` and
+    ``best_count``, its path ``confidence`` (``best_count / total``) and
+    the signature it leads to, ``next_signature``."""
 
-    __slots__ = ("deltas", "counts", "total")
+    __slots__ = ("signature", "deltas", "counts", "total", "top",
+                 "best_delta", "best_count", "confidence",
+                 "next_signature")
 
-    def __init__(self) -> None:
+    def __init__(self, signature: int = 0) -> None:
+        self.signature = signature
         self.deltas: list[int] = []
         self.counts: list[int] = []
         self.total = 0
+        self.top = 0
+        self.best_delta = 0
+        self.best_count = 0
+        self.confidence = 0.0
+        self.next_signature = 0
 
     def update(self, delta: int) -> None:
-        self.total += 1
+        total = self.total = self.total + 1
         deltas = self.deltas
         counts = self.counts
         if delta in deltas:
-            counts[deltas.index(delta)] += 1
-            return
-        if len(deltas) < 4:
+            i = deltas.index(delta)
+            count = counts[i] = counts[i] + 1
+            # Only this count grew: it leads if it passed the leader,
+            # or tied it from an earlier index.
+            if count > self.best_count or (count == self.best_count
+                                           and i < self.top):
+                self.top = i
+                self.best_count = count
+                if delta != self.best_delta:
+                    self._lead(delta)
+        elif len(deltas) < 4:
             deltas.append(delta)
             counts.append(1)
-            return
-        # Replace the weakest candidate (the first, on a tie).
-        weakest = counts.index(min(counts))
-        deltas[weakest] = delta
-        counts[weakest] = 1
+            if total == 1:
+                self.best_count = 1
+                self._lead(delta)
+        else:
+            # Replace the weakest candidate (the first, on a tie); it
+            # may have been the leader, so find the leader again.
+            weakest = counts.index(min(counts))
+            deltas[weakest] = delta
+            counts[weakest] = 1
+            count = self.best_count = max(counts)
+            top = self.top = counts.index(count)
+            self._lead(deltas[top])
+        self.confidence = self.best_count / total
+
+    def _lead(self, delta: int) -> None:
+        self.best_delta = delta
+        self.next_signature = _advance_signature(self.signature, delta)
 
     def best(self) -> tuple[int, float] | None:
-        if not self.deltas or self.total == 0:
+        if not self.total:
             return None
-        # The strongest candidate (the first, on a tie).
-        counts = self.counts
-        count = max(counts)
-        return self.deltas[counts.index(count)], count / self.total
+        return self.best_delta, self.confidence
 
 
 class SppPrefetcher(Prefetcher):
@@ -75,8 +103,9 @@ class SppPrefetcher(Prefetcher):
         self.confidence_threshold = confidence_threshold
         self.max_lookahead = max_lookahead
         self.target_level = target_level
-        # page -> (signature, last offset); insertion order approximates LRU.
-        self._signatures: dict[int, tuple[int, int]] = {}
+        # page -> signature << 6 | last offset; insertion order
+        # approximates LRU.
+        self._signatures: dict[int, int] = {}
         self._patterns: dict[int, _PatternEntry] = {}
         self._filter: dict[int, None] = {}
 
@@ -86,69 +115,59 @@ class SppPrefetcher(Prefetcher):
         self._filter.clear()
 
     # ------------------------------------------------------------------
-    def _filter_admit(self, line: int) -> bool:
-        """Prefetch filter: suppress recently requested lines."""
-        if line in self._filter:
-            return False
-        if len(self._filter) >= self.filter_entries:
-            self._filter.pop(next(iter(self._filter)))
-        self._filter[line] = None
-        return True
-
-    def _pattern(self, signature: int) -> _PatternEntry:
-        entry = self._patterns.get(signature)
-        if entry is None:
-            if len(self._patterns) >= self.pattern_entries:
-                self._patterns.pop(next(iter(self._patterns)))
-            entry = _PatternEntry()
-            self._patterns[signature] = entry
-        return entry
-
-    # ------------------------------------------------------------------
     def on_access(self, event: AccessEvent):
-        page = event.line // _LINES_PER_PAGE
-        offset = event.line % _LINES_PER_PAGE
-        stored = self._signatures.get(page)
-        if stored is not None:
-            signature, last_offset = stored
-            delta = offset - last_offset
-            if delta != 0:
-                self._pattern(signature).update(delta)
-                signature = _advance_signature(signature, delta)
-                self._signatures[page] = (signature, offset)
-        else:
-            if len(self._signatures) >= self.signature_entries:
-                self._signatures.pop(next(iter(self._signatures)))
-            signature = _advance_signature(0, offset)
-            self._signatures[page] = (signature, offset)
+        line = event.line
+        page = line >> 6
+        offset = line & 63
+        signatures = self._signatures
+        stored = signatures.get(page)
+        if stored is None:
+            if len(signatures) >= self.signature_entries:
+                del signatures[next(iter(signatures))]
+            # The signature _advance_signature(0, offset) is the offset.
+            signatures[page] = offset << 6 | offset
             return None
+        patterns = self._patterns
+        signature = stored >> 6
+        delta = offset - (stored & 63)
+        if delta != 0:
+            entry = patterns.get(signature)
+            if entry is None:
+                if len(patterns) >= self.pattern_entries:
+                    del patterns[next(iter(patterns))]
+                entry = patterns[signature] = _PatternEntry(signature)
+            entry.update(delta)
+            signature = ((signature << 3) ^ (delta & 0x7F)) & _SIGNATURE_MASK
+            signatures[page] = signature << 6 | offset
 
-        # Lookahead down the signature path.
+        # Lookahead down the signature path.  Every pattern entry holds
+        # at least one candidate: it is created with its first update.
         requests: list[PrefetchRequest] = []
         confidence = 1.0
+        threshold = self.confidence_threshold
         speculative_offset = offset
-        speculative_signature = signature
-        page_base = page * _LINES_PER_PAGE
+        page_base = page << 6
+        filt = self._filter
         for _ in range(self.max_lookahead):
-            prediction = self._patterns.get(speculative_signature)
-            best = prediction.best() if prediction is not None else None
-            if best is None:
+            entry = patterns.get(signature)
+            if entry is None:
                 break
-            delta, path_confidence = best
-            confidence *= path_confidence
-            if confidence < self.confidence_threshold:
+            confidence *= entry.confidence
+            if confidence < threshold:
                 break
-            speculative_offset += delta
+            speculative_offset += entry.best_delta
             if not 0 <= speculative_offset < _LINES_PER_PAGE:
                 break  # SPP stops at page boundaries
-            line = page_base + speculative_offset
-            if self._filter_admit(line):
+            target = page_base + speculative_offset
+            # Prefetch filter: suppress recently requested lines.
+            if target not in filt:
+                if len(filt) >= self.filter_entries:
+                    del filt[next(iter(filt))]
+                filt[target] = None
                 requests.append(
-                    PrefetchRequest(line, self.target_level, self.name)
+                    PrefetchRequest(target, self.target_level, self.name)
                 )
-            speculative_signature = _advance_signature(
-                speculative_signature, delta
-            )
+            signature = entry.next_signature
         return requests or None
 
     @property

@@ -16,43 +16,57 @@ from __future__ import annotations
 from repro.core.base import AccessEvent, Prefetcher, PrefetchRequest
 
 _LINES_PER_PAGE = 64
+_KEY_BASE = 128  # deltas within a page lie in (-64, 64)
+
+
+def _history_key(deltas) -> int:
+    """A DPT key: the delta history (oldest first) as base-128 digits,
+    one per delta, so a table's keys are distinct per history."""
+    key = 0
+    for delta in deltas:
+        key = key * _KEY_BASE + delta
+    return key
 
 
 class _DhbEntry:
-    """Delta history buffer entry for one page."""
+    """Delta history buffer entry for one page: the last offset, and
+    the DPT keys of its last one, two and three deltas (``depth`` of
+    them exist, at most 3)."""
 
-    __slots__ = ("last_offset", "deltas")
+    __slots__ = ("last_offset", "depth", "key1", "key2", "key3")
 
     def __init__(self, offset: int) -> None:
         self.last_offset = offset
-        self.deltas: list[int] = []
-
-    def push(self, delta: int) -> None:
-        self.deltas.append(delta)
-        if len(self.deltas) > 3:
-            self.deltas.pop(0)
+        self.depth = 0
+        self.key1 = self.key2 = self.key3 = 0
 
 
 class _BoundedTable:
-    """Insertion-ordered dict bounded to ``capacity`` (FIFO replacement)."""
+    """Insertion-ordered dict bounded to ``capacity`` (FIFO replacement:
+    rewriting a present key keeps its place)."""
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self._data: dict = {}
-
-    def get(self, key):
-        return self._data.get(key)
 
     def put(self, key, value) -> None:
         if key not in self._data and len(self._data) >= self.capacity:
             self._data.pop(next(iter(self._data)))
         self._data[key] = value
 
-    def __len__(self) -> int:
-        return len(self._data)
-
     def clear(self) -> None:
         self._data.clear()
+
+
+class _DeltaTable(_BoundedTable):
+    """A DPT: delta history (a sequence, oldest first) -> next delta,
+    stored under :func:`_history_key`."""
+
+    def get(self, key):
+        return self._data.get(_history_key(key))
+
+    def put(self, key, value) -> None:
+        super().put(_history_key(key), value)
 
 
 class VldpPrefetcher(Prefetcher):
@@ -67,8 +81,8 @@ class VldpPrefetcher(Prefetcher):
         self.degree = degree
         self.target_level = target_level
         self._dhb = _BoundedTable(dhb_entries)           # page -> _DhbEntry
-        # DPT-k maps a tuple of the last k deltas -> predicted next delta.
-        self._dpts = [_BoundedTable(dpt_entries) for _ in range(3)]
+        # DPT-k maps the last k deltas -> predicted next delta.
+        self._dpts = [_DeltaTable(dpt_entries) for _ in range(3)]
         self._opt = _BoundedTable(opt_entries)           # first offset -> delta
 
     def reset(self) -> None:
@@ -81,27 +95,29 @@ class VldpPrefetcher(Prefetcher):
     def _predict(self, deltas: list[int]) -> int | None:
         """Longest-matching-history prediction."""
         for k in range(min(3, len(deltas)), 0, -1):
-            key = tuple(deltas[-k:])
-            prediction = self._dpts[k - 1].get(key)
+            prediction = self._dpts[k - 1].get(deltas[-k:])
             if prediction is not None:
                 return prediction
         return None
 
     def on_access(self, event: AccessEvent):
-        page = event.line // _LINES_PER_PAGE
-        offset = event.line % _LINES_PER_PAGE
-        entry = self._dhb.get(page)
+        line = event.line
+        page = line >> 6
+        offset = line & 63
+        dhb = self._dhb._data
+        entry = dhb.get(page)
         if entry is None:
-            self._dhb.put(page, _DhbEntry(offset))
-            # First touch of a page: OPT predicts the first delta.
-            first_delta = self._opt.get(offset)
+            if len(dhb) >= self.dhb_entries:
+                del dhb[next(iter(dhb))]
+            dhb[page] = _DhbEntry(offset)
+            # First touch of a page: OPT predicts the first delta.  The
+            # target stays in the page: the delta was learned on a page
+            # whose first access had this offset.
+            first_delta = self._opt._data.get(offset)
             if first_delta is None:
                 return None
-            target = offset + first_delta
-            if not 0 <= target < _LINES_PER_PAGE:
-                return None
             return [
-                PrefetchRequest(page * _LINES_PER_PAGE + target,
+                PrefetchRequest((page << 6) + offset + first_delta,
                                 self.target_level, self.name)
             ]
 
@@ -109,38 +125,74 @@ class VldpPrefetcher(Prefetcher):
         if delta == 0:
             return None
         # Train: the history that preceded this delta now predicts it.
-        deltas = entry.deltas
-        for k in range(1, min(3, len(deltas)) + 1):
-            self._dpts[k - 1].put(tuple(deltas[-k:]), delta)
-        if not deltas:
+        dpt1, dpt2, dpt3 = self._dpts
+        dpt1 = dpt1._data
+        dpt2 = dpt2._data
+        dpt3 = dpt3._data
+        capacity = self.dpt_entries
+        depth = entry.depth
+        key1 = entry.key1
+        key2 = entry.key2
+        if depth:
+            if key1 not in dpt1 and len(dpt1) >= capacity:
+                del dpt1[next(iter(dpt1))]
+            dpt1[key1] = delta
+            if depth >= 2:
+                if key2 not in dpt2 and len(dpt2) >= capacity:
+                    del dpt2[next(iter(dpt2))]
+                dpt2[key2] = delta
+                if depth == 3:
+                    key3 = entry.key3
+                    if key3 not in dpt3 and len(dpt3) >= capacity:
+                        del dpt3[next(iter(dpt3))]
+                    dpt3[key3] = delta
+        else:
             # This was the first delta in the page: train the OPT.
+            opt = self._opt._data
             first_offset = entry.last_offset
-            self._opt.put(first_offset, delta)
-        entry.push(delta)
+            if first_offset not in opt and len(opt) >= self.opt_entries:
+                del opt[next(iter(opt))]
+            opt[first_offset] = delta
+        key3 = key2 * _KEY_BASE + delta
+        key2 = key1 * _KEY_BASE + delta
+        key1 = delta
+        if depth < 3:
+            depth += 1
+            entry.depth = depth
+        entry.key1 = key1
+        entry.key2 = key2
+        entry.key3 = key3
         entry.last_offset = offset
 
-        # Predict a chain of future deltas.
+        # Predict a chain of future deltas, each from the longest
+        # history a DPT holds (``_predict``).
         requests: list[PrefetchRequest] = []
-        speculative = list(entry.deltas)
-        speculative_offset = offset
-        page_base = page * _LINES_PER_PAGE
-        seen = {event.line}
+        page_base = page << 6
+        seen = 1 << offset
         for _ in range(self.degree):
-            prediction = self._predict(speculative)
+            prediction = None
+            if depth == 3:
+                prediction = dpt3.get(key3)
+            if prediction is None and depth >= 2:
+                prediction = dpt2.get(key2)
             if prediction is None:
+                prediction = dpt1.get(key1)
+                if prediction is None:
+                    break
+            offset += prediction
+            if not 0 <= offset < _LINES_PER_PAGE:
                 break
-            speculative_offset += prediction
-            if not 0 <= speculative_offset < _LINES_PER_PAGE:
-                break
-            line = page_base + speculative_offset
-            if line not in seen:
-                seen.add(line)
+            if not seen >> offset & 1:
+                seen |= 1 << offset
                 requests.append(
-                    PrefetchRequest(line, self.target_level, self.name)
+                    PrefetchRequest(page_base + offset,
+                                    self.target_level, self.name)
                 )
-            speculative.append(prediction)
-            if len(speculative) > 3:
-                speculative.pop(0)
+            key3 = key2 * _KEY_BASE + prediction
+            key2 = key1 * _KEY_BASE + prediction
+            key1 = prediction
+            if depth < 3:
+                depth += 1
         return requests or None
 
     @property

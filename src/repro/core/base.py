@@ -68,6 +68,11 @@ class AccessEvent:
     cycles (T2's AMAT input); ``value`` is the loaded word (P1's pointer
     patterns); ``primary_miss`` distinguishes the miss that activates T2
     tracking from ordinary hits.
+
+    An event is valid only during the hook call it is passed to: each
+    replay (the generic loop and the segmented kernels alike) refills
+    one event at every access.  A hook that needs a field later copies
+    the field; it never keeps the event.
     """
 
     __slots__ = (

@@ -95,6 +95,7 @@ class OoOCore:
         "_alu_latency",
         "_branch_penalty",
         "kernel_variant",
+        "_event",
     )
 
     def __init__(self, trace: Trace, hierarchy: Hierarchy,
@@ -137,6 +138,10 @@ class OoOCore:
         self._observe_access = _bound("observe_access")
         self._on_access = _bound("on_access")
         self._on_fill = _bound("on_fill")
+        # One event per replay, refilled at every access: a hook may
+        # read it only during its call (AccessEvent).
+        self._event = AccessEvent(0, 0, 0, 0, 0, False, False, False,
+                                  0, 0, -1)
         self._sampler = None
         self.kernel_variant = "generic"
         # Hot-loop bindings: read once here instead of chasing
@@ -310,21 +315,20 @@ class OoOCore:
         observe_access = self._observe_access
         on_access = self._on_access
         if observe_access is not None or on_access is not None:
-            event = AccessEvent(
-                cycle=issue,
-                pc=pc,
-                mpc=pc ^ ras_top,
-                addr=addr,
-                line=line,
-                is_load=True,
-                hit=result.l1_hit,
-                primary_miss=result.primary_miss,
-                latency=latency,
-                value=value,
-                dst=dst,
-                served_by_prefetch=result.served_by_prefetch,
-                serving_component=result.prefetch_component,
-            )
+            event = self._event
+            event.cycle = issue
+            event.pc = pc
+            event.mpc = pc ^ ras_top
+            event.addr = addr
+            event.line = line
+            event.is_load = True
+            event.hit = result.l1_hit
+            event.primary_miss = result.primary_miss
+            event.latency = latency
+            event.value = value
+            event.dst = dst
+            event.served_by_prefetch = result.served_by_prefetch
+            event.serving_component = result.prefetch_component
             if result.served_by_prefetch:
                 self.prefetcher.on_prefetch_hit(line, result.hit_level)
             if observe_access is not None:
@@ -347,21 +351,20 @@ class OoOCore:
         observe_access = self._observe_access
         on_access = self._on_access
         if observe_access is not None or on_access is not None:
-            event = AccessEvent(
-                cycle=issue,
-                pc=pc,
-                mpc=pc ^ ras_top,
-                addr=addr,
-                line=line,
-                is_load=False,
-                hit=result.l1_hit,
-                primary_miss=result.primary_miss,
-                latency=0,
-                value=0,
-                dst=-1,
-                served_by_prefetch=result.served_by_prefetch,
-                serving_component=result.prefetch_component,
-            )
+            event = self._event
+            event.cycle = issue
+            event.pc = pc
+            event.mpc = pc ^ ras_top
+            event.addr = addr
+            event.line = line
+            event.is_load = False
+            event.hit = result.l1_hit
+            event.primary_miss = result.primary_miss
+            event.latency = 0
+            event.value = 0
+            event.dst = -1
+            event.served_by_prefetch = result.served_by_prefetch
+            event.serving_component = result.prefetch_component
             if result.served_by_prefetch:
                 self.prefetcher.on_prefetch_hit(line, result.hit_level)
             if observe_access is not None:

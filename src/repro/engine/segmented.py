@@ -34,7 +34,8 @@ splitting the work the way the paper splits prefetching:
   ``[fill_time, dirty, prefetched, used, component]`` entries in
   recency-ordered per-set dicts (dict order is exact LRU order), the
   ``_MshrFile``/``Dram`` algebra inline — with zero per-access object
-  allocation, dead hook branches absent from the emitted source (a
+  allocation (one ``AccessEvent`` per replay, refilled at each
+  access), dead hook branches absent from the emitted source (a
   hook-free cell's kernel has none at all), and composite hook
   forwarders devirtualized to their component methods: a composite's
   ``on_access`` to its coordinator's ``route``, and every instruction
@@ -114,6 +115,11 @@ from repro.obs.metrics import PROCESS
 _FAR = 1 << 62
 """Empty-pending sentinel (mirrors ``_MshrFile._NO_PENDING`` and
 ``Dram._NO_PENDING``)."""
+_EVENT_ARGS = ("cycle", "pc", "mpc", "addr", "line", "is_load", "hit",
+               "primary_miss", "latency", "value", "dst",
+               "served_by_prefetch", "serving_component")
+"""``AccessEvent``'s constructor arguments, in order: the fields an
+island refills on the replay's one event."""
 
 
 class _LowPriority(int):
@@ -595,13 +601,15 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{ind}    q_min[dch] = fill_time")
         emit(f"{ind}d_reads += 1")
 
-    def hook_block(ind: str, ev_args: str, flag: str,
+    def hook_block(ind: str, ev_args: tuple, flag: str,
                    level_expr: str) -> None:
-        # The generic loop's hook sequence at one access: event (when
-        # any event hook is live), on_prefetch_hit, observers, issue
-        # requests, per-request on_fill.
+        # The generic loop's hook sequence at one access: the replay's
+        # one event refilled with ``ev_args`` (AccessEvent's arguments,
+        # in order) when any event hook is live, on_prefetch_hit,
+        # observers, issue requests, per-request on_fill.
         if build_event:
-            emit(f"{ind}event = AccessEvent({ev_args})")
+            for field, value in zip(_EVENT_ARGS, ev_args):
+                emit(f"{ind}event.{field} = {value}")
             emit(f"{ind}if {flag}:")
             emit(f"{ind}    on_prefetch_hit(line, {level_expr})")
             if oa:
@@ -847,6 +855,11 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
     if of:
         emit("    on_fill = core._on_fill")
     emit("    on_prefetch_hit = core.prefetcher.on_prefetch_hit")
+    if build_event:
+        # One event per replay, refilled at every access: a hook may
+        # read it only during its call (AccessEvent).
+        emit("    event = AccessEvent(0, 0, 0, 0, 0, False, False, False, "
+             "0, 0, -1)")
     emit("    log_append = hierarchy.credit_log.append")
     emit("")
     emit("    low_first = cfg.drop_policy is LOW_PRIORITY_FIRST")
@@ -1147,8 +1160,9 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{i2}latency = complete - issue")
         emit(f"{i2}load_latency_total += latency")
         hook_block(i2,
-                   f"issue, pc, mpc, addr, line, True, True, False, "
-                   f"latency, value, {dst}, first_use, cl[4]",
+                   ("issue", "pc", "mpc", "addr", "line", "True", "True",
+                    "False", "latency", "value", dst, "first_use",
+                    "cl[4]"),
                    "first_use", "1")
         emit(f"{ind}else:")
         demand_miss_block(i2, "False")
@@ -1158,8 +1172,9 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{i2}miss_pcs[pc] += 1")
         emit(f"{i2}miss_latency_by_pc[pc] += latency")
         hook_block(i2,
-                   f"issue, pc, mpc, addr, line, True, False, True, "
-                   f"latency, value, {dst}, served, component",
+                   ("issue", "pc", "mpc", "addr", "line", "True", "False",
+                    "True", "latency", "value", dst, "served",
+                    "component"),
                    "served", "level")
         if of:
             emit(f"{i2}on_fill(line, 1)")
@@ -1176,14 +1191,14 @@ def _segment_source(instr: bool, oa: bool, ona: bool, of: bool,
         emit(f"{i2}cl[1] = True")
         hit_stats_block(i2)
         hook_block(i2,
-                   "issue, pc, mpc, addr, line, False, True, False, "
-                   "0, 0, -1, first_use, cl[4]",
+                   ("issue", "pc", "mpc", "addr", "line", "False", "True",
+                    "False", 0, 0, -1, "first_use", "cl[4]"),
                    "first_use", "1")
         emit(f"{ind}else:")
         demand_miss_block(i2, "True")
         hook_block(i2,
-                   "issue, pc, mpc, addr, line, False, False, True, "
-                   "0, 0, -1, served, component",
+                   ("issue", "pc", "mpc", "addr", "line", "False", "False",
+                    "True", 0, 0, -1, "served", "component"),
                    "served", "level")
         if of:
             emit(f"{i2}on_fill(line, 1)")

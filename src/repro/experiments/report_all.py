@@ -12,6 +12,12 @@ across invocations, so a warm re-run performs zero simulations;
 ``--journal-dir DIR`` records completed cells so an interrupted run
 resumes with zero re-simulations of settled cells.
 
+``--digests FILE`` records the sha256 of each section's text (and of
+the whole report) as JSON; ``--check REF`` compares them with a
+recorded ``REF`` and exits 1, naming every section whose text changed.
+A change that moves a figure on purpose records new digests.
+``benchmarks/REPORT_digests.json`` holds the current tree's.
+
 Sections are fault-isolated: a section that raises is reported as
 failed (with its traceback inlined in the report and a
 ``section_failed`` fault-log record) while every other section still
@@ -22,6 +28,8 @@ exit code is nonzero when any section failed.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import sys
 import time
 import traceback
@@ -80,11 +88,14 @@ SECTIONS = [
 def generate(runner: ExperimentRunner | None = None,
              progress=None, jobs: int = 1, cache_dir=None,
              journal_dir=None, fail_fast: bool = False,
-             section_errors: list | None = None) -> str:
+             section_errors: list | None = None,
+             sections: list | None = None) -> str:
     """Run every section and return the combined report text.
 
     ``jobs`` / ``cache_dir`` / ``journal_dir`` configure the default
-    runner (ignored when an explicit ``runner`` is passed).
+    runner (ignored when an explicit ``runner`` is passed).  When the
+    caller passes a ``sections`` list, each section's ``(title, text)``
+    is appended to it; the report is those texts joined by newlines.
 
     Each section is fault-isolated: an exception becomes a ``SECTION
     FAILED`` block carrying the traceback (and appends the title to
@@ -113,7 +124,31 @@ def generate(runner: ExperimentRunner | None = None,
         if progress is not None:
             progress(f"{title} ({elapsed:.0f}s)")
         parts.append(f"## {title}\n\n```\n{body}\n```\n")
+        if sections is not None:
+            sections.append((title, parts[-1]))
     return "\n".join(parts)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests(sections: list) -> dict:
+    """The sha256 of each section's text, by title, and of the report
+    (the texts joined as :func:`generate` joins them)."""
+    return {
+        "report": _sha256("\n".join(text for _, text in sections)),
+        "sections": {title: _sha256(text) for title, text in sections},
+    }
+
+
+def changed_sections(recorded: dict, current: dict) -> list[str]:
+    """Titles whose text digest differs between two :func:`digests`
+    records, in ``current``'s order, then titles only ``recorded``
+    has."""
+    old, new = recorded["sections"], current["sections"]
+    return ([title for title in new if old.get(title) != new[title]]
+            + [title for title in old if title not in new])
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -132,6 +167,11 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--fail-fast", action="store_true",
                         help="abort on the first failing section instead "
                              "of isolating it")
+    parser.add_argument("--digests", default=None, metavar="FILE",
+                        help="write each section's text sha256 here (JSON)")
+    parser.add_argument("--check", default=None, metavar="REF",
+                        help="exit 1 naming every section whose text "
+                             "digest differs from REF's")
     args = parser.parse_args(argv)
     log = get_logger("report")
     from repro.obs import FabricObs, obs_enabled
@@ -140,9 +180,12 @@ def main(argv: list[str] | None = None) -> None:
     runner = ExperimentRunner(jobs=args.jobs, cache_dir=args.cache_dir,
                               journal_dir=args.journal_dir, obs=obs)
     section_errors: list = []
+    sections: list = []
     report = generate(runner, progress=log.info,
                       fail_fast=args.fail_fast,
-                      section_errors=section_errors)
+                      section_errors=section_errors, sections=sections)
+    record = digests(sections)
+    log.info(f"report sha256 {record['report'][:16]}")
     counts = runner.counters
     log.info(
         f"simulations: {counts['simulated']} fresh, "
@@ -168,8 +211,22 @@ def main(argv: list[str] | None = None) -> None:
         log.info(f"wrote {args.output}")
     else:
         print(report)
+    if args.digests:
+        with open(args.digests, "w", encoding="utf-8") as handle:
+            json.dump(record, handle, indent=2, ensure_ascii=False)
+            handle.write("\n")
+        log.info(f"wrote {args.digests}")
     if section_errors:
         log.error(f"FAILED sections: {', '.join(section_errors)}")
+    changed = []
+    if args.check:
+        with open(args.check, encoding="utf-8") as handle:
+            changed = changed_sections(json.load(handle), record)
+        for title in changed:
+            print(f"FAIL: section text changed: {title}", file=sys.stderr)
+        if not changed:
+            log.info(f"check ok: every section matches {args.check}")
+    if section_errors or changed:
         sys.exit(1)
 
 

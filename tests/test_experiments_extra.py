@@ -108,6 +108,51 @@ class TestReportAll:
                          "drop policy", "Ablations"]:
             assert artifact in titles, artifact
 
+    def test_check_names_every_changed_section(self, monkeypatch,
+                                               tmp_path, capsys):
+        """``--digests`` records each section's text sha256 and the
+        joined report's; ``--check`` passes against its own record and
+        exits 1 naming exactly the sections whose text changed (or that
+        a run no longer has)."""
+        import hashlib
+        import json
+
+        texts = {"first": "alpha", "second": "beta", "third": "gamma"}
+
+        def stub(sections):
+            monkeypatch.setattr(report_all, "SECTIONS", [
+                (title, lambda runner, text=text: text)
+                for title, text in sections.items()])
+
+        stub(texts)
+        out, ref = tmp_path / "report.md", tmp_path / "ref.json"
+        report_all.main([str(out), "--digests", str(ref)])
+        record = json.loads(ref.read_text())
+        report = out.read_text()
+        assert record["report"] == hashlib.sha256(report.encode()).hexdigest()
+        assert list(record["sections"]) == list(texts)
+        assert record["sections"]["second"] == hashlib.sha256(
+            b"## second\n\n```\nbeta\n```\n").hexdigest()
+
+        report_all.main([str(out), "--check", str(ref)])
+        assert "FAIL" not in capsys.readouterr().err
+
+        stub({"first": "alpha", "second": "beta, moved", "third": "gamma"})
+        with pytest.raises(SystemExit) as exit_info:
+            report_all.main([str(out), "--check", str(ref)])
+        assert exit_info.value.code == 1
+        failures = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("FAIL")]
+        assert failures == ["FAIL: section text changed: second"]
+
+        stub({"first": "alpha, moved", "second": "beta"})
+        with pytest.raises(SystemExit):
+            report_all.main([str(out), "--check", str(ref)])
+        failures = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("FAIL")]
+        assert failures == ["FAIL: section text changed: first",
+                            "FAIL: section text changed: third"]
+
 
 class TestComponentSwap:
     def test_variants_buildable(self):
