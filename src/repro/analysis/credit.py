@@ -22,6 +22,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.engine.compact import CreditLog
+
 
 @dataclass
 class CreditBucket:
@@ -45,10 +47,13 @@ class CreditBucket:
 
 def replay(log, tracker) -> None:
     """Feed ``tracker`` a recorded credit log, one protocol call per
-    entry, in the recorded order (see ``Hierarchy.credit_log``), so it
-    ends exactly as if it had watched the run."""
-    for name, *args in log:
-        getattr(tracker, name)(*args)
+    entry, in the recorded order, so it ends exactly as if it had
+    watched the run.  ``log`` is a result's
+    :class:`~repro.engine.compact.CreditLog`, whose columns
+    :meth:`~repro.engine.compact.CreditLog.walk` replays, or a live
+    ``Hierarchy.credit_log`` list."""
+    CreditLog.of(log).walk(tracker.on_prefetch_issued, tracker.on_useful,
+                           tracker.on_pollution)
 
 
 class CreditTracker:

@@ -22,17 +22,20 @@ def scope(result: SimulationResult, baseline: SimulationResult,
 
     ``S(P) = sum_{A_j in FP ∩ PFP} W_j / sum_{A_i in FP} W_i``
     """
+    covered_weight, total_weight = scope_weights(result, baseline, level)
+    if total_weight == 0:
+        return 0.0
+    return covered_weight / total_weight
+
+
+def scope_weights(result: SimulationResult, baseline: SimulationResult,
+                  level: int = 1) -> tuple[int, int]:
+    """:func:`scope`'s numerator and denominator, as integers."""
     footprint = (
         baseline.miss_lines_l1 if level == 1 else baseline.miss_lines_l2
     )
-    total_weight = sum(footprint.values())
-    if total_weight == 0:
-        return 0.0
-    attempted = result.attempted_prefetch_lines
-    covered_weight = sum(
-        weight for line, weight in footprint.items() if line in attempted
-    )
-    return covered_weight / total_weight
+    covered = result.attempted_prefetch_lines.mask(footprint.lines)
+    return footprint.weight(covered), footprint.total()
 
 
 def effective_accuracy(result: SimulationResult,

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.base import NullPrefetcher, Prefetcher
+from repro.engine.compact import CreditLog, LineCounts, LineSet
 from repro.engine.config import SystemConfig, EXPERIMENT_CONFIG
 from repro.engine.ooo import CoreStats, OoOCore
 from repro.isa.trace import Trace
@@ -17,7 +17,13 @@ from repro.telemetry.manifest import RunManifest, build_manifest
 
 @dataclass
 class SimulationResult:
-    """Everything the experiments need from one (trace, prefetcher) run."""
+    """Everything the experiments need from one (trace, prefetcher) run.
+
+    The five per-line records (the miss footprints, the attempted lines
+    and the credit log) are passed in as the hierarchy's live
+    collections and kept in their compact forms
+    (:mod:`repro.engine.compact`), built once, here.
+    """
 
     workload: str
     prefetcher: str
@@ -27,13 +33,14 @@ class SimulationResult:
     l3: CacheStats
     dram: DramStats
     prefetch: PrefetchStats
-    miss_lines_l1: Counter = field(default_factory=Counter)
-    miss_lines_l2: Counter = field(default_factory=Counter)
-    attempted_prefetch_lines: set = field(default_factory=set)
+    miss_lines_l1: LineCounts = field(default_factory=LineCounts)
+    miss_lines_l2: LineCounts = field(default_factory=LineCounts)
+    attempted_prefetch_lines: LineSet = field(default_factory=LineSet)
     attempted_by_component: dict = field(default_factory=dict)
+    """Component name -> :class:`~repro.engine.compact.LineSet`."""
     pollution_misses_l1: int = 0
     pollution_misses_l2: int = 0
-    credit_log: list = field(default_factory=list)
+    credit_log: CreditLog = field(default_factory=CreditLog)
     """The run's credit-accounting protocol calls, in call order (see
     ``Hierarchy.credit_log``); :func:`repro.analysis.credit.replay`
     feeds them to a tracker."""
@@ -44,6 +51,19 @@ class SimulationResult:
     manifest: RunManifest | None = None
     """Provenance stamp (config tag, prefetcher spec, git SHA, counter
     snapshot); see :mod:`repro.telemetry.manifest`."""
+
+    def __post_init__(self) -> None:
+        self.miss_lines_l1 = LineCounts.of(self.miss_lines_l1)
+        self.miss_lines_l2 = LineCounts.of(self.miss_lines_l2)
+        attempted = self.attempted_prefetch_lines = LineSet.of(
+            self.attempted_prefetch_lines)
+        by_component = {}
+        for name, lines in self.attempted_by_component.items():
+            lines = LineSet.of(lines)
+            # A lone component attempted every line: share the array.
+            by_component[name] = attempted if lines == attempted else lines
+        self.attempted_by_component = by_component
+        self.credit_log = CreditLog.of(self.credit_log)
 
     @property
     def cycles(self) -> int:

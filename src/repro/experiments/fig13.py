@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analysis.classify import Category, OfflineClassifier
 from repro.analysis.credit import CreditTracker
 from repro.analysis.report import format_table
@@ -35,6 +37,25 @@ def classifier_for(app: str) -> OfflineClassifier:
         classifier = OfflineClassifier(get_workload(app).trace())
         _classifier_cache[app] = classifier
     return classifier
+
+
+def category_masks(classifier: OfflineClassifier, footprint) -> dict:
+    """Category -> which lines of ``footprint`` (a
+    :class:`~repro.engine.compact.LineCounts`) it holds, as bool arrays."""
+    labels = np.array([classifier.category(line).value
+                       for line in footprint.lines.tolist()], dtype="U3")
+    return {category: labels == category.value for category in Category}
+
+
+def category_weights(result, baseline, masks: dict) -> dict:
+    """Category -> ``(covered, total)``: the misses of the baseline's L1
+    footprint in that category (``masks`` from :func:`category_masks`)
+    and those of them on lines ``result`` attempted."""
+    footprint = baseline.miss_lines_l1
+    covered = result.attempted_prefetch_lines.mask(footprint.lines)
+    return {category: (footprint.weight(mask & covered),
+                       footprint.weight(mask))
+            for category, mask in masks.items()}
 
 
 @dataclass
@@ -58,11 +79,12 @@ def run(runner: ExperimentRunner | None = None,
                     for app in apps])
 
     rows = []
+    in_category: dict[str, dict] = {}
     for name in prefetchers:
         issued = {c: 0 for c in Category}
         credit = {c: 0.0 for c in Category}
-        covered_weight = {c: 0.0 for c in Category}
-        footprint_weight = {c: 0.0 for c in Category}
+        covered_weight = {c: 0 for c in Category}
+        footprint_weight = {c: 0 for c in Category}
         for app in apps:
             classifier = classifier_for(app)
             tracker = CreditTracker(categorize=classifier.category)
@@ -72,12 +94,14 @@ def run(runner: ExperimentRunner | None = None,
                 bucket = tracker.bucket(category=category)
                 issued[category] += bucket.issued
                 credit[category] += bucket.credit
-            attempted = result.attempted_prefetch_lines
-            for line, weight in baseline.miss_lines_l1.items():
-                category = classifier.category(line)
-                footprint_weight[category] += weight
-                if line in attempted:
-                    covered_weight[category] += weight
+            masks = in_category.get(app)
+            if masks is None:
+                masks = in_category[app] = category_masks(
+                    classifier, baseline.miss_lines_l1)
+            for category, (covered, total) in category_weights(
+                    result, baseline, masks).items():
+                covered_weight[category] += covered
+                footprint_weight[category] += total
         for category in Category:
             rows.append(
                 CategoryRow(

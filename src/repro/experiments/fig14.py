@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.analysis.credit import CreditTracker
 from repro.analysis.report import format_table
+from repro.engine.compact import LineSet
 from repro.experiments.fig15 import _composite_factory
 from repro.experiments.runner import ExperimentRunner
 from repro.workloads import workload_names
@@ -43,6 +44,18 @@ def _uncovered_categorizer(tpc_attempted: set[int]):
     return categorize
 
 
+def uncovered_weights(result, baseline, tpc_lines: LineSet,
+                      component: str) -> tuple[int, int]:
+    """``(covered, total)``: the misses of the baseline's L1 footprint on
+    lines outside ``tpc_lines``, and those of them on lines
+    ``component`` attempted in ``result``."""
+    footprint = baseline.miss_lines_l1
+    outside = ~tpc_lines.mask(footprint.lines)
+    attempted = result.attempted_by_component.get(component, LineSet())
+    return (footprint.weight(outside & attempted.mask(footprint.lines)),
+            footprint.weight(outside))
+
+
 def run(runner: ExperimentRunner | None = None,
         apps: list[str] | None = None,
         extras: list[str] | None = None) -> list[Fig14Row]:
@@ -56,19 +69,21 @@ def run(runner: ExperimentRunner | None = None,
            for spec in (extra, _composite_factory(extra)) for app in apps]
     )
 
-    # The region TPC does not cover, per app.
+    # The region TPC does not cover, per app: the lines TPC attempted,
+    # and the same lines as one set for the categorizer's line tests.
+    tpc_lines: dict[str, LineSet] = {}
     uncovered: dict[str, set[int]] = {}
     for app in apps:
-        tpc_result = runner.run(app, "tpc")
-        uncovered[app] = tpc_result.attempted_prefetch_lines
+        tpc_lines[app] = runner.run(app, "tpc").attempted_prefetch_lines
+        uncovered[app] = set(tpc_lines[app])
 
     rows = []
     for extra in extras:
         for mode in ("alone", "component"):
             credit = 0.0
             issued = 0
-            covered_weight = 0.0
-            footprint_weight = 0.0
+            covered_weight = 0
+            footprint_weight = 0
             for app in apps:
                 categorize = _uncovered_categorizer(uncovered[app])
                 tracker = CreditTracker(categorize=categorize)
@@ -82,17 +97,11 @@ def run(runner: ExperimentRunner | None = None,
                                         category=_OUT)
                 credit += bucket.credit
                 issued += bucket.issued
-                attempted = result.attempted_by_component.get(
-                    component_tag, set()
-                )
                 baseline = runner.baseline(app)
-                tpc_lines = uncovered[app]
-                for line, weight in baseline.miss_lines_l1.items():
-                    if line in tpc_lines:
-                        continue
-                    footprint_weight += weight
-                    if line in attempted:
-                        covered_weight += weight
+                covered, total = uncovered_weights(
+                    result, baseline, tpc_lines[app], component_tag)
+                covered_weight += covered
+                footprint_weight += total
             rows.append(
                 Fig14Row(
                     prefetcher=extra,

@@ -12,8 +12,8 @@ figures across
   loop), recorded credit logs (the Figs. 13-14 input) included;
 * **fused vs singleton** — the cell executed inside a workload-affine
   fused unit (:func:`repro.parallel._simulate_unit`, the exact worker
-  entry point, including the slim-payload pack/unpack round trip)
-  against the same cell simulated alone;
+  entry point, its outcomes pickled and unpickled as they cross the
+  pool's pipe) against the same cell simulated alone;
 * **warm vs cold** — the compiled trace read back through the on-disk
   trace cache (``from_column_bytes`` with persisted derived columns)
   against a ground-truth rebuild from the functional machine run.
@@ -33,6 +33,7 @@ harness must not orphan a cached trace.
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import asdict, dataclass
 
@@ -79,7 +80,9 @@ _IDENTITY_FIELDS = (
 
 
 def identity_tuple(result) -> tuple:
-    """Everything a simulation reports, for exact comparison."""
+    """Everything a simulation reports, for exact comparison (the
+    per-line records in their compact forms, whose ``==`` is exact; see
+    :mod:`repro.engine.compact`)."""
     return tuple(getattr(result, name) for name in _IDENTITY_FIELDS)
 
 
@@ -156,7 +159,7 @@ def check_workload(workload: Workload, prefetchers, config=None, *,
     """
     from repro.engine.config import EXPERIMENT_CONFIG
     from repro.engine.kernel import GENERIC
-    from repro.parallel import _simulate_unit, _unpack_result
+    from repro.parallel import _simulate_unit
 
     config = config or EXPERIMENT_CONFIG
     violations: list[IdentityViolation] = []
@@ -191,9 +194,11 @@ def check_workload(workload: Workload, prefetchers, config=None, *,
 
     if fused:
         # The exact pool-worker entry point, in-process: one fused unit
-        # of every prefetcher cell, slim-payload round trip included.
+        # of every prefetcher cell, its outcomes through the pickle
+        # round trip they take from a worker.
         cells = [(workload.name, name, "") for name in prefetchers]
         outcomes, _meta = _simulate_unit((cells, config, 0, None))
+        outcomes = pickle.loads(pickle.dumps(outcomes))
         sims += len(cells)
         for (name, outcome) in zip(prefetchers, outcomes):
             if outcome[0] != "ok":
@@ -201,7 +206,7 @@ def check_workload(workload: Workload, prefetchers, config=None, *,
                     workload.name, name, "fused-vs-singleton",
                     "error", singles[name].kernel, [outcome[1]]))
                 continue
-            fused_result = _unpack_result(outcome[1])
+            fused_result = outcome[1]
             if (identity_tuple(fused_result)
                     != identity_tuple(singles[name])):
                 violations.append(IdentityViolation(

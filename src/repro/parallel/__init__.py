@@ -24,11 +24,11 @@ Performance properties (PR 2-3, reworked by the shared-memory PR):
   ``atexit``, on ``KeyboardInterrupt``, or via
   :func:`repro.parallel.shm.release_all`.  ``REPRO_SHM=0`` restores
   the legacy disk-cache path.
-* **Slim result payloads** — workers pack the per-line footprint
-  Counters and attempted-line sets into flat ``array('q')`` blobs
-  (:func:`_pack_result`); the parent restores equal objects.  Each
-  result also carries the replay-kernel variant that produced it
-  (``SimulationResult.kernel``) for attribution.
+* **Compact results** — a worker's result crosses the pipe as it is:
+  its per-line records are already the numpy columns of
+  :mod:`repro.engine.compact`, so there is no wire format to pack and
+  unpack.  Each result also carries the replay-kernel variant that
+  produced it (``SimulationResult.kernel``) for attribution.
 * **Work-stealing dispatch** — pool-eligible cells are grouped by
   workload into fine-grained fused units (:func:`_fusion_units`) and
   scheduled by :class:`~repro.parallel.stealing.StealScheduler`: each
@@ -96,8 +96,6 @@ import os
 import pickle
 import time
 import traceback
-from array import array
-from collections import Counter
 from typing import Sequence
 
 from repro.engine.config import SystemConfig
@@ -225,76 +223,6 @@ def _get_executor(workers: int):
     return _EXECUTOR
 
 
-# ----------------------------------------------------------------------
-# Slim wire format
-# ----------------------------------------------------------------------
-def _pack_counter(counter) -> tuple[bytes, bytes]:
-    return (array("q", counter.keys()).tobytes(),
-            array("q", counter.values()).tobytes())
-
-
-def _unpack_counter(packed: tuple[bytes, bytes]) -> Counter:
-    keys = array("q")
-    keys.frombytes(packed[0])
-    values = array("q")
-    values.frombytes(packed[1])
-    counter: Counter = Counter()
-    counter.update(dict(zip(keys.tolist(), values.tolist())))
-    return counter
-
-
-def _pack_lines(lines) -> bytes:
-    return array("q", lines).tobytes()
-
-
-def _unpack_lines(packed: bytes) -> set:
-    lines = array("q")
-    lines.frombytes(packed)
-    return set(lines.tolist())
-
-
-def _pack_result(result):
-    """Strip the bulky per-line collections into flat array blobs.
-
-    The pickled payload shrinks to the stats dataclasses plus
-    per-component counters; the footprint Counters/sets — tens of
-    thousands of boxed ints when pickled naively — travel as C buffers
-    and are restored to equal objects by :func:`_unpack_result`.
-    """
-    core = result.core
-    blobs = (
-        _pack_counter(result.miss_lines_l1),
-        _pack_counter(result.miss_lines_l2),
-        _pack_counter(core.miss_pcs),
-        _pack_counter(core.miss_latency_by_pc),
-        _pack_lines(result.attempted_prefetch_lines),
-        {component: _pack_lines(lines)
-         for component, lines in result.attempted_by_component.items()},
-    )
-    result.miss_lines_l1 = Counter()
-    result.miss_lines_l2 = Counter()
-    core.miss_pcs = Counter()
-    core.miss_latency_by_pc = Counter()
-    result.attempted_prefetch_lines = set()
-    result.attempted_by_component = {}
-    return result, blobs
-
-
-def _unpack_result(payload):
-    result, blobs = payload
-    (miss1, miss2, miss_pcs, miss_latency, attempted, by_component) = blobs
-    result.miss_lines_l1 = _unpack_counter(miss1)
-    result.miss_lines_l2 = _unpack_counter(miss2)
-    result.core.miss_pcs = _unpack_counter(miss_pcs)
-    result.core.miss_latency_by_pc = _unpack_counter(miss_latency)
-    result.attempted_prefetch_lines = _unpack_lines(attempted)
-    result.attempted_by_component = {
-        component: _unpack_lines(lines)
-        for component, lines in by_component.items()
-    }
-    return result
-
-
 class RemoteCellError(Exception):
     """One cell of a fused unit failed in its worker.
 
@@ -354,7 +282,7 @@ def _simulate_unit(payload):
             span["dur"] = time.perf_counter() - cell_started
             span["kernel"] = getattr(result, "kernel", "generic")
             span["instructions"] = result.core.instructions
-            outcomes.append(("ok", _pack_result(result)))
+            outcomes.append(("ok", result))
         except Exception as exc:
             span["dur"] = time.perf_counter() - cell_started
             span["error"] = repr(exc)
@@ -883,13 +811,13 @@ def _run_pool(remote, local, normalized, config, results, workers,
                                    now, now)
                 replace_pool("hung worker replaced")
 
-        # Submit replacements before paying the unpack cost, so workers
-        # never idle while the parent merges.
+        # Submit replacements before merging, so workers never idle
+        # while the parent merges.
         launch(time.monotonic())
         merge_started = time.perf_counter()
         merge_wall = time.time()
-        for i, packed in merged:
-            results[i] = _unpack_result(packed)
+        for i, result in merged:
+            results[i] = result
         batch_seconds = time.perf_counter() - merge_started
         merge_seconds += batch_seconds
         if obs is not None and merged:

@@ -20,9 +20,9 @@ from repro.experiments.runner import (
 from repro.core.base import Prefetcher
 from repro.core.composite import make_tpc
 from repro import parallel
+from repro.engine.compact import CreditLog, LineCounts, LineSet
+from repro.engine.system import SimulationResult
 from repro.parallel import (
-    _pack_result,
-    _unpack_result,
     normalize_job,
     run_jobs,
     shutdown_pool,
@@ -129,26 +129,43 @@ def test_pool_persists_across_run_jobs_calls():
     assert parallel.pool_workers() == 0
 
 
-def test_packed_result_roundtrip():
+def _assert_same_fields(copy, reference, how):
+    """``copy`` equals ``reference`` field by field, each ``==`` a bool."""
+    from dataclasses import fields
+
+    for field in fields(SimulationResult):
+        equal = getattr(copy, field.name) == getattr(reference, field.name)
+        assert equal is True, (how, field.name)
+
+
+@pytest.mark.parametrize("app", ["stress.shadow_mix", "spec.milc"])
+def test_compact_result_round_trips(app, tmp_path):
+    """A ``tpc`` result keeps its per-line records in compact forms and
+    equals itself, field by field, after a pickle, a result-cache
+    put/get and a pool run, where it crosses the pipe as it is."""
     from repro.experiments.runner import simulate_spec
 
-    reference = simulate_spec(APPS[0], "tpc", "", EXPERIMENT_CONFIG)
-    packed = _pack_result(
-        simulate_spec(APPS[0], "tpc", "", EXPERIMENT_CONFIG))
-    # The wire payload really is slim: the bulky collections are blobs.
-    stripped = packed[0]
-    assert stripped.miss_lines_l1 == {} == stripped.attempted_by_component
-    restored = _unpack_result(packed)
-    assert restored.miss_lines_l1 == reference.miss_lines_l1
-    assert restored.miss_lines_l2 == reference.miss_lines_l2
-    assert restored.core.miss_pcs == reference.core.miss_pcs
-    assert restored.core.miss_latency_by_pc \
-        == reference.core.miss_latency_by_pc
-    assert restored.attempted_prefetch_lines \
-        == reference.attempted_prefetch_lines
-    assert restored.attempted_by_component \
-        == reference.attempted_by_component
-    assert restored.core.cycles == reference.core.cycles
+    reference = simulate_spec(app, "tpc", "", EXPERIMENT_CONFIG)
+    assert isinstance(reference.miss_lines_l1, LineCounts)
+    assert isinstance(reference.attempted_prefetch_lines, LineSet)
+    assert all(isinstance(lines, LineSet)
+               for lines in reference.attempted_by_component.values())
+    assert isinstance(reference.credit_log, CreditLog)
+    assert len(reference.credit_log) and len(reference.miss_lines_l1)
+
+    _assert_same_fields(pickle.loads(pickle.dumps(reference)), reference,
+                        "pickle")
+    cache = ResultCache(tmp_path)
+    digest = config_digest(EXPERIMENT_CONFIG)
+    cache.put(app, "tpc", "", digest, reference)
+    _assert_same_fields(cache.get(app, "tpc", "", digest), reference,
+                        "result cache")
+    try:
+        pooled, _baseline = run_jobs([(app, "tpc"), (app, "none")],
+                                     EXPERIMENT_CONFIG, 2)
+    finally:
+        shutdown_pool()
+    _assert_same_fields(pooled, reference, "run_jobs")
 
 
 def test_run_jobs_reports_phase_timings():

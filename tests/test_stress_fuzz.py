@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.compact import CreditLog, LineCounts, LineSet
 from repro.engine.config import EXPERIMENT_CONFIG
 from repro.engine.kernel import GENERIC, KERNEL_ENV
 from repro.engine.multicore import simulate_multicore
@@ -219,27 +220,62 @@ def test_fuzz_mix_leg_reports_divergence(monkeypatch):
     assert any(name.startswith("core") for name in violation.fields)
 
 
+def _with_extra_entry(result) -> None:
+    result.credit_log = CreditLog.of(
+        [*result.credit_log, ("on_useful", 0, "skew", 1)])
+
+
+def _with_extra_miss(result) -> None:
+    counts = dict(result.miss_lines_l1.items())
+    line = next(iter(counts))
+    counts[line] += 1
+    result.miss_lines_l1 = LineCounts.of(counts)
+
+
+def _with_extra_attempt(result) -> None:
+    lines = set(result.attempted_prefetch_lines)
+    result.attempted_prefetch_lines = LineSet.of(lines | {max(lines) + 1})
+
+
+def _with_extra_component_line(result) -> None:
+    by_component = dict(result.attempted_by_component)
+    name, lines = next(iter(by_component.items()))
+    by_component[name] = LineSet.of(set(lines) | {max(lines) + 1})
+    result.attempted_by_component = by_component
+
+
+SKEWS = {
+    "credit_log": _with_extra_entry,
+    "miss_lines_l1": _with_extra_miss,
+    "attempted_prefetch_lines": _with_extra_attempt,
+    "attempted_by_component": _with_extra_component_line,
+}
+"""Field name -> one injected difference in that compact field alone."""
+
+
 def test_fuzz_reports_credit_log_divergence(monkeypatch):
-    """A generic run whose credit log holds one extra use is reported as
-    a kernel-vs-generic violation on ``tpc``, naming the log alone,
-    since every figure still matches."""
+    """A generic run with one injected difference in a per-line record
+    (one extra credit entry, one miss count, one attempted line or one
+    per-component line) is reported as a kernel-vs-generic violation on
+    ``tpc`` naming that field alone, since every figure still matches."""
     simulate_tier = identity._simulate_tier
 
-    def skewed(trace, prefetcher, config, tier):
-        result = simulate_tier(trace, prefetcher, config, tier)
-        if tier == GENERIC and prefetcher == "tpc":
-            result.credit_log.append(("on_useful", 0, "skew", 1))
-        return result
+    for field, skew in SKEWS.items():
+        def skewed(trace, prefetcher, config, tier, skew=skew):
+            result = simulate_tier(trace, prefetcher, config, tier)
+            if tier == GENERIC and prefetcher == "tpc":
+                skew(result)
+            return result
 
-    monkeypatch.setattr(identity, "_simulate_tier", skewed)
-    summary = check_workload(fuzz_workload(1), ("none", "tpc"),
-                             fused=False, cold=False)
-    (violation,) = summary["violations"]
-    assert violation.workload == fuzz_name(1)
-    assert violation.prefetcher == "tpc"
-    assert violation.invariant == "kernel-vs-generic"
-    assert violation.reference_kernel == GENERIC
-    assert violation.fields == ["credit_log"]
+        monkeypatch.setattr(identity, "_simulate_tier", skewed)
+        summary = check_workload(fuzz_workload(1), ("none", "tpc"),
+                                 fused=False, cold=False)
+        (violation,) = summary["violations"]
+        assert violation.workload == fuzz_name(1)
+        assert violation.prefetcher == "tpc"
+        assert violation.invariant == "kernel-vs-generic"
+        assert violation.reference_kernel == GENERIC
+        assert violation.fields == [field]
 
 
 # ----------------------------------------------------------------------
